@@ -1,303 +1,43 @@
 package core
 
 import (
-	"fmt"
-
 	"grinch/internal/bitutil"
 	"grinch/internal/gift"
-	"grinch/internal/obs"
-	"grinch/internal/probe"
-	"grinch/internal/rng"
 )
 
-// Channel128 is the GIFT-128 observation channel, mirroring
-// probe.Channel with a 128-bit plaintext.
-type Channel128 interface {
-	Collect(pt bitutil.Word128, targetRound int) probe.LineSet
-	Lines() int
-	Encryptions() uint64
-}
+// Channel128 is the GIFT-128 observation channel: probe.Channel's shape
+// with a 128-bit plaintext.
+type Channel128 = channel[bitutil.Word128]
 
-// FallibleChannel128 mirrors probe.FallibleChannel for GIFT-128
-// channels: CollectErr reports probe failures (retryable when the
-// error exposes `Transient() bool`) instead of degrading them.
-type FallibleChannel128 interface {
-	Channel128
-	CollectErr(pt bitutil.Word128, targetRound int) (probe.LineSet, error)
+// gift128 describes GIFT-128 to the engine: 32 segments whose key bits
+// sit at index bits 1 and 2, and two round keys (64 key bits each)
+// holding the whole master key.
+var gift128 = cipherDesc[bitutil.Word128, gift.RoundKey128]{
+	name:       "GIFT-128",
+	segments:   gift.Segments128,
+	keyRounds:  2,
+	maxRound:   6,
+	target:     func(t, g int) target[bitutil.Word128, gift.RoundKey128] { return NewTarget128(t, g) },
+	roundKey:   roundKeyFromPairs128,
+	hypotheses: true,
+	pinShare:   worstPinShare,
 }
 
 // Attacker128 drives the GRINCH attack against a GIFT-128 victim.
 type Attacker128 struct {
-	ch        Channel128
-	cfg       Config
-	rng       *rng.Source
-	lineWords int
-	meter     attackMeter
-	// backoffPS, lastRound and lastStatuses mirror Attacker's
-	// robustness bookkeeping (retry clock and graceful-degradation
-	// statuses).
-	backoffPS    uint64
-	lastRound    int
-	lastStatuses []SegmentStatus
+	engine[bitutil.Word128, gift.RoundKey128]
 }
 
 // NewAttacker128 builds a GIFT-128 attacker.
 func NewAttacker128(ch Channel128, cfg Config) (*Attacker128, error) {
-	lines := ch.Lines()
-	if lines < 2 || 16%lines != 0 {
-		return nil, fmt.Errorf("core: channel exposes %d table lines; the attack needs 2..16 dividing 16", lines)
+	a := new(Attacker128)
+	if err := a.init(&gift128, ch, cfg); err != nil {
+		return nil, err
 	}
-	cfg = cfg.withDefaults()
-	return &Attacker128{
-		ch:        ch,
-		cfg:       cfg,
-		rng:       rng.New(cfg.Seed),
-		lineWords: 16 / lines,
-		meter:     newAttackMeter(cfg.Metrics, "GIFT-128"),
-	}, nil
+	return a, nil
 }
 
-// Encryptions returns the channel's total encryption count.
-func (a *Attacker128) Encryptions() uint64 { return a.ch.Encryptions() }
-
-func (a *Attacker128) overBudget() bool {
-	return a.cfg.TotalBudget > 0 && a.ch.Encryptions() >= a.cfg.TotalBudget
-}
-
-// SimPS mirrors Attacker.SimPS.
-func (a *Attacker128) SimPS() uint64 {
-	ps := a.backoffPS
-	if s, ok := a.ch.(interface{ SimPS() uint64 }); ok {
-		ps += s.SimPS()
-	}
-	return ps
-}
-
-func (a *Attacker128) overDeadline() bool {
-	return a.cfg.SimDeadlinePS > 0 && a.SimPS() >= a.cfg.SimDeadlinePS
-}
-
-// collectRetry128 mirrors Attacker.collectRetry (no masked-channel
-// variant exists for GIFT-128).
-func (a *Attacker128) collectRetry128(pt bitutil.Word128, spec TargetSpec128) (set probe.LineSet, retries uint64, err error) {
-	fc, ok := a.ch.(FallibleChannel128)
-	if !ok {
-		return a.ch.Collect(pt, spec.Round), 0, nil
-	}
-	for attempt := 0; ; attempt++ {
-		s, cerr := fc.CollectErr(pt, spec.Round)
-		if cerr == nil {
-			return s, retries, nil
-		}
-		if !isTransient(cerr) || attempt >= a.cfg.Retry.MaxAttempts {
-			return 0, retries, cerr
-		}
-		retries++
-		wait := a.cfg.Retry.backoff(attempt + 1)
-		a.backoffPS += wait
-		if a.cfg.Tracer != nil {
-			a.cfg.Tracer.Emit(obs.Event{
-				Kind:    obs.KindRetry,
-				Enc:     a.ch.Encryptions(),
-				Cipher:  "GIFT-128",
-				Round:   spec.Round,
-				Segment: spec.Segment,
-				Attempt: attempt + 1,
-				SimPS:   wait,
-			})
-		}
-		if a.overDeadline() {
-			return 0, retries, ErrSimDeadline
-		}
-	}
-}
-
-func (a *Attacker128) observableShift() int {
-	s := 0
-	for w := a.lineWords; w > 1; w >>= 1 {
-		s++
-	}
-	return s
-}
-
-// TargetOutcome128 mirrors TargetOutcome.
-type TargetOutcome128 struct {
-	Spec         TargetSpec128
-	Line         int
-	Pairs        []uint8
-	Observations uint64
-	Converged    bool
-	Exhausted    bool
-	Infeasible   bool
-	Restarts     int
-	Retries      uint64
-	Quarantined  uint64
-	Confidence   float64
-	ChannelErr   error
-}
-
-// AttackTarget128 runs the crafted-elimination loop for one GIFT-128
-// segment (see Attacker.AttackTarget for the semantics).
-func (a *Attacker128) AttackTarget128(spec TargetSpec128, rks []gift.RoundKey128) TargetOutcome128 {
-	return a.attackTarget128(spec, rks, false)
-}
-
-func (a *Attacker128) attackTarget128(spec TargetSpec128, rks []gift.RoundKey128, confirm bool) TargetOutcome128 {
-	threshold := a.cfg.Threshold
-	minObs := a.cfg.MinObservations
-	out := a.eliminateTarget128(spec, rks, confirm, threshold, minObs)
-	for out.Exhausted && !confirm && out.ChannelErr == nil &&
-		out.Restarts < a.cfg.MaxRestarts && !a.overBudget() && !a.overDeadline() {
-		threshold = relaxThreshold(threshold, a.cfg.restartRelax())
-		if threshold < 1 && minObs < relaxedMinObservations {
-			minObs = relaxedMinObservations
-		}
-		restarts := out.Restarts + 1
-		a.meter.restarts.Inc()
-		if a.cfg.Tracer != nil {
-			a.cfg.Tracer.Emit(obs.Event{
-				Kind:      obs.KindTargetRestarted,
-				Enc:       a.ch.Encryptions(),
-				Cipher:    "GIFT-128",
-				Round:     spec.Round,
-				Segment:   spec.Segment,
-				Attempt:   restarts,
-				Threshold: threshold,
-			})
-		}
-		prev := out
-		out = a.eliminateTarget128(spec, rks, confirm, threshold, minObs)
-		out.Restarts = restarts
-		out.Observations += prev.Observations
-		out.Retries += prev.Retries
-		out.Quarantined += prev.Quarantined
-	}
-	return out
-}
-
-// eliminateTarget128 mirrors Attacker.eliminateTarget.
-func (a *Attacker128) eliminateTarget128(spec TargetSpec128, rks []gift.RoundKey128, confirm bool, threshold float64, minObs uint64) TargetOutcome128 {
-	var elim Eliminator
-	elim.Reset(a.ch.Lines(), threshold)
-	feasible := spec.FeasibleLines(a.lineWords)
-	full := probe.FullSet(a.ch.Lines())
-	startEnc := a.ch.Encryptions()
-	out := TargetOutcome128{Spec: spec, Line: -1}
-	var confirmLeft uint64
-	confirming := false
-
-	for tries := uint64(0); tries < a.cfg.MaxObservationsPerTarget && !a.overBudget(); tries++ {
-		if a.overDeadline() {
-			out.ChannelErr = ErrSimDeadline
-			break
-		}
-		pt := spec.CraftPlaintext(a.rng, rks)
-		set, retries, err := a.collectRetry128(pt, spec)
-		out.Retries += retries
-		if err != nil {
-			out.ChannelErr = err
-			break
-		}
-		if a.cfg.Quarantine && degenerate(set, full) {
-			out.Quarantined++
-			continue
-		}
-		elim.Observe(set)
-		a.meter.observations.Inc()
-		if a.cfg.Tracer != nil {
-			traceObservation(a.cfg.Tracer, a.ch.Encryptions(), "GIFT-128", spec.Round, spec.Segment, set, &elim)
-		}
-
-		if elim.Exhausted() && (threshold == 1 || elim.Observations() >= minObs) {
-			out.Exhausted = true
-			break
-		}
-		line, ok := elim.Converged(minObs)
-		if !ok {
-			confirming = false
-			continue
-		}
-		if !feasible.Contains(line) {
-			out.Infeasible = true
-			break
-		}
-		if !confirm {
-			out.Line = line
-			out.Converged = true
-			break
-		}
-		if !confirming {
-			confirming = true
-			confirmLeft = a.confirmSpan128(&elim, line)
-		}
-		if confirmLeft == 0 {
-			out.Line = line
-			out.Converged = true
-			break
-		}
-		confirmLeft--
-	}
-	if out.Converged {
-		out.Pairs = spec.PairsForLine(out.Line, a.lineWords)
-		out.Confidence = confidence(&elim, out.Line, a.ch.Lines())
-		if a.cfg.Tracer != nil {
-			traceRecovered(a.cfg.Tracer, a.ch.Encryptions(), "GIFT-128", spec.Round, spec.Segment, out.Line, elim.Observations())
-		}
-	}
-	out.Observations = elim.Observations()
-	a.meter.retries.Add(out.Retries)
-	a.meter.quarantined.Add(out.Quarantined)
-	a.meter.segmentDone(elim.Observations(), uint64(elim.Candidates().Count()),
-		a.ch.Encryptions()-startEnc, out.Converged, out.Exhausted, out.Infeasible)
-	return out
-}
-
-// confirmSpan128 mirrors Attacker.confirmSpan (the S-box, and hence
-// worstPinShare, is shared between the variants).
-func (a *Attacker128) confirmSpan128(elim *Eliminator, line int) uint64 {
-	var pMax float64
-	for l := 0; l < a.ch.Lines(); l++ {
-		if l == line {
-			continue
-		}
-		if p := elim.PresenceRatio(l); p > pMax {
-			pMax = p
-		}
-	}
-	if pMax > 0.999 {
-		pMax = 0.999
-	}
-	deathRate := (1 - worstPinShare) * (1 - pMax)
-	const fpRate = 1e-4
-	k := uint64(logRatio(fpRate, 1-deathRate)) + 1
-	if limit := a.cfg.MaxObservationsPerTarget; k > limit {
-		k = limit
-	}
-	return k
-}
-
-// RoundOutcome128 mirrors RoundOutcome with 32 segments.
-type RoundOutcome128 struct {
-	Round         int
-	Cands         [32][]uint8
-	ConfirmedPrev [32]uint8
-	PrevResolved  bool
-	Encryptions   uint64
-}
-
-// Unique reports whether every segment resolved to a single pair.
-func (r RoundOutcome128) Unique() (gift.RoundKey128, bool) {
-	var pairs [32]uint8
-	for g, c := range r.Cands {
-		if len(c) != 1 {
-			return gift.RoundKey128{}, false
-		}
-		pairs[g] = c[0]
-	}
-	return roundKeyFromPairs128(r.Round, pairs), true
-}
-
-func roundKeyFromPairs128(round int, pairs [32]uint8) gift.RoundKey128 {
+func roundKeyFromPairs128(round int, pairs []uint8) gift.RoundKey128 {
 	var rk gift.RoundKey128
 	for g, p := range pairs {
 		rk.V |= uint32(p&1) << g
@@ -305,120 +45,6 @@ func roundKeyFromPairs128(round int, pairs [32]uint8) gift.RoundKey128 {
 	}
 	rk.Const = gift.RoundConstants[round-1]
 	return rk
-}
-
-// AttackRound128 attacks round key t across all 32 segments, with the
-// same hypothesis machinery as the GIFT-64 path.
-func (a *Attacker128) AttackRound128(t int, resolved []gift.RoundKey128, prevCands *[32][]uint8) (RoundOutcome128, error) {
-	if t >= 2 {
-		need := t - 1
-		if prevCands != nil {
-			need = t - 2
-		}
-		if len(resolved) < need {
-			return RoundOutcome128{}, fmt.Errorf("core: attacking round %d needs %d resolved round keys, have %d", t, need, len(resolved))
-		}
-	}
-
-	out := RoundOutcome128{Round: t}
-	start := a.ch.Encryptions()
-	a.lastRound = t
-	a.lastStatuses = a.lastStatuses[:0]
-
-	var confirmed [32]int8
-	for i := range confirmed {
-		confirmed[i] = -1
-	}
-	obsShift := a.observableShift()
-
-	for g := 0; g < gift.Segments128; g++ {
-		spec := NewTarget128(t, g)
-
-		if prevCands == nil {
-			o := a.AttackTarget128(spec, resolved[:max(t-1, 0)])
-			a.lastStatuses = append(a.lastStatuses, statusFor(t, g, o.Converged, o.Line, o.Observations, o.Restarts, o.Retries, o.Confidence))
-			if !o.Converged {
-				if o.ChannelErr != nil {
-					return out, fmt.Errorf("core: round %d segment %d: %w", t, g, o.ChannelErr)
-				}
-				if a.overBudget() {
-					return out, ErrBudgetExceeded
-				}
-				return out, fmt.Errorf("core: round %d segment %d: %d observations, %w",
-					t, g, o.Observations, ErrNoConvergence)
-			}
-			out.Cands[g] = o.Pairs
-			continue
-		}
-
-		parents := spec.ParentSegments()
-		var enumPos []int
-		for j := obsShift; j < 4; j++ {
-			enumPos = append(enumPos, j)
-		}
-		options := make([][]uint8, len(enumPos))
-		for i, j := range enumPos {
-			seg := parents[j]
-			if confirmed[seg] >= 0 {
-				options[i] = []uint8{uint8(confirmed[seg])}
-			} else {
-				options[i] = (*prevCands)[seg]
-			}
-		}
-
-		won := false
-		var last TargetOutcome128
-		for _, combo := range cartesian(options) {
-			var pairs [32]uint8
-			for seg := 0; seg < 32; seg++ {
-				if confirmed[seg] >= 0 {
-					pairs[seg] = uint8(confirmed[seg])
-				} else if len(prevCands[seg]) > 0 {
-					pairs[seg] = prevCands[seg][0]
-				}
-			}
-			for i, j := range enumPos {
-				pairs[parents[j]] = combo[i]
-			}
-			rkPrev := roundKeyFromPairs128(t-1, pairs)
-			rks := append(append([]gift.RoundKey128{}, resolved[:t-2]...), rkPrev)
-			o := a.attackTarget128(spec, rks, true)
-			last = o
-			if !o.Converged {
-				if o.ChannelErr != nil {
-					a.lastStatuses = append(a.lastStatuses, statusFor(t, g, false, -1, o.Observations, o.Restarts, o.Retries, 0))
-					return out, fmt.Errorf("core: round %d segment %d: %w", t, g, o.ChannelErr)
-				}
-				if a.overBudget() {
-					a.lastStatuses = append(a.lastStatuses, statusFor(t, g, false, -1, o.Observations, o.Restarts, o.Retries, 0))
-					return out, ErrBudgetExceeded
-				}
-				continue
-			}
-			for i, j := range enumPos {
-				confirmed[parents[j]] = int8(combo[i])
-			}
-			out.Cands[g] = o.Pairs
-			won = true
-			break
-		}
-		a.lastStatuses = append(a.lastStatuses, statusFor(t, g, won, last.Line, last.Observations, last.Restarts, last.Retries, last.Confidence))
-		if !won {
-			return out, fmt.Errorf("core: round %d segment %d: no crafting hypothesis converged (%w)", t, g, ErrNoConvergence)
-		}
-	}
-
-	if prevCands != nil {
-		for seg, c := range confirmed {
-			if c < 0 {
-				return out, fmt.Errorf("core: round %d left segment %d of round %d unresolved", t, seg, t-1)
-			}
-			out.ConfirmedPrev[seg] = uint8(confirmed[seg])
-		}
-		out.PrevResolved = true
-	}
-	out.Encryptions = a.ch.Encryptions() - start
-	return out, nil
 }
 
 // KeyResult128 is a completed GIFT-128 key recovery.
@@ -433,62 +59,26 @@ type KeyResult128 struct {
 // bits in just two rounds (64 per round), so two passes suffice — three
 // when wide lines force a disambiguation pass.
 func (a *Attacker128) RecoverKey128() (KeyResult128, error) {
-	res, _, err := a.recoverKey128()
-	return res, err
+	r := a.recoverKey()
+	return keyResult128(r), r.err
 }
 
-func (a *Attacker128) recoverKey128() (KeyResult128, []gift.RoundKey128, error) {
-	var res KeyResult128
-	start := a.ch.Encryptions()
-
-	var resolved []gift.RoundKey128
-	var pending *[32][]uint8
-	passes := 0
-	t := 1
-	for len(resolved) < 2 {
-		if t > 6 {
-			return res, resolved, fmt.Errorf("core: no resolution after %d round passes", passes)
-		}
-		passes++
-		out, err := a.AttackRound128(t, resolved, pending)
-		if err != nil {
-			return res, resolved, err
-		}
-		if pending != nil {
-			resolved = append(resolved, roundKeyFromPairs128(t-1, out.ConfirmedPrev))
-			pending = nil
-		}
-		if len(resolved) >= 2 {
-			break
-		}
-		if rk, ok := out.Unique(); ok {
-			resolved = append(resolved, rk)
-		} else {
-			cands := out.Cands
-			pending = &cands
-		}
-		t++
-	}
-
-	copy(res.RoundKeys[:], resolved[:2])
-	res.Key = AssembleKey128(res.RoundKeys)
-	res.Encryptions = a.ch.Encryptions() - start
-	res.RoundsAttacked = passes
-	return res, resolved, nil
-}
-
-// RecoverKey128Graceful mirrors Attacker.RecoverKeyGraceful: failures
-// degrade into a structured PartialResult instead of an error. A nil
-// PartialResult means full recovery.
+// RecoverKey128Graceful degrades failures into a structured
+// PartialResult instead of an error, like Attacker.RecoverKeyGraceful.
+// A nil PartialResult means full recovery.
 func (a *Attacker128) RecoverKey128Graceful() (KeyResult128, *PartialResult) {
-	start := a.ch.Encryptions()
-	res, resolved, err := a.recoverKey128()
-	if err == nil {
-		return res, nil
+	r := a.recoverKey()
+	return keyResult128(r), a.partial(r)
+}
+
+func keyResult128(r recovery[gift.RoundKey128]) KeyResult128 {
+	if r.err != nil {
+		return KeyResult128{}
 	}
-	p := newPartialResult("GIFT-128", len(resolved), err, a.ch.Encryptions()-start)
-	p.fillSegments(a.lastStatuses, a.lastRound, gift.Segments128)
-	return res, p
+	res := KeyResult128{Encryptions: r.encryptions, RoundsAttacked: r.passes}
+	copy(res.RoundKeys[:], r.rks)
+	res.Key = AssembleKey128(res.RoundKeys)
+	return res
 }
 
 // AssembleKey128 rebuilds the master key from the first two round keys:

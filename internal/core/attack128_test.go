@@ -117,7 +117,7 @@ func TestPairsForLine128Widths(t *testing.T) {
 	spec := NewTarget128(1, 3)
 	for _, c := range []struct{ words, pairs int }{{1, 1}, {2, 1}, {4, 2}, {8, 4}} {
 		line := int(spec.ExpectedIndex(0, 0)) / c.words
-		if got := len(spec.PairsForLine(line, c.words)); got != c.pairs {
+		if got := len(spec.CandidatesForLine(line, c.words)); got != c.pairs {
 			t.Fatalf("width %d: %d pairs, want %d", c.words, got, c.pairs)
 		}
 	}

@@ -22,15 +22,6 @@ import (
 	"grinch/internal/rng"
 )
 
-// ChannelP is the PRESENT observation channel. The signal round for
-// round key t is round t itself (key-first ordering), so Collect's
-// window starts at targetRound rather than targetRound+1.
-type ChannelP interface {
-	Collect(pt uint64, targetRound int) probe.LineSet
-	Lines() int
-	Encryptions() uint64
-}
-
 // TargetSpecP pins one PRESENT S-box access: segment Segment of the
 // round-Round input state is fixed to 0xF, so the observed index is
 // 0xF ⊕ K_Round[Segment].
@@ -61,9 +52,15 @@ func (t TargetSpecP) KeyNibble(index uint8) uint8 {
 	return index ^ pinnedValue
 }
 
-// NibblesForLine returns the candidate key nibbles consistent with an
+// FeasibleLines returns the lines the pinned target can land on: all
+// sixteen nibble values are possible keys, so every line is.
+func (t TargetSpecP) FeasibleLines(lineWords int) probe.LineSet {
+	return probe.FullSet(16 / lineWords)
+}
+
+// CandidatesForLine returns the candidate key nibbles consistent with an
 // observed line under the given line width.
-func (t TargetSpecP) NibblesForLine(line, lineWords int) []uint8 {
+func (t TargetSpecP) CandidatesForLine(line, lineWords int) []uint8 {
 	var out []uint8
 	for v := uint8(0); v < 16; v++ {
 		if int(t.ExpectedIndex(v))/lineWords == line {
@@ -90,15 +87,7 @@ func (t TargetSpecP) CraftState(r *rng.Source) uint64 {
 // CraftPlaintext inverts rounds Round-1..1 with the known (or
 // hypothesized) round keys.
 func (t TargetSpecP) CraftPlaintext(r *rng.Source, rks []uint64) uint64 {
-	state := t.CraftState(r)
-	if t.Round == 1 {
-		return state
-	}
-	if len(rks) < t.Round-1 {
-		panic(fmt.Sprintf("core: crafting round %d needs %d round keys, have %d",
-			t.Round, t.Round-1, len(rks)))
-	}
-	return present.PartialDecrypt(state, rks, t.Round-1)
+	return craftPlaintext(t.CraftState(r), t.Round, rks, present.PartialDecrypt)
 }
 
 // ParentSegments returns the round-(Round-1) S-boxes feeding the target
@@ -136,130 +125,44 @@ func computeWorstPinShareP() float64 {
 	return float64(best) / 16
 }
 
-// AttackerP drives GRINCH-P over a PRESENT channel.
+// present80 describes PRESENT-80 to the engine: 16 segments leaking a
+// whole key nibble each, and round keys K1 and K2 from which the key
+// schedule is inverted. It has no hypothesis passes (see RecoverKey80).
+var present80 = cipherDesc[uint64, uint64]{
+	name:      "PRESENT",
+	segments:  present.Segments,
+	keyRounds: 2,
+	maxRound:  2,
+	target:    func(t, g int) target[uint64, uint64] { return NewTargetP(t, g) },
+	roundKey:  roundKeyFromNibbles,
+	pinShare:  worstPinShareP,
+}
+
+// roundKeyFromNibbles assembles a 64-bit PRESENT round key from its
+// per-segment nibbles.
+func roundKeyFromNibbles(_ int, nibbles []uint8) uint64 {
+	var rk uint64
+	for g, v := range nibbles {
+		rk |= uint64(v) << (4 * g)
+	}
+	return rk
+}
+
+// AttackerP drives GRINCH-P over a PRESENT channel. The signal round
+// for round key t is round t itself (key-first ordering), so the
+// channel's Collect window starts at targetRound rather than
+// targetRound+1.
 type AttackerP struct {
-	ch        ChannelP
-	cfg       Config
-	rng       *rng.Source
-	lineWords int
-	meter     attackMeter
+	engine[uint64, uint64]
 }
 
 // NewAttackerP builds a PRESENT attacker.
-func NewAttackerP(ch ChannelP, cfg Config) (*AttackerP, error) {
-	lines := ch.Lines()
-	if lines < 2 || 16%lines != 0 {
-		return nil, fmt.Errorf("core: channel exposes %d table lines; the attack needs 2..16 dividing 16", lines)
+func NewAttackerP(ch probe.Channel, cfg Config) (*AttackerP, error) {
+	a := new(AttackerP)
+	if err := a.init(&present80, ch, cfg); err != nil {
+		return nil, err
 	}
-	cfg = cfg.withDefaults()
-	return &AttackerP{
-		ch:        ch,
-		cfg:       cfg,
-		rng:       rng.New(cfg.Seed),
-		lineWords: 16 / lines,
-		meter:     newAttackMeter(cfg.Metrics, "PRESENT"),
-	}, nil
-}
-
-// Encryptions returns the channel's total encryption count.
-func (a *AttackerP) Encryptions() uint64 { return a.ch.Encryptions() }
-
-func (a *AttackerP) overBudget() bool {
-	return a.cfg.TotalBudget > 0 && a.ch.Encryptions() >= a.cfg.TotalBudget
-}
-
-// TargetOutcomeP is the result of one PRESENT segment attack.
-type TargetOutcomeP struct {
-	Spec         TargetSpecP
-	Line         int
-	Nibbles      []uint8
-	Observations uint64
-	Converged    bool
-	Exhausted    bool
-}
-
-// AttackTargetP runs crafted elimination for one segment.
-func (a *AttackerP) AttackTargetP(spec TargetSpecP, rks []uint64) TargetOutcomeP {
-	var elim Eliminator
-	elim.Reset(a.ch.Lines(), a.cfg.Threshold)
-	startEnc := a.ch.Encryptions()
-	out := TargetOutcomeP{Spec: spec, Line: -1}
-
-	for elim.Observations() < a.cfg.MaxObservationsPerTarget && !a.overBudget() {
-		pt := spec.CraftPlaintext(a.rng, rks)
-		elim.Observe(a.ch.Collect(pt, spec.Round))
-		a.meter.observations.Inc()
-
-		if elim.Exhausted() && (a.cfg.Threshold == 1 || elim.Observations() >= a.cfg.MinObservations) {
-			out.Exhausted = true
-			break
-		}
-		if line, ok := elim.Converged(a.cfg.MinObservations); ok {
-			out.Line = line
-			out.Converged = true
-			break
-		}
-	}
-	if out.Converged {
-		out.Nibbles = spec.NibblesForLine(out.Line, a.lineWords)
-	}
-	out.Observations = elim.Observations()
-	a.meter.segmentDone(elim.Observations(), uint64(elim.Candidates().Count()),
-		a.ch.Encryptions()-startEnc, out.Converged, out.Exhausted, false)
-	return out
-}
-
-// RoundOutcomeP is the result of attacking one PRESENT round key.
-type RoundOutcomeP struct {
-	Round       int
-	Cands       [16][]uint8 // candidate key nibbles per segment
-	Encryptions uint64
-}
-
-// Unique reports whether every segment resolved to one nibble and
-// returns the 64-bit round key.
-func (r RoundOutcomeP) Unique() (uint64, bool) {
-	var rk uint64
-	for g, c := range r.Cands {
-		if len(c) != 1 {
-			return 0, false
-		}
-		rk |= uint64(c[0]) << (4 * g)
-	}
-	return rk, true
-}
-
-// AttackRoundP attacks round key t across all 16 segments. Crafting
-// for rounds ≥ 2 requires the earlier round keys to be fully resolved:
-// PRESENT's deterministic S-box derivative makes per-target hypothesis
-// enumeration unsound (see RecoverKey80), so — unlike the GIFT paths —
-// no prevCands mode exists.
-func (a *AttackerP) AttackRoundP(t int, resolved []uint64, prevCands *[16][]uint8) (RoundOutcomeP, error) {
-	if prevCands != nil {
-		return RoundOutcomeP{}, fmt.Errorf("core: PRESENT hypothesis passes are unsupported (deterministic S-box derivative; see RecoverKey80)")
-	}
-	if t >= 2 && len(resolved) < t-1 {
-		return RoundOutcomeP{}, fmt.Errorf("core: attacking round %d needs %d resolved round keys, have %d", t, t-1, len(resolved))
-	}
-
-	out := RoundOutcomeP{Round: t}
-	start := a.ch.Encryptions()
-
-	for g := 0; g < present.Segments; g++ {
-		spec := NewTargetP(t, g)
-		o := a.AttackTargetP(spec, resolved[:max(t-1, 0)])
-		if !o.Converged {
-			if a.overBudget() {
-				return out, ErrBudgetExceeded
-			}
-			return out, fmt.Errorf("core: PRESENT round %d segment %d: %d observations, %w",
-				t, g, o.Observations, ErrNoConvergence)
-		}
-		out.Cands[g] = o.Nibbles
-	}
-
-	out.Encryptions = a.ch.Encryptions() - start
-	return out, nil
+	return a, nil
 }
 
 // KeyResultP is a completed PRESENT-80 key recovery.
@@ -286,30 +189,15 @@ type KeyResultP struct {
 // position-preserving permutation avoids the trap — see
 // TestPresentWideLineDeterministicDerivative).
 func (a *AttackerP) RecoverKey80() (KeyResultP, error) {
-	var res KeyResultP
 	if a.lineWords > 1 {
-		return res, fmt.Errorf("core: GRINCH-P full recovery needs 1-word cache lines (got %d-word): PRESENT's deterministic S-box derivative defeats next-round disambiguation", a.lineWords)
+		return KeyResultP{}, fmt.Errorf("core: GRINCH-P full recovery needs 1-word cache lines (got %d-word): PRESENT's deterministic S-box derivative defeats next-round disambiguation", a.lineWords)
 	}
-	start := a.ch.Encryptions()
-
-	var resolved []uint64
-	passes := 0
-	for t := 1; len(resolved) < 2; t++ {
-		passes++
-		out, err := a.AttackRoundP(t, resolved, nil)
-		if err != nil {
-			return res, err
-		}
-		rk, ok := out.Unique()
-		if !ok {
-			return res, fmt.Errorf("core: PRESENT round %d left ambiguity at 1-word lines", t)
-		}
-		resolved = append(resolved, rk)
+	r := a.recoverKey()
+	if r.err != nil {
+		return KeyResultP{}, r.err
 	}
-
-	copy(res.RoundKeys[:], resolved[:2])
+	res := KeyResultP{Encryptions: r.encryptions, RoundsAttacked: r.passes}
+	copy(res.RoundKeys[:], r.rks)
 	res.Key = present.RecoverKey80(res.RoundKeys[0], res.RoundKeys[1])
-	res.Encryptions = a.ch.Encryptions() - start
-	res.RoundsAttacked = passes
 	return res, nil
 }

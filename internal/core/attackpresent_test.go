@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"grinch/internal/bitutil"
+	"grinch/internal/obs"
 	"grinch/internal/oracle"
 	"grinch/internal/present"
 	"grinch/internal/rng"
@@ -63,7 +64,7 @@ func TestPresentNibblesForLine(t *testing.T) {
 	spec := NewTargetP(1, 0)
 	for _, c := range []struct{ words, n int }{{1, 1}, {2, 2}, {4, 4}, {8, 8}} {
 		line := int(spec.ExpectedIndex(7)) / c.words
-		if got := len(spec.NibblesForLine(line, c.words)); got != c.n {
+		if got := len(spec.CandidatesForLine(line, c.words)); got != c.n {
 			t.Fatalf("width %d: %d candidates, want %d", c.words, got, c.n)
 		}
 	}
@@ -181,7 +182,7 @@ func TestRecoverPresent80WideLinesRefused(t *testing.T) {
 		t.Fatal("wide-line PRESENT recovery should be refused")
 	}
 	// First-round line identification (the Table I metric) still works.
-	out, err := a.AttackRoundP(1, nil, nil)
+	out, err := a.AttackRound(1, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +214,7 @@ func TestPresentCheaperPerBitThanGift(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outP, err := ap.AttackRoundP(1, nil, nil)
+	outP, err := ap.AttackRound(1, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,5 +232,48 @@ func TestPresentCheaperPerBitThanGift(t *testing.T) {
 	t.Logf("per-key-bit effort: PRESENT %.2f, GIFT %.2f encryptions", perBitP, perBitG)
 	if perBitP >= perBitG {
 		t.Fatalf("PRESENT (%.2f/bit) should be cheaper prey than GIFT (%.2f/bit)", perBitP, perBitG)
+	}
+}
+
+// TestPresentHonoursRobustnessConfig: PRESENT runs on the shared engine,
+// so a flaky channel is retried under Config.Retry, a dropped window is
+// quarantined, and the run emits the same trace events as the GIFT
+// attacks.
+func TestPresentHonoursRobustnessConfig(t *testing.T) {
+	r := rng.New(21)
+	key := presentKey(r)
+	c := present.NewCipher80(key)
+	fl := &flakyChannel{ch: &degradeChannel{ch: presentChannel(t, c, 1), k: 9, set: 0}, failEvery: 5}
+	var buf obs.Buffer
+	a, err := NewAttackerP(fl, Config{Seed: 1, Retry: RetryPolicy{MaxAttempts: 2}, Quarantine: true, Tracer: &buf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := a.RecoverKey80()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Key != key {
+		t.Fatal("recovered wrong key through a flaky channel")
+	}
+	kinds := map[obs.Kind]int{}
+	for _, e := range buf.Events {
+		if e.Cipher != "PRESENT" {
+			t.Fatalf("event %+v not labeled PRESENT", e)
+		}
+		kinds[e.Kind]++
+	}
+	if kinds[obs.KindRetry] == 0 || kinds[obs.KindProbeObservation] == 0 || kinds[obs.KindSegmentRecovered] != 2*present.Segments {
+		t.Fatalf("event kinds %v: want retries, observations and %d recoveries", kinds, 2*present.Segments)
+	}
+
+	// Without a retry policy the first transient failure aborts.
+	fl = &flakyChannel{ch: presentChannel(t, c, 1), failEvery: 1}
+	a, err = NewAttackerP(fl, Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.RecoverKey80(); err == nil || !isTransient(err) {
+		t.Fatalf("err = %v, want the transient channel failure", err)
 	}
 }

@@ -37,6 +37,24 @@ const (
 	batchMaxSize   = 64
 )
 
+// batchPipeline is the GIFT-64 batch capability the engine plugs in
+// (batchHook): it owns the channel's batch entry point and hands each
+// elimination pass a pooled batchState.
+type batchPipeline struct {
+	ch probe.BatchChannel
+	e  *engine[uint64, gift.RoundKey64]
+}
+
+// begin binds a pooled batchState to one elimination pass. Engine
+// targets for GIFT-64 are always *TargetSpec.
+func (p *batchPipeline) begin(spec target[uint64, gift.RoundKey64], rks []gift.RoundKey64) *batchState {
+	bs := batchStatePool.Get().(*batchState)
+	bs.p, bs.spec, bs.rks = p, spec.(*TargetSpec), rks
+	bs.n, bs.idx = 0, 0
+	bs.nextSize = batchFirstSize
+	return bs
+}
+
 // batchState is the in-flight crafted batch of one elimination pass:
 // up to 64 crafted plaintexts, their primed raw line sets, and the rng
 // snapshots needed to rewind uncommitted crafts. Pooled because sweeps
@@ -54,80 +72,83 @@ type batchState struct {
 	// channel unexpectedly refuses a prime, the crafted plaintexts are
 	// committed through the scalar collect path instead.
 	primed bool
+	// p, spec and rks are the pass the state is bound to.
+	p    *batchPipeline
+	spec *TargetSpec
+	rks  []gift.RoundKey64
 }
 
 var batchStatePool = sync.Pool{New: func() any { return new(batchState) }}
 
-func (bs *batchState) reset() {
-	bs.n, bs.idx = 0, 0
-	bs.nextSize = batchFirstSize
-}
-
 // refill crafts the next batch and primes it on the channel. Crafting
 // consumes the plaintext rng exactly as the scalar path would, one
 // CraftState per entry, with a snapshot every batchSnapEvery crafts so
-// settle can rewind the tail that is never committed.
-func (bs *batchState) refill(a *Attacker, spec *TargetSpec, rks []gift.RoundKey64) {
+// finish can rewind the tail that is never committed.
+func (bs *batchState) refill() {
+	e, spec := bs.p.e, bs.spec
 	size := bs.nextSize
 	if bs.nextSize < batchMaxSize {
 		bs.nextSize *= 2
 	}
 	// Never craft past the encryption budget: those observations could
 	// not be committed anyway.
-	if b := a.cfg.TotalBudget; b > 0 {
-		if rem := b - a.ch.Encryptions(); uint64(size) > rem {
+	if b := e.cfg.TotalBudget; b > 0 {
+		if rem := b - e.ch.Encryptions(); uint64(size) > rem {
 			size = int(rem)
 		}
 	}
 	for i := 0; i < size; i++ {
 		if i%batchSnapEvery == 0 {
-			bs.snaps[i/batchSnapEvery] = a.rng.Snapshot()
+			bs.snaps[i/batchSnapEvery] = e.rng.Snapshot()
 		}
-		bs.pts[i] = spec.CraftState(a.rng)
+		bs.pts[i] = spec.CraftState(e.rng)
 	}
 	if spec.Round > 1 {
-		if len(rks) < spec.Round-1 {
+		if len(bs.rks) < spec.Round-1 {
 			// Match CraftPlaintext's contract for the scalar path.
-			spec.CraftPlaintext(a.rng, rks) // panics
+			spec.CraftPlaintext(e.rng, bs.rks) // panics
 		}
 		for i := size; i < batchMaxSize; i++ {
 			bs.pts[i] = 0
 		}
-		gift.PartialDecryptBatch64(&bs.pts, rks, spec.Round-1, &bs.dec)
+		gift.PartialDecryptBatch64(&bs.pts, bs.rks, spec.Round-1, &bs.dec)
 	}
-	bs.primed = a.batchCh.PrimeBatch(bs.pts[:size], spec.Round, bs.raw[:size])
+	bs.primed = bs.p.ch.PrimeBatch(bs.pts[:size], spec.Round, bs.raw[:size])
 	bs.n, bs.idx = size, 0
 }
 
-// batchNext produces the next observation from the batch pipeline,
+// next produces the next observation from the batch pipeline,
 // refilling when the current batch is drained. The commit itself —
 // counter, events, noise, probe mask — happens inside the channel's
 // CollectPrimed with the scalar path's exact side-effect order.
-func (a *Attacker) batchNext(bs *batchState, spec *TargetSpec, rks []gift.RoundKey64) (set, mask probe.LineSet, retries uint64, err error) {
+func (bs *batchState) next() (set, mask probe.LineSet, retries uint64, err error) {
 	if bs.idx == bs.n {
-		bs.refill(a, spec, rks)
+		bs.refill()
 	}
 	i := bs.idx
 	bs.idx++
 	if bs.primed {
-		set, mask = a.batchCh.CollectPrimed(bs.raw[i], spec.Round)
+		set, mask = bs.p.ch.CollectPrimed(bs.raw[i], bs.spec.Round)
 		return set, mask, 0, nil
 	}
-	return a.collectRetry(bs.pts[i], *spec)
+	return bs.p.e.collect(bs.pts[i], bs.spec.Round, bs.spec.Segment)
 }
 
-// settle rewinds the plaintext rng over the crafted-but-uncommitted
-// tail of the batch: restore the nearest snapshot at or before the
-// commit cursor and replay the few crafts up to it. After settle the
-// rng state is exactly what the scalar path would have left behind.
-func (bs *batchState) settle(a *Attacker, spec *TargetSpec) {
+// finish rewinds the plaintext rng over the crafted-but-uncommitted
+// tail of the batch — restore the nearest snapshot at or before the
+// commit cursor and replay the few crafts up to it, leaving the rng
+// exactly where the scalar path would have — and returns the state to
+// the pool.
+func (bs *batchState) finish() {
 	if bs.idx < bs.n {
-		a.rng.Restore(bs.snaps[bs.idx/batchSnapEvery])
+		rg := bs.p.e.rng
+		rg.Restore(bs.snaps[bs.idx/batchSnapEvery])
 		for i := 0; i < bs.idx%batchSnapEvery; i++ {
-			spec.CraftState(a.rng)
+			bs.spec.CraftState(rg)
 		}
 	}
-	bs.n, bs.idx = 0, 0
+	bs.p, bs.spec, bs.rks = nil, nil, nil
+	batchStatePool.Put(bs)
 }
 
 // supportsBatch verifies once, at attacker construction, that the

@@ -41,10 +41,10 @@ func runWithMode(t *testing.T, mode BatchMode, ocfg oracle.Config, acfg Config, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mode == BatchAuto && a.batchCh == nil {
+	if mode == BatchAuto && a.batch == nil {
 		t.Fatal("BatchAuto attacker did not engage the batch pipeline on a batch-capable oracle")
 	}
-	if mode == BatchOff && a.batchCh != nil {
+	if mode == BatchOff && a.batch != nil {
 		t.Fatal("BatchOff attacker kept a batch channel")
 	}
 

@@ -36,7 +36,7 @@ func TestNewAttackerPRejectsSingleLine(t *testing.T) {
 func TestAttackRound128RequiresResolvedKeys(t *testing.T) {
 	ch := cleanChannel128(t, bitutil.Word128{Lo: 1}, 1)
 	a := newAttacker128(t, ch, Config{Seed: 1})
-	if _, err := a.AttackRound128(3, nil, nil); err == nil {
+	if _, err := a.AttackRound(3, nil, nil); err == nil {
 		t.Fatal("round 3 without round keys accepted")
 	}
 }
@@ -49,7 +49,7 @@ func TestAttackRoundPRequiresResolvedKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.AttackRoundP(3, nil, nil); err == nil {
+	if _, err := a.AttackRound(3, nil, nil); err == nil {
 		t.Fatal("round 3 without round keys accepted")
 	}
 }
@@ -121,9 +121,13 @@ func TestCraftPlaintextPanicsWithoutKeys(t *testing.T) {
 	}
 }
 
+// newRoundOutcome builds an empty round-1 outcome for a cipher.
+func newRoundOutcome[W, RK any](d *cipherDesc[W, RK]) RoundOutcome[RK] {
+	return RoundOutcome[RK]{Round: 1, Cands: make([][]uint8, d.segments), roundKey: d.roundKey}
+}
+
 func TestRoundOutcomeUniqueNegative(t *testing.T) {
-	var out RoundOutcome
-	out.Round = 1
+	out := newRoundOutcome(&gift64)
 	for g := range out.Cands {
 		out.Cands[g] = []uint8{0, 1} // ambiguous
 	}
@@ -131,8 +135,7 @@ func TestRoundOutcomeUniqueNegative(t *testing.T) {
 		t.Fatal("ambiguous outcome reported unique")
 	}
 
-	var out128 RoundOutcome128
-	out128.Round = 1
+	out128 := newRoundOutcome(&gift128)
 	for g := range out128.Cands {
 		out128.Cands[g] = []uint8{2}
 	}
@@ -141,8 +144,7 @@ func TestRoundOutcomeUniqueNegative(t *testing.T) {
 		t.Fatal("incomplete 128 outcome reported unique")
 	}
 
-	var outP RoundOutcomeP
-	outP.Round = 1
+	outP := newRoundOutcome(&present80)
 	for g := range outP.Cands {
 		outP.Cands[g] = []uint8{5}
 	}
@@ -168,7 +170,7 @@ func TestAttackTargetReportsFailureOnWrongHypothesis(t *testing.T) {
 	}
 	rk.U ^= 0xffff // corrupt every U bit
 	spec := NewTarget64(2, 5)
-	o := a.attackTarget(spec, []gift.RoundKey64{rk}, true)
+	o := a.attackTarget(&spec, spec.Round, spec.Segment, []gift.RoundKey64{rk}, true)
 	if o.Converged {
 		t.Fatalf("corrupted round key converged to line %d", o.Line)
 	}

@@ -12,6 +12,11 @@
 //  4. Reverse-engineer key bits — TargetSpec.KeyBits
 //  5. Update plaintext generation for the next round — attack.go
 //
+// One generic engine (attack.go) runs these steps for every cipher; a
+// small per-cipher description supplies the targets, round-key
+// assembly and recovery shape for GIFT-64, GIFT-128 (attack128.go) and
+// PRESENT-80 (attackpresent.go).
+//
 // Wide cache lines hide the low index bits (paper §III-D); the attack
 // then carries up to four candidate key-bit pairs per segment into the
 // next round, where wrong hypotheses destroy the pinning and are pruned
@@ -49,18 +54,7 @@ type Source struct {
 // before the round-Round AddRoundKey, so the observed index differs from
 // 0b1111 exactly by the two round-key bits and the known round constant.
 type TargetSpec struct {
-	// Round is the attacked round key (1-based): the crafted constraint
-	// acts on the S-box accesses of round Round+1.
-	Round int
-	// Segment is the attacked segment g (0..15): key bits V_g and U_g
-	// of round key Round are recovered.
-	Segment int
-	// Sources are the four round-Round S-box cells feeding the target,
-	// indexed by target bit position (Sources[j] feeds index bit j).
-	Sources [4]Source
-	// ConstXor is the round-constant contribution to the observed
-	// index (bit 3 only; bits 0..2 never carry constants in GIFT-64).
-	ConstXor uint8
+	giftPinned
 
 	// Crafting fast-path metadata, precomputed by buildTarget64 so the
 	// per-plaintext hot loop is free of slice chases and pin-tracking
@@ -106,14 +100,18 @@ func buildTarget64Specs() [gift.Rounds64][gift.Segments64]TargetSpec {
 
 // NewTarget64 returns the target specification for round key t
 // (1-based) and segment g of GIFT-64.
-func NewTarget64(t, g int) TargetSpec {
+func NewTarget64(t, g int) TargetSpec { return *target64(t, g) }
+
+// target64 returns the cached specification itself; the engine's
+// targets point into the cache instead of copying it.
+func target64(t, g int) *TargetSpec {
 	if t < 1 || t > gift.Rounds64 {
 		panic(fmt.Sprintf("core: round %d out of range", t))
 	}
 	if g < 0 || g >= gift.Segments64 {
 		panic(fmt.Sprintf("core: segment %d out of range", g))
 	}
-	return target64Specs[t-1][g]
+	return &target64Specs[t-1][g]
 }
 
 // buildTarget64 constructs one specification. This is paper Algorithm 1
@@ -121,29 +119,61 @@ func NewTarget64(t, g int) TargetSpec {
 // target key bits are inverse-permuted to locate the S-box output bits
 // that must be pinned.
 func buildTarget64(t, g int) TargetSpec {
-	spec := TargetSpec{Round: t, Segment: g}
-	for j := 0; j < 4; j++ {
-		// State bit 4g+j of the round-(t+1) S-box input comes from
-		// S-box output bit InvPerm64[4g+j] of round t.
-		p := int(gift.InvPerm64[4*g+j])
-		spec.Sources[j] = Source{
-			Segment: p / 4,
-			Bit:     p % 4,
-			Inputs:  sboxBitList(p % 4),
-		}
-	}
-	// Round-constant contribution to the observed index: GIFT-64 XORs a
-	// fixed 1 into state bit 63 (segment 15, bit 3) and constant bits
-	// c_i into bits 4i+3 for i = 0..5 (segments 0..5, bit 3).
-	c := gift.RoundConstants[t-1]
-	switch {
-	case g == 15:
-		spec.ConstXor = 1 << 3
-	case g < 6:
-		spec.ConstXor = (c >> g & 1) << 3
-	}
+	spec := TargetSpec{giftPinned: newGiftPinned(gift.InvPerm64[:], t, g, 0)}
 	spec.compileCraft()
 	return spec
+}
+
+// giftPinned is what the GIFT-64 and GIFT-128 targets share: the
+// variants differ only in state width, permutation and where
+// AddRoundKey puts the two key bits of a segment.
+type giftPinned struct {
+	// Round is the attacked round key (1-based): the crafted constraint
+	// acts on the S-box accesses of round Round+1.
+	Round int
+	// Segment is the attacked segment g: key bits V_g and U_g of round
+	// key Round are recovered.
+	Segment int
+	// Sources are the four round-Round S-box cells feeding the target,
+	// indexed by target bit position (Sources[j] feeds index bit j).
+	Sources [4]Source
+	// ConstXor is the round-constant contribution to the observed
+	// index (bit 3 only; bits 0..2 never carry constants in GIFT).
+	ConstXor uint8
+	// keyShift is the index bit V lands on, U landing one above: 0 for
+	// GIFT-64, 1 for GIFT-128.
+	keyShift uint8
+}
+
+// newGiftPinned locates the pinning for segment g of round key t of a
+// GIFT variant with inverse bit permutation invPerm (paper Algorithm
+// 1, SET_TARGET_BITS): the state positions that AddRoundKey XORs with
+// the target key bits are inverse-permuted to locate the S-box output
+// bits that must be pinned.
+func newGiftPinned(invPerm []uint8, t, g int, keyShift uint8) giftPinned {
+	p := giftPinned{Round: t, Segment: g, keyShift: keyShift}
+	for j := 0; j < 4; j++ {
+		// State bit 4g+j of the round-(t+1) S-box input comes from
+		// S-box output bit invPerm[4g+j] of round t.
+		src := int(invPerm[4*g+j])
+		p.Sources[j] = Source{
+			Segment: src / 4,
+			Bit:     src % 4,
+			Inputs:  sboxBitList(src % 4),
+		}
+	}
+	// Round-constant contribution to the observed index: GIFT XORs a
+	// fixed 1 into the state's top bit (bit 3 of the last segment: 15
+	// for GIFT-64, 31 for GIFT-128) and constant bits c_i into bits
+	// 4i+3 for i = 0..5 (segments 0..5, bit 3).
+	c := gift.RoundConstants[t-1]
+	switch {
+	case g == len(invPerm)/4-1:
+		p.ConstXor = 1 << 3
+	case g < 6:
+		p.ConstXor = (c >> g & 1) << 3
+	}
+	return p
 }
 
 // compileCraft fills the crafting fast-path metadata. It only succeeds
@@ -184,17 +214,18 @@ const pinnedValue = 0xf
 
 // ExpectedIndex returns the S-box index that will be observed in round
 // Round+1, segment Segment, when round key Round has V bit v and U bit u
-// at this segment.
-func (t TargetSpec) ExpectedIndex(v, u uint8) uint8 {
-	return pinnedValue ^ t.ConstXor ^ (v&1 | u&1<<1)
+// at this segment. GIFT-64 XORs v into index bit 0 and u into bit 1,
+// GIFT-128 into bits 1 and 2.
+func (t giftPinned) ExpectedIndex(v, u uint8) uint8 {
+	return pinnedValue ^ t.ConstXor ^ (v&1|u&1<<1)<<t.keyShift
 }
 
 // KeyBits reverse-engineers the two key bits from the observed index
 // (paper Step 4: Key[i] ← ¬Index[a], adjusted for the round constant).
-// v is the bit XORed at state position 4g (key bit g of the round key's
-// V word) and u the bit at 4g+1 (bit g of U).
-func (t TargetSpec) KeyBits(index uint8) (v, u uint8) {
-	d := index ^ pinnedValue ^ t.ConstXor
+// v is the bit of the round key's V word at this segment, u the bit of
+// U.
+func (t giftPinned) KeyBits(index uint8) (v, u uint8) {
+	d := (index ^ pinnedValue ^ t.ConstXor) >> t.keyShift
 	return d & 1, d >> 1 & 1
 }
 
@@ -202,7 +233,7 @@ func (t TargetSpec) KeyBits(index uint8) (v, u uint8) {
 // the four possible key-bit pairs map to at most four indices, which a
 // wide line collapses further. A converged line outside this set cannot
 // be the target — it is a noise line that survived by chance.
-func (t TargetSpec) FeasibleLines(lineWords int) probe.LineSet {
+func (t giftPinned) FeasibleLines(lineWords int) probe.LineSet {
 	var set probe.LineSet
 	for p := uint8(0); p < 4; p++ {
 		set = set.Add(int(t.ExpectedIndex(p&1, p>>1)) / lineWords)
@@ -210,11 +241,11 @@ func (t TargetSpec) FeasibleLines(lineWords int) probe.LineSet {
 	return set
 }
 
-// PairsForLine returns the candidate (v | u<<1) key-bit pairs consistent
-// with the observed table line when lineWords table entries share one
-// cache line: wide lines hide the low index bits, leaving up to four
-// candidates (paper §III-D).
-func (t TargetSpec) PairsForLine(line, lineWords int) []uint8 {
+// CandidatesForLine returns the candidate (v | u<<1) key-bit pairs
+// consistent with the observed table line when lineWords table entries
+// share one cache line: wide lines hide the low index bits, leaving up
+// to four candidates (paper §III-D).
+func (t giftPinned) CandidatesForLine(line, lineWords int) []uint8 {
 	var pairs []uint8
 	for p := uint8(0); p < 4; p++ {
 		if int(t.ExpectedIndex(p&1, p>>1))/lineWords == line {
@@ -281,27 +312,32 @@ func (t *TargetSpec) craftStateGeneral(r *rng.Source) uint64 {
 	return state
 }
 
-// CraftPlaintext turns a crafted round-Round state into the plaintext
-// that produces it, by inverting rounds Round-1..1 with the (known or
-// hypothesized) earlier round keys. For Round == 1 the state is the
-// plaintext (paper Step 5 reduces to Step 1).
+// CraftPlaintext draws a crafted round-Round state and turns it into
+// the plaintext that produces it (see craftPlaintext).
 func (t TargetSpec) CraftPlaintext(r *rng.Source, rks []gift.RoundKey64) uint64 {
-	state := t.CraftState(r)
-	if t.Round == 1 {
+	return craftPlaintext(t.CraftState(r), t.Round, rks, gift.PartialDecrypt64)
+}
+
+// craftPlaintext turns a crafted round-t state into the plaintext that
+// produces it, by inverting rounds t-1..1 with the (known or
+// hypothesized) earlier round keys. For t == 1 the state is the
+// plaintext (paper Step 5 reduces to Step 1).
+func craftPlaintext[W, RK any](state W, t int, rks []RK, partialDecrypt func(W, []RK, int) W) W {
+	if t == 1 {
 		return state
 	}
-	if len(rks) < t.Round-1 {
+	if len(rks) < t-1 {
 		panic(fmt.Sprintf("core: crafting round %d needs %d round keys, have %d",
-			t.Round, t.Round-1, len(rks)))
+			t, t-1, len(rks)))
 	}
-	return gift.PartialDecrypt64(state, rks, t.Round-1)
+	return partialDecrypt(state, rks, t-1)
 }
 
 // ParentSegments returns the four round-(Round-1)-key segments whose key
 // bits determine whether the crafted state is realized, indexed by the
 // target bit position they influence. (For Round == 1 the sources are
 // plaintext segments and no key is involved.)
-func (t TargetSpec) ParentSegments() [4]int {
+func (t giftPinned) ParentSegments() [4]int {
 	var out [4]int
 	for j, src := range t.Sources {
 		out[j] = src.Segment

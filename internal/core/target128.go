@@ -17,20 +17,13 @@ import (
 
 	"grinch/internal/bitutil"
 	"grinch/internal/gift"
-	"grinch/internal/probe"
 	"grinch/internal/rng"
 )
 
-// TargetSpec128 pins one GIFT-128 S-box access, mirroring TargetSpec.
+// TargetSpec128 pins one GIFT-128 S-box access, mirroring TargetSpec:
+// its key bits land on index bits 1 (v) and 2 (u).
 type TargetSpec128 struct {
-	Round   int
-	Segment int
-	// Sources are the four round-Round S-box cells feeding the target,
-	// indexed by target bit position.
-	Sources [4]Source
-	// ConstXor is the round-constant contribution to the observed index
-	// (bit 3 only).
-	ConstXor uint8
+	giftPinned
 }
 
 // NewTarget128 builds the target specification for round key t and
@@ -42,59 +35,7 @@ func NewTarget128(t, g int) TargetSpec128 {
 	if g < 0 || g >= gift.Segments128 {
 		panic(fmt.Sprintf("core: segment %d out of range", g))
 	}
-	spec := TargetSpec128{Round: t, Segment: g}
-	for j := 0; j < 4; j++ {
-		p := int(gift.InvPerm128[4*g+j])
-		spec.Sources[j] = Source{
-			Segment: p / 4,
-			Bit:     p % 4,
-			Inputs:  sboxBitList(p % 4),
-		}
-	}
-	// GIFT-128 XORs the fixed 1 into state bit 127 (segment 31, bit 3)
-	// and constant bits c_i into bits 4i+3 for i = 0..5.
-	c := gift.RoundConstants[t-1]
-	switch {
-	case g == 31:
-		spec.ConstXor = 1 << 3
-	case g < 6:
-		spec.ConstXor = (c >> g & 1) << 3
-	}
-	return spec
-}
-
-// ExpectedIndex returns the observed S-box index for round-key bits
-// (v, u) at this segment: GIFT-128 XORs v into index bit 1 and u into
-// bit 2.
-func (t TargetSpec128) ExpectedIndex(v, u uint8) uint8 {
-	return pinnedValue ^ t.ConstXor ^ (v&1<<1 | u&1<<2)
-}
-
-// KeyBits reverse-engineers the two key bits from an observed index.
-func (t TargetSpec128) KeyBits(index uint8) (v, u uint8) {
-	d := index ^ pinnedValue ^ t.ConstXor
-	return d >> 1 & 1, d >> 2 & 1
-}
-
-// FeasibleLines returns the lines the pinned target can land on.
-func (t TargetSpec128) FeasibleLines(lineWords int) probe.LineSet {
-	var set probe.LineSet
-	for p := uint8(0); p < 4; p++ {
-		set = set.Add(int(t.ExpectedIndex(p&1, p>>1)) / lineWords)
-	}
-	return set
-}
-
-// PairsForLine returns the candidate (v | u<<1) pairs consistent with an
-// observed line.
-func (t TargetSpec128) PairsForLine(line, lineWords int) []uint8 {
-	var pairs []uint8
-	for p := uint8(0); p < 4; p++ {
-		if int(t.ExpectedIndex(p&1, p>>1))/lineWords == line {
-			pairs = append(pairs, p)
-		}
-	}
-	return pairs
+	return TargetSpec128{newGiftPinned(gift.InvPerm128[:], t, g, 1)}
 }
 
 // CraftState builds the round-Round S-box input state with the four
@@ -115,26 +56,8 @@ func (t TargetSpec128) CraftState(r *rng.Source) bitutil.Word128 {
 	return state
 }
 
-// CraftPlaintext inverts rounds Round-1..1 to turn the crafted state
-// into a plaintext.
+// CraftPlaintext draws a crafted state and inverts rounds Round-1..1 to
+// turn it into a plaintext.
 func (t TargetSpec128) CraftPlaintext(r *rng.Source, rks []gift.RoundKey128) bitutil.Word128 {
-	state := t.CraftState(r)
-	if t.Round == 1 {
-		return state
-	}
-	if len(rks) < t.Round-1 {
-		panic(fmt.Sprintf("core: crafting round %d needs %d round keys, have %d",
-			t.Round, t.Round-1, len(rks)))
-	}
-	return gift.PartialDecrypt128(state, rks, t.Round-1)
-}
-
-// ParentSegments returns the round-(Round-1) segments whose key bits
-// gate the crafted pinning, indexed by target bit position.
-func (t TargetSpec128) ParentSegments() [4]int {
-	var out [4]int
-	for j, src := range t.Sources {
-		out[j] = src.Segment
-	}
-	return out
+	return craftPlaintext(t.CraftState(r), t.Round, rks, gift.PartialDecrypt128)
 }

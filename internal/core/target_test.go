@@ -141,19 +141,19 @@ func TestPairsForLine(t *testing.T) {
 	// Line width 1: every pair maps to its own index/line.
 	for p := uint8(0); p < 4; p++ {
 		line := int(spec.ExpectedIndex(p&1, p>>1))
-		pairs := spec.PairsForLine(line, 1)
+		pairs := spec.CandidatesForLine(line, 1)
 		if len(pairs) != 1 || pairs[0] != p {
 			t.Fatalf("width 1 pair %d: pairs=%v", p, pairs)
 		}
 	}
 	// Width 2 hides bit 0: two pairs per line.
 	line := int(spec.ExpectedIndex(0, 0)) / 2
-	if got := spec.PairsForLine(line, 2); len(got) != 2 {
+	if got := spec.CandidatesForLine(line, 2); len(got) != 2 {
 		t.Fatalf("width 2: %d pairs, want 2", len(got))
 	}
 	// Width 4 hides bits 0-1: all four pairs share the line.
 	line = int(spec.ExpectedIndex(0, 0)) / 4
-	if got := spec.PairsForLine(line, 4); len(got) != 4 {
+	if got := spec.CandidatesForLine(line, 4); len(got) != 4 {
 		t.Fatalf("width 4: %d pairs, want 4", len(got))
 	}
 }

@@ -1,8 +1,6 @@
 package faults
 
 import (
-	"grinch/internal/bitutil"
-	"grinch/internal/core"
 	"grinch/internal/obs"
 	"grinch/internal/probe"
 	"grinch/internal/rng"
@@ -30,8 +28,8 @@ type decision struct {
 	burstNoise *rng.Source // stream for the post-collection burst noise
 }
 
-// engine is the channel-agnostic injection core shared by the GIFT-64
-// and GIFT-128 injectors.
+// engine is the channel-agnostic injection core: fault decisions, burst
+// noise and event emission, independent of the wrapped channel.
 type engine struct {
 	plan   Plan
 	seed   uint64
@@ -203,64 +201,8 @@ func (in *Injector) CollectErr(pt uint64, targetRound int) (probe.LineSet, error
 	return in.e.applyBurst(enc, d, set), nil
 }
 
-// Injector128 wraps a GIFT-128 observation channel (core.Channel128)
-// with the same semantics as Injector. It implements core.Channel128
-// and core.FallibleChannel128.
-type Injector128 struct {
-	ch core.Channel128
-	e  *engine
-}
-
-// NewInjector128 wraps a GIFT-128 channel with the plan.
-func NewInjector128(ch core.Channel128, plan Plan, seed uint64) *Injector128 {
-	return &Injector128{ch: ch, e: newEngine(plan, seed, ch.Lines())}
-}
-
-// SetTracer attaches an event tracer (nil disables).
-func (in *Injector128) SetTracer(t obs.Tracer) { in.e.tracer = t }
-
-// Stats returns cumulative injection counts.
-func (in *Injector128) Stats() Stats { return in.e.stats }
-
-// Lines implements core.Channel128.
-func (in *Injector128) Lines() int { return in.ch.Lines() }
-
-// Encryptions implements core.Channel128.
-func (in *Injector128) Encryptions() uint64 { return in.ch.Encryptions() }
-
-// Collect implements core.Channel128; transient failures degrade to
-// dropped observations.
-func (in *Injector128) Collect(pt bitutil.Word128, targetRound int) probe.LineSet {
-	set, err := in.CollectErr(pt, targetRound)
-	if err != nil {
-		return 0
-	}
-	return set
-}
-
-// CollectErr implements core.FallibleChannel128.
-func (in *Injector128) CollectErr(pt bitutil.Word128, targetRound int) (probe.LineSet, error) {
-	enc := in.ch.Encryptions() + 1
-	d := in.e.decide(enc)
-	set := in.ch.Collect(pt, d.round(targetRound))
-	if d.offset != 0 {
-		in.e.emit(enc, KindMisalign)
-	}
-	if d.transient >= 0 {
-		in.e.emit(enc, KindTransient)
-		return 0, &TransientError{Enc: enc, Fault: d.transient}
-	}
-	if d.drop {
-		in.e.emit(enc, KindDrop)
-		return 0, nil
-	}
-	return in.e.applyBurst(enc, d, set), nil
-}
-
 // Compile-time interface checks.
 var (
-	_ probe.Channel           = (*Injector)(nil)
-	_ probe.FallibleChannel   = (*Injector)(nil)
-	_ core.Channel128         = (*Injector128)(nil)
-	_ core.FallibleChannel128 = (*Injector128)(nil)
+	_ probe.Channel         = (*Injector)(nil)
+	_ probe.FallibleChannel = (*Injector)(nil)
 )
