@@ -554,6 +554,33 @@ func TestJournalToleratesTornTail(t *testing.T) {
 	}
 }
 
+// TestJournalTornTailResumesOnce pins the torn-tail repair: the resume
+// after a hard kill must cut the fragment off before appending, or the
+// re-run job's record is glued onto it and lost, and the following
+// resume executes that job yet again.
+func TestJournalTornTailResumesOnce(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "toy.journal")
+	if _, err := Run(context.Background(), testSpec(), toyExec, Options{Workers: 2, Journal: journal}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(journal, data[:len(data)-20], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []int{1, 0} {
+		rep, err := Run(context.Background(), testSpec(), toyExec, Options{Workers: 2, Journal: journal})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Executed != want {
+			t.Fatalf("resume %d re-executed %d jobs, want %d", i+1, rep.Executed, want)
+		}
+	}
+}
+
 func TestAggregatorGroupsCells(t *testing.T) {
 	agg := &Aggregator{}
 	_, err := Run(context.Background(), testSpec(), toyExec,

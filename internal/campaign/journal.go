@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -23,7 +24,8 @@ type journalHeader struct {
 // the sinks receive, timing included); on resume the journal is read
 // back and the recorded jobs are not re-executed. Appends are flushed
 // line-by-line so an interrupted run loses at most the in-flight jobs;
-// a torn final line from a hard kill is detected and ignored on load.
+// a torn final line from a hard kill is detected, ignored and cut off
+// on load.
 type Journal struct {
 	mu   sync.Mutex
 	f    *os.File
@@ -55,8 +57,12 @@ func OpenJournal(path string, spec Spec) (*Journal, map[int]Result, error) {
 		return nil, nil, fmt.Errorf("campaign: reading journal: %w", err)
 	}
 
-	// Existing journal: validate the header and load completed jobs.
-	lines := splitLines(data)
+	// Existing journal: validate the header and load completed jobs. A
+	// record is committed only with its newline, so a final line
+	// without one is a torn append from a hard kill: its job re-runs,
+	// and the fragment is cut off below before anything is appended.
+	complete := bytes.LastIndexByte(data, '\n') + 1
+	lines := splitLines(data[:complete])
 	if len(lines) == 0 {
 		return nil, nil, fmt.Errorf("campaign: journal %s is empty (no header)", path)
 	}
@@ -71,8 +77,7 @@ func OpenJournal(path string, spec Spec) (*Journal, map[int]Result, error) {
 	for _, line := range lines[1:] {
 		var r Result
 		if err := json.Unmarshal(line, &r); err != nil {
-			// A torn trailing line from a hard kill: whatever job it
-			// described simply re-runs.
+			// A corrupt complete line: its job re-runs.
 			continue
 		}
 		prior[r.Job] = r
@@ -81,6 +86,12 @@ func OpenJournal(path string, spec Spec) (*Journal, map[int]Result, error) {
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, nil, fmt.Errorf("campaign: reopening journal: %w", err)
+	}
+	// Without the cut, the next record would be glued onto the torn
+	// fragment and lost on the following resume.
+	if err := f.Truncate(int64(complete)); err != nil {
+		f.Close()
+		return nil, nil, fmt.Errorf("campaign: truncating torn journal tail: %w", err)
 	}
 	return &Journal{f: f, w: bufio.NewWriter(f), path: path}, prior, nil
 }
@@ -118,8 +129,8 @@ func (j *Journal) Close() error {
 func (j *Journal) Path() string { return j.path }
 
 // splitLines splits on '\n', dropping a trailing empty slice. A final
-// line without a newline is kept: Append writes the newline atomically
-// with the record, so such a line is torn and will fail to unmarshal.
+// line without a newline is kept (OpenJournal cuts torn tails off
+// before splitting).
 func splitLines(data []byte) [][]byte {
 	var lines [][]byte
 	start := 0

@@ -1,6 +1,7 @@
 package campaignd
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -22,7 +23,7 @@ import (
 // ingested job. Because results are pure functions of (spec, index),
 // journal lines never need rewriting — re-ingestion after a lease
 // re-issue is dropped as a duplicate, and a torn trailing line from a
-// server kill is detected and ignored on reload exactly as in
+// server kill is detected, ignored and cut off on reload exactly as in
 // internal/campaign.
 //
 // Restart recovery: LoadState replays campaign.json + the shard
@@ -75,7 +76,11 @@ func openShardJournal(dir, campaignID, fingerprint string, rng ShardRange) (*sha
 		return nil, nil, fmt.Errorf("campaignd: reading shard journal: %w", err)
 	}
 
-	lines := splitLines(data)
+	// A final line without its newline is a torn append from a server
+	// kill: its job re-runs, and the fragment is cut off below before
+	// anything is appended.
+	complete := bytes.LastIndexByte(data, '\n') + 1
+	lines := splitLines(data[:complete])
 	if len(lines) == 0 {
 		return nil, nil, fmt.Errorf("campaignd: shard journal %s is empty (no header)", path)
 	}
@@ -90,7 +95,7 @@ func openShardJournal(dir, campaignID, fingerprint string, rng ShardRange) (*sha
 	for _, line := range lines[1:] {
 		var r campaign.Result
 		if err := json.Unmarshal(line, &r); err != nil {
-			// Torn trailing line from a hard kill: that job re-runs.
+			// A corrupt complete line: its job re-runs.
 			continue
 		}
 		if rng.Contains(r.Job) {
@@ -100,6 +105,12 @@ func openShardJournal(dir, campaignID, fingerprint string, rng ShardRange) (*sha
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, nil, fmt.Errorf("campaignd: reopening shard journal: %w", err)
+	}
+	// Without the cut, the next record would be glued onto the torn
+	// fragment and lost on the following reload.
+	if err := f.Truncate(int64(complete)); err != nil {
+		f.Close()
+		return nil, nil, fmt.Errorf("campaignd: truncating torn shard journal tail: %w", err)
 	}
 	return &shardJournal{f: f, path: path}, prior, nil
 }
@@ -132,9 +143,9 @@ func (j *shardJournal) Close() error {
 	return j.f.Close()
 }
 
-// splitLines splits on '\n', keeping a torn (newline-less) final line
-// so it can fail to unmarshal — the same convention as
-// internal/campaign's journal reader.
+// splitLines splits on '\n', keeping a newline-less final line
+// (openShardJournal cuts torn tails off before splitting) — the same
+// convention as internal/campaign's journal reader.
 func splitLines(data []byte) [][]byte {
 	var lines [][]byte
 	start := 0
