@@ -29,99 +29,64 @@ type CompareRow struct {
 // plus GIFT-128 (the variant the NIST LWC candidates actually use).
 func CompareCiphers(opt Options) []CompareRow {
 	opt = opt.withDefaults()
-	rows := []CompareRow{
-		compareGift64(opt),
-		compareGift128(opt),
-		comparePresent80(opt),
+	ocfg := oracle.Config{ProbeRound: 1, Flush: true, LineWords: 1}
+	acfg := func(r *rng.Source) core.Config { return core.Config{Seed: r.Uint64(), TotalBudget: opt.Budget} }
+	return []CompareRow{
+		compareCipher(opt, "GIFT-64", 128, 0x64, func(r *rng.Source) (uint64, int, bool) {
+			key := bitutil.Word128{Lo: r.Uint64(), Hi: r.Uint64()}
+			a := must(core.NewAttacker(must(oracle.New(key, ocfg)), acfg(r)))
+			res, err := a.RecoverKey()
+			return res.Encryptions, res.RoundsAttacked, err == nil && res.Key == key
+		}),
+		compareCipher(opt, "GIFT-128", 128, 0x128, func(r *rng.Source) (uint64, int, bool) {
+			key := bitutil.Word128{Lo: r.Uint64(), Hi: r.Uint64()}
+			a := must(core.NewAttacker128(must(oracle.New128(key, ocfg)), acfg(r)))
+			res, err := a.RecoverKey128()
+			return res.Encryptions, res.RoundsAttacked, err == nil && res.Key == key
+		}),
+		compareCipher(opt, "PRESENT-80", 80, 0x80, func(r *rng.Source) (uint64, int, bool) {
+			var key [10]byte
+			lo, hi := r.Uint64(), r.Uint64()
+			key[0], key[1] = byte(hi>>8), byte(hi)
+			for j := 0; j < 8; j++ {
+				key[2+j] = byte(lo >> (56 - 8*uint(j)))
+			}
+			a := must(core.NewAttackerP(must(oracle.NewPresent(present.NewCipher80(key), ocfg)), acfg(r)))
+			res, err := a.RecoverKey80()
+			return res.Encryptions, res.RoundsAttacked, err == nil && res.Key == key
+		}),
 	}
-	return rows
 }
 
-func compareGift64(opt Options) CompareRow {
-	r := rng.New(opt.Seed ^ 0x64)
-	row := CompareRow{Cipher: "GIFT-64", KeyBits: 128, AllCorrect: true}
+// compareCipher runs opt.Trials key recoveries of one cipher from its
+// own salted seed stream. recoverKey reports a trial's encryptions,
+// round passes and whether it recovered the right key; the row
+// summarizes the successful trials' effort.
+func compareCipher(opt Options, cipher string, keyBits int, salt uint64, recoverKey func(*rng.Source) (uint64, int, bool)) CompareRow {
+	r := rng.New(opt.Seed ^ salt)
+	row := CompareRow{Cipher: cipher, KeyBits: keyBits, AllCorrect: true}
 	var efforts []uint64
 	for i := 0; i < opt.Trials; i++ {
-		key := bitutil.Word128{Lo: r.Uint64(), Hi: r.Uint64()}
-		ch, err := oracle.New(key, oracle.Config{ProbeRound: 1, Flush: true, LineWords: 1})
-		if err != nil {
-			panic(err)
-		}
-		a, err := core.NewAttacker(ch, core.Config{Seed: r.Uint64(), TotalBudget: opt.Budget})
-		if err != nil {
-			panic(err)
-		}
-		res, err := a.RecoverKey()
-		if err != nil || res.Key != key {
+		encryptions, passes, ok := recoverKey(r)
+		if !ok {
 			row.AllCorrect = false
 			continue
 		}
-		row.RoundPasses = res.RoundsAttacked
-		efforts = append(efforts, res.Encryptions)
+		row.RoundPasses = passes
+		efforts = append(efforts, encryptions)
 	}
 	row.Encryptions = stats.SummarizeUint64(efforts)
 	row.PerKeyBit = row.Encryptions.Median / float64(row.KeyBits)
 	return row
 }
 
-func compareGift128(opt Options) CompareRow {
-	r := rng.New(opt.Seed ^ 0x128)
-	row := CompareRow{Cipher: "GIFT-128", KeyBits: 128, AllCorrect: true}
-	var efforts []uint64
-	for i := 0; i < opt.Trials; i++ {
-		key := bitutil.Word128{Lo: r.Uint64(), Hi: r.Uint64()}
-		ch, err := oracle.New128(key, oracle.Config{ProbeRound: 1, Flush: true, LineWords: 1})
-		if err != nil {
-			panic(err)
-		}
-		a, err := core.NewAttacker128(ch, core.Config{Seed: r.Uint64(), TotalBudget: opt.Budget})
-		if err != nil {
-			panic(err)
-		}
-		res, err := a.RecoverKey128()
-		if err != nil || res.Key != key {
-			row.AllCorrect = false
-			continue
-		}
-		row.RoundPasses = res.RoundsAttacked
-		efforts = append(efforts, res.Encryptions)
+// must panics on a set-up error: the comparison's fixed, valid channel
+// and attack configurations cannot fail to build.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
 	}
-	row.Encryptions = stats.SummarizeUint64(efforts)
-	row.PerKeyBit = row.Encryptions.Median / float64(row.KeyBits)
-	return row
-}
-
-func comparePresent80(opt Options) CompareRow {
-	r := rng.New(opt.Seed ^ 0x80)
-	row := CompareRow{Cipher: "PRESENT-80", KeyBits: 80, AllCorrect: true}
-	var efforts []uint64
-	for i := 0; i < opt.Trials; i++ {
-		var key [10]byte
-		lo, hi := r.Uint64(), r.Uint64()
-		key[0], key[1] = byte(hi>>8), byte(hi)
-		for j := 0; j < 8; j++ {
-			key[2+j] = byte(lo >> (56 - 8*uint(j)))
-		}
-		c := present.NewCipher80(key)
-		ch, err := oracle.NewPresent(c, oracle.Config{ProbeRound: 1, Flush: true, LineWords: 1})
-		if err != nil {
-			panic(err)
-		}
-		a, err := core.NewAttackerP(ch, core.Config{Seed: r.Uint64(), TotalBudget: opt.Budget})
-		if err != nil {
-			panic(err)
-		}
-		res, err := a.RecoverKey80()
-		if err != nil || res.Key != key {
-			row.AllCorrect = false
-			continue
-		}
-		row.RoundPasses = res.RoundsAttacked
-		efforts = append(efforts, res.Encryptions)
-	}
-	row.Encryptions = stats.SummarizeUint64(efforts)
-	row.PerKeyBit = row.Encryptions.Median / float64(row.KeyBits)
-	return row
+	return v
 }
 
 // ProbeMethodRow compares probing primitives on the same target.
