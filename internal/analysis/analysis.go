@@ -276,7 +276,9 @@ func receiverTypeName(e ast.Expr) string {
 		return t.Name
 	case *ast.StarExpr:
 		return receiverTypeName(t.X)
-	case *ast.IndexExpr: // generic receiver
+	case *ast.IndexExpr: // generic receiver T[A]
+		return receiverTypeName(t.X)
+	case *ast.IndexListExpr: // generic receiver T[A, B]
 		return receiverTypeName(t.X)
 	}
 	return ""
@@ -300,6 +302,8 @@ func exprString(e ast.Expr) string {
 	case *ast.StarExpr:
 		return exprString(t.X)
 	case *ast.IndexExpr:
+		return exprString(t.X) + "[...]"
+	case *ast.IndexListExpr:
 		return exprString(t.X) + "[...]"
 	case *ast.CallExpr:
 		return exprString(t.Fun) + "(...)"

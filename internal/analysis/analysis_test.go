@@ -9,7 +9,8 @@ import (
 // The fixture harness is a hand-rolled analysistest: each package under
 // testdata/src is loaded standalone, analyzed, and its findings matched
 // against `// want "regexp"` marker comments. A finding matches a want
-// on the same file and line whose pattern matches "rule: message";
+// on the same file and line whose pattern matches "func rule: message"
+// (func is the enclosing function, "" at package scope);
 // unmatched wants and unexpected findings both fail. A comment may
 // carry several quoted patterns (`// want "a" "b"`) for lines that
 // produce several findings.
@@ -60,7 +61,7 @@ func runFixture(t *testing.T, name string, cfg Config) {
 		matched := false
 		for _, want := range wants {
 			if !want.hit && want.file == f.File && want.line == f.Line &&
-				want.re.MatchString(f.Rule+": "+f.Message) {
+				want.re.MatchString(f.Func+" "+f.Rule+": "+f.Message) {
 				want.hit = true
 				matched = true
 				break
@@ -95,6 +96,13 @@ func TestSecretBranchFixture(t *testing.T) { runFixture(t, "branch", Config{}) }
 
 func TestDeterminismFixture(t *testing.T) {
 	runFixture(t, "determin", Config{DeterministicPkgs: []string{"determin"}})
+}
+
+// TestGenericReceiverFixture: findings inside methods on generic types
+// are keyed by the receiver type name whatever the number of type
+// parameters, so baseline identity survives a second type parameter.
+func TestGenericReceiverFixture(t *testing.T) {
+	runFixture(t, "generic", Config{DeterministicPkgs: []string{"generic"}})
 }
 
 // TestDeterminismScopedToCore: the same fixture outside the configured
