@@ -25,7 +25,7 @@ type truncatedTracerP interface {
 //	[t,  t+ProbeRound-1]  with flush
 //	[1,  t+ProbeRound-1]  without flush
 //
-// It implements core.ChannelP.
+// It implements probe.Channel.
 type OracleP struct {
 	cfg         Config
 	tracer      TracerP //grinch:secret
