@@ -152,33 +152,6 @@ func Word128FromBytes(b [16]byte) Word128 {
 	return w
 }
 
-// PermuteBits64 applies a 64-entry bit permutation table to x: output bit
-// perm[i] receives input bit i. The table must be a permutation of 0..63.
-func PermuteBits64(x uint64, perm *[64]uint8) uint64 {
-	var out uint64
-	for i := uint(0); i < 64; i++ {
-		out |= ((x >> i) & 1) << perm[i]
-	}
-	return out
-}
-
-// PermuteBits128 applies a 128-entry bit permutation table to w: output
-// bit perm[i] receives input bit i. Unlike the branch-free 64-bit
-// variant above, this routes each state bit through a branch — a real
-// secret-dependent branch when w is cipher state, which the leakage
-// pass reports (kept in the baseline as a known, simulator-only leak).
-//
-//grinch:secret w return
-func PermuteBits128(w Word128, perm *[128]uint8) Word128 {
-	var out Word128
-	for i := uint(0); i < 128; i++ {
-		if w.Bit(i) != 0 {
-			out = out.SetBit(uint(perm[i]), 1)
-		}
-	}
-	return out
-}
-
 // Transpose64 transposes a 64×64 bit matrix in place: after the call,
 // bit j of word i equals bit i of the original word j. The routine is
 // the classic recursive block swap (Hacker's Delight §7-3) — six passes
@@ -221,17 +194,24 @@ type PermGroup struct {
 	Rot  uint8
 }
 
-// CompilePerm64 preprocesses a 64-entry permutation table into its
-// rotation classes: input bits are grouped by displacement perm[i]-i
-// (mod 64), giving one (mask, rotate) pair per distinct displacement.
-// Applying the compiled form costs three word ops per class — for
-// GIFT-64's permutation, 25 classes — instead of one masked shift-OR
-// per bit, and like PermuteBits64 it is branch-free on the data.
+// CompilePerm64 preprocesses a 64-entry permutation table (output bit
+// perm[i] receives input bit i) into its rotation classes: input bits
+// are grouped by displacement perm[i]-i (mod 64), giving one (mask,
+// rotate) pair per distinct displacement. Applying the compiled form
+// costs three word ops per class — for GIFT-64's permutation, 25
+// classes — instead of one masked shift-OR per bit, and it is
+// branch-free on the data.
 func CompilePerm64(perm *[64]uint8) []PermGroup {
 	var masks [64]uint64
 	for i := uint(0); i < 64; i++ {
 		masks[(uint(perm[i])-i)&63] |= 1 << i
 	}
+	return permGroups(&masks)
+}
+
+// permGroups turns per-displacement masks into the non-empty rotation
+// classes, in displacement order.
+func permGroups(masks *[64]uint64) []PermGroup {
 	var groups []PermGroup
 	for d, m := range masks {
 		if m != 0 {
@@ -251,6 +231,42 @@ func ApplyPerm64(x uint64, groups []PermGroup) uint64 {
 		out |= bits.RotateLeft64(x&g.Mask, int(g.Rot))
 	}
 	return out
+}
+
+// Perm128 is a 128-entry bit permutation compiled by CompilePerm128:
+// the rotation classes of every (source half, destination half) pair,
+// indexed [src][dst] with half 0 = Lo and 1 = Hi.
+type Perm128 [2][2][]PermGroup
+
+// CompilePerm128 preprocesses a 128-entry permutation table (output
+// bit perm[i] receives input bit i) into rotation classes. Within one
+// (source half, destination half) pair every bit moves between 64-bit
+// words, so it is grouped by its displacement modulo 64 exactly as
+// CompilePerm64 does; GIFT-128's permutation has 16 classes per pair.
+func CompilePerm128(perm *[128]uint8) Perm128 {
+	var masks [2][2][64]uint64
+	for i := uint(0); i < 128; i++ {
+		p := uint(perm[i])
+		masks[i/64][p/64][(p-i)&63] |= 1 << (i & 63)
+	}
+	var c Perm128
+	for src := range masks {
+		for dst := range masks[src] {
+			c[src][dst] = permGroups(&masks[src][dst])
+		}
+	}
+	return c
+}
+
+// ApplyPerm128 applies a permutation compiled by CompilePerm128,
+// branch-free on the data.
+//
+//grinch:secret w return
+func ApplyPerm128(w Word128, p *Perm128) Word128 {
+	return Word128{
+		Lo: ApplyPerm64(w.Lo, p[0][0]) | ApplyPerm64(w.Hi, p[1][0]),
+		Hi: ApplyPerm64(w.Lo, p[0][1]) | ApplyPerm64(w.Hi, p[1][1]),
+	}
 }
 
 // InvertPerm64 returns the inverse of a 64-entry permutation table.

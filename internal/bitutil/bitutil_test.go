@@ -161,6 +161,28 @@ func TestWord128BytesRoundTrip(t *testing.T) {
 	}
 }
 
+// PermuteBits64 is the per-bit reference for the compiled permutations:
+// output bit perm[i] receives input bit i. It is exported so the
+// external test package can compare the cipher tables against it.
+func PermuteBits64(x uint64, perm *[64]uint8) uint64 {
+	var out uint64
+	for i := uint(0); i < 64; i++ {
+		out |= ((x >> i) & 1) << perm[i]
+	}
+	return out
+}
+
+// PermuteBits128 is PermuteBits64 for 128-entry tables.
+func PermuteBits128(w Word128, perm *[128]uint8) Word128 {
+	var out Word128
+	for i := uint(0); i < 128; i++ {
+		if w.Bit(i) != 0 {
+			out = out.SetBit(uint(perm[i]), 1)
+		}
+	}
+	return out
+}
+
 func TestPermuteBits64Identity(t *testing.T) {
 	var id [64]uint8
 	for i := range id {
@@ -317,17 +339,19 @@ func TestTranspose64Involution(t *testing.T) {
 }
 
 func TestCompilePerm64MatchesTableWalk(t *testing.T) {
-	// The GIFT-64 permutation's closed form, plus the identity and a
-	// full reversal, exercise one-class, many-class and wraparound
-	// rotation groupings.
-	var gift64, ident, rev [64]uint8
+	// The GIFT-64 and PRESENT permutations' closed forms, plus the
+	// identity and a full reversal, exercise one-class, many-class and
+	// wraparound rotation groupings.
+	var gift64, present, ident, rev [64]uint8
 	for i := 0; i < 64; i++ {
 		gift64[i] = uint8(4*(i/16) + 16*((3*((i%16)/4)+i%4)%4) + i%4)
+		present[i] = uint8(i * 16 % 63)
 		ident[i] = uint8(i)
 		rev[i] = uint8(63 - i)
 	}
+	present[63] = 63
 	for name, perm := range map[string]*[64]uint8{
-		"gift64": &gift64, "identity": &ident, "reversal": &rev,
+		"gift64": &gift64, "present": &present, "identity": &ident, "reversal": &rev,
 	} {
 		groups := CompilePerm64(perm)
 		x := uint64(0x0123456789abcdef)

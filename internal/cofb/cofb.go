@@ -256,8 +256,8 @@ func (a *AEAD) SBoxInputs(nonce bitutil.Word128) []bitutil.Word128 {
 	return a.cipher.SBoxInputs(nonce)
 }
 
-// SBoxInputsN is the truncated variant of SBoxInputs (the trace oracle's
-// fast path).
-func (a *AEAD) SBoxInputsN(nonce bitutil.Word128, n int) []bitutil.Word128 {
-	return a.cipher.SBoxInputsN(nonce, n)
+// SBoxInputsAppend is the buffer-reusing, truncated variant of
+// SBoxInputs (the trace oracle's fast path).
+func (a *AEAD) SBoxInputsAppend(dst []bitutil.Word128, nonce bitutil.Word128, n int) []bitutil.Word128 {
+	return a.cipher.SBoxInputsAppend(dst, nonce, n)
 }

@@ -2,6 +2,7 @@ package gift
 
 import (
 	"encoding/binary"
+	"fmt"
 
 	"grinch/internal/bitutil"
 )
@@ -18,6 +19,9 @@ type RoundKey128 struct {
 // (16-byte blocks).
 type Cipher128 struct {
 	rk [Rounds128]RoundKey128 //grinch:secret
+	// rkm caches spreadKeyBits128 of each round key, as Cipher64.rkm
+	// does for GIFT-64.
+	rkm [Rounds128]bitutil.Word128 //grinch:secret
 }
 
 // NewCipher128 expands a 128-bit key (big-endian byte order) into a
@@ -28,12 +32,23 @@ func NewCipher128(key [16]byte) *Cipher128 {
 	return NewCipher128FromWord(bitutil.Word128FromBytes(key))
 }
 
-// NewCipher128FromWord expands a key given as a 128-bit word.
+// NewCipher128FromWord expands a key given as a 128-bit word. This is
+// the GIFT-128 key schedule: round r uses U = k5‖k4, V = k1‖k0 of the
+// current key state, which then rotates as in GIFT-64.
 //
 //grinch:secret key
 func NewCipher128FromWord(key bitutil.Word128) *Cipher128 {
 	c := &Cipher128{}
-	copy(c.rk[:], ExpandKey128(key))
+	ks := key
+	for r := 0; r < Rounds128; r++ {
+		c.rk[r] = RoundKey128{
+			U:     uint32(ks.Word16(5))<<16 | uint32(ks.Word16(4)),
+			V:     uint32(ks.Word16(1))<<16 | uint32(ks.Word16(0)),
+			Const: RoundConstants[r],
+		}
+		c.rkm[r] = spreadKeyBits128(c.rk[r])
+		ks = UpdateKeyState(ks)
+	}
 	return c
 }
 
@@ -68,7 +83,7 @@ func putWord128BE(b []byte, w bitutil.Word128) {
 func (c *Cipher128) EncryptBlock(pt bitutil.Word128) bitutil.Word128 {
 	s := pt
 	for r := 0; r < Rounds128; r++ {
-		s = Round128(s, c.rk[r])
+		s = PermBits128(SubCells128(s)).Xor(c.rkm[r])
 	}
 	return s
 }
@@ -77,7 +92,7 @@ func (c *Cipher128) EncryptBlock(pt bitutil.Word128) bitutil.Word128 {
 func (c *Cipher128) DecryptBlock(ct bitutil.Word128) bitutil.Word128 {
 	s := ct
 	for r := Rounds128 - 1; r >= 0; r-- {
-		s = InvRound128(s, c.rk[r])
+		s = InvSubCells128(InvPermBits128(s.Xor(c.rkm[r])))
 	}
 	return s
 }
@@ -89,22 +104,12 @@ func (c *Cipher128) RoundKeys() []RoundKey128 {
 	return out
 }
 
-// ExpandKey128 runs the GIFT key schedule for GIFT-128: round r uses
-// U = k5‖k4, V = k1‖k0, with the same key-state rotation as GIFT-64.
+// ExpandKey128 returns the GIFT-128 round keys of key (see
+// NewCipher128FromWord for the schedule).
 //
 //grinch:secret key return
 func ExpandKey128(key bitutil.Word128) []RoundKey128 {
-	rks := make([]RoundKey128, Rounds128)
-	ks := key
-	for r := 0; r < Rounds128; r++ {
-		rks[r] = RoundKey128{
-			U:     uint32(ks.Word16(5))<<16 | uint32(ks.Word16(4)),
-			V:     uint32(ks.Word16(1))<<16 | uint32(ks.Word16(0)),
-			Const: RoundConstants[r],
-		}
-		ks = UpdateKeyState(ks)
-	}
-	return rks
+	return NewCipher128FromWord(key).RoundKeys()
 }
 
 // SubCells128 applies the S-box to all 32 segments.
@@ -121,14 +126,22 @@ func InvSubCells128(s bitutil.Word128) bitutil.Word128 {
 	return bitutil.Word128{Lo: InvSubCells64(s.Lo), Hi: InvSubCells64(s.Hi)}
 }
 
+// perm128Groups and invPerm128Groups are the permutation tables
+// compiled into rotation classes (16 per half pair for GIFT-128),
+// branch-free like their GIFT-64 counterparts.
+var (
+	perm128Groups    = bitutil.CompilePerm128(&Perm128)
+	invPerm128Groups = bitutil.CompilePerm128(&InvPerm128)
+)
+
 // PermBits128 applies the GIFT-128 bit permutation.
 func PermBits128(s bitutil.Word128) bitutil.Word128 {
-	return bitutil.PermuteBits128(s, &Perm128)
+	return bitutil.ApplyPerm128(s, &perm128Groups)
 }
 
 // InvPermBits128 applies the inverse bit permutation.
 func InvPermBits128(s bitutil.Word128) bitutil.Word128 {
-	return bitutil.PermuteBits128(s, &InvPerm128)
+	return bitutil.ApplyPerm128(s, &invPerm128Groups)
 }
 
 // AddRoundKey128 XORs the round key into the state: u_i into bit 4i+2,
@@ -137,18 +150,18 @@ func InvPermBits128(s bitutil.Word128) bitutil.Word128 {
 //
 //grinch:secret rk return
 func AddRoundKey128(s bitutil.Word128, rk RoundKey128) bitutil.Word128 {
-	var lo, hi uint64
-	for i := uint(0); i < 16; i++ {
-		lo |= (uint64(rk.U>>i) & 1) << (4*i + 2)
-		lo |= (uint64(rk.V>>i) & 1) << (4*i + 1)
-		hi |= (uint64(rk.U>>(16+i)) & 1) << (4*i + 2)
-		hi |= (uint64(rk.V>>(16+i)) & 1) << (4*i + 1)
+	return s.Xor(spreadKeyBits128(rk))
+}
+
+// spreadKeyBits128 expands a round key into the 128-bit XOR mask applied
+// by AddRoundKey128.
+//
+//grinch:secret rk return
+func spreadKeyBits128(rk RoundKey128) bitutil.Word128 {
+	return bitutil.Word128{
+		Lo: spread4(uint16(rk.U))<<2 | spread4(uint16(rk.V))<<1 | spread4(uint16(rk.Const&0x3f))<<3,
+		Hi: spread4(uint16(rk.U>>16))<<2 | spread4(uint16(rk.V>>16))<<1 | 1<<63,
 	}
-	hi |= 1 << 63
-	for i := uint(0); i < 6; i++ {
-		lo |= (uint64(rk.Const>>i) & 1) << (4*i + 3)
-	}
-	return bitutil.Word128{Lo: s.Lo ^ lo, Hi: s.Hi ^ hi}
 }
 
 // Round128 applies one full GIFT-128 round.
@@ -176,7 +189,7 @@ func (c *Cipher128) EncryptTraced(pt bitutil.Word128, obs SBoxObserver) bitutil.
 			obs.ObserveSBox(r+1, int(i), idx)
 			sub = sub.SetNibble(i, uint64(SBox[idx]))
 		}
-		s = AddRoundKey128(PermBits128(sub), c.rk[r])
+		s = PermBits128(sub).Xor(c.rkm[r])
 	}
 	return s
 }
@@ -184,26 +197,32 @@ func (c *Cipher128) EncryptTraced(pt bitutil.Word128, obs SBoxObserver) bitutil.
 // SBoxInputs returns the state at the input of each round's SubCells
 // step; the 32 S-box indices of round r are the nibbles of element r-1.
 func (c *Cipher128) SBoxInputs(pt bitutil.Word128) []bitutil.Word128 {
-	return c.SBoxInputsN(pt, Rounds128)
+	return c.SBoxInputsAppend(make([]bitutil.Word128, 0, Rounds128), pt, Rounds128)
 }
 
-// SBoxInputsN is SBoxInputs truncated to the first n rounds (the
-// trace-oracle fast path). n is clamped to the round count.
-func (c *Cipher128) SBoxInputsN(pt bitutil.Word128, n int) []bitutil.Word128 {
+// SBoxInputsAppend appends the first n round states of SBoxInputs to dst
+// (grown as needed) and returns the extended slice; n is clamped to the
+// round count. The trace oracle reuses one buffer across encryptions,
+// so its hot loop allocates nothing per encryption.
+func (c *Cipher128) SBoxInputsAppend(dst []bitutil.Word128, pt bitutil.Word128, n int) []bitutil.Word128 {
 	if n > Rounds128 {
 		n = Rounds128
 	}
-	states := make([]bitutil.Word128, n)
 	s := pt
 	for r := 0; r < n; r++ {
-		states[r] = s
-		s = Round128(s, c.rk[r])
+		dst = append(dst, s)
+		s = PermBits128(SubCells128(s)).Xor(c.rkm[r])
 	}
-	return states
+	return dst
 }
 
 // PartialEncrypt128 applies rounds 1..n of the cipher.
+//
+//grinch:secret rks
 func PartialEncrypt128(pt bitutil.Word128, rks []RoundKey128, n int) bitutil.Word128 {
+	if n > len(rks) {
+		panic(fmt.Sprintf("gift: partial encrypt over %d rounds with %d round keys", n, len(rks)))
+	}
 	s := pt
 	for r := 0; r < n; r++ {
 		s = Round128(s, rks[r])
@@ -212,7 +231,12 @@ func PartialEncrypt128(pt bitutil.Word128, rks []RoundKey128, n int) bitutil.Wor
 }
 
 // PartialDecrypt128 inverts rounds n..1.
+//
+//grinch:secret rks
 func PartialDecrypt128(ct bitutil.Word128, rks []RoundKey128, n int) bitutil.Word128 {
+	if n > len(rks) {
+		panic(fmt.Sprintf("gift: partial decrypt over %d rounds with %d round keys", n, len(rks)))
+	}
 	s := ct
 	for r := n - 1; r >= 0; r-- {
 		s = InvRound128(s, rks[r])

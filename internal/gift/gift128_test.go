@@ -2,6 +2,8 @@ package gift
 
 import (
 	"encoding/hex"
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -167,6 +169,97 @@ func TestPartialEncryptDecrypt128(t *testing.T) {
 	}
 }
 
+func TestPartial128PanicsOnTooManyRounds(t *testing.T) {
+	rks := make([]RoundKey128, 3)
+	for name, f := range map[string]func(){
+		"encrypt": func() { PartialEncrypt128(bitutil.Word128{}, rks, 4) },
+		"decrypt": func() { PartialDecrypt128(bitutil.Word128{}, rks, 4) },
+	} {
+		func() {
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if !strings.HasPrefix(msg, "gift: partial "+name) {
+					t.Errorf("%s: panic %q, want the gift: partial %s guard", name, msg, name)
+				}
+			}()
+			f()
+		}()
+	}
+}
+
+// spreadKeyBits64Ref and spreadKeyBits128Ref are the per-bit references
+// for the shift-and-mask key spreads.
+func spreadKeyBits64Ref(rk RoundKey64) uint64 {
+	var m uint64
+	for i := uint(0); i < 16; i++ {
+		m |= (uint64(rk.U>>i) & 1) << (4*i + 1)
+		m |= (uint64(rk.V>>i) & 1) << (4 * i)
+	}
+	m |= 1 << 63
+	for i := uint(0); i < 6; i++ {
+		m |= (uint64(rk.Const>>i) & 1) << (4*i + 3)
+	}
+	return m
+}
+
+func spreadKeyBits128Ref(rk RoundKey128) bitutil.Word128 {
+	var lo, hi uint64
+	for i := uint(0); i < 16; i++ {
+		lo |= (uint64(rk.U>>i) & 1) << (4*i + 2)
+		lo |= (uint64(rk.V>>i) & 1) << (4*i + 1)
+		hi |= (uint64(rk.U>>(16+i)) & 1) << (4*i + 2)
+		hi |= (uint64(rk.V>>(16+i)) & 1) << (4*i + 1)
+	}
+	hi |= 1 << 63
+	for i := uint(0); i < 6; i++ {
+		lo |= (uint64(rk.Const>>i) & 1) << (4*i + 3)
+	}
+	return bitutil.Word128{Lo: lo, Hi: hi}
+}
+
+func TestSpreadKeyBitsMatchPerBit(t *testing.T) {
+	f := func(u, v uint32) bool {
+		for c := uint8(0); c < 64; c++ {
+			rk64 := RoundKey64{U: uint16(u), V: uint16(v), Const: c}
+			rk128 := RoundKey128{U: u, V: v, Const: c}
+			if spreadKeyBits64(rk64) != spreadKeyBits64Ref(rk64) ||
+				spreadKeyBits128(rk128) != spreadKeyBits128Ref(rk128) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestSBoxInputsAppend128(t *testing.T) {
+	c := NewCipher128(mustKey(t, gift128KATs[1].key))
+	pt := mustWord128(t, gift128KATs[1].pt)
+	full := c.SBoxInputs(pt)
+	buf := make([]bitutil.Word128, 0, Rounds128)
+	for n := 0; n <= Rounds128+1; n++ {
+		got := c.SBoxInputsAppend(buf[:0], pt, n)
+		want := full[:min(n, Rounds128)]
+		if len(got) != len(want) {
+			t.Fatalf("n=%d: %d states, want %d", n, len(got), len(want))
+		}
+		for r := range want {
+			if got[r] != want[r] {
+				t.Fatalf("n=%d: round %d state %v, want %v", n, r+1, got[r], want[r])
+			}
+		}
+		if n > 0 && &got[0] != &buf[:1][0] {
+			t.Fatalf("n=%d: buffer not reused", n)
+		}
+	}
+	prefix := []bitutil.Word128{{Lo: 1}}
+	if got := c.SBoxInputsAppend(prefix, pt, 1); len(got) != 2 || got[0] != prefix[0] || got[1] != pt {
+		t.Fatalf("append after a prefix = %v", got)
+	}
+}
+
 func TestSBoxInputs128Consistent(t *testing.T) {
 	c := NewCipher128(mustKey(t, gift128KATs[1].key))
 	pt := mustWord128(t, gift128KATs[1].pt)
@@ -211,4 +304,32 @@ func TestAvalanche128(t *testing.T) {
 	if avg < 58 || avg > 70 {
 		t.Fatalf("average avalanche %.2f bits, want ≈64", avg)
 	}
+}
+
+// sinkWord keeps benchmarked results live.
+var sinkWord bitutil.Word128
+
+// BenchmarkSBoxInputsAppend128 is the GIFT-128 trace kernel as the
+// ciphers workload's oracle runs it: probe round 1 with flush over the
+// first-round attack, a two-round window per block.
+func BenchmarkSBoxInputsAppend128(b *testing.B) {
+	c := NewCipher128FromWord(bitutil.Word128{Lo: 0x0123456789abcdef, Hi: 0xfedcba9876543210})
+	buf := make([]bitutil.Word128, 0, Rounds128)
+	pt := bitutil.Word128{Lo: 1, Hi: 2}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = c.SBoxInputsAppend(buf[:0], pt, 2)
+		pt.Lo += buf[1].Lo
+	}
+	sinkWord = pt
+}
+
+func BenchmarkPermBits128(b *testing.B) {
+	s := bitutil.Word128{Lo: 0x0123456789abcdef, Hi: 0xfedcba9876543210}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s = PermBits128(s)
+	}
+	sinkWord = s
 }

@@ -14,10 +14,11 @@ type Tracer128 interface {
 	SBoxInputs(pt bitutil.Word128) []bitutil.Word128
 }
 
-// truncatedTracer128 is the fast path for victims that can stop the
-// trace at the probe window's end.
-type truncatedTracer128 interface {
-	SBoxInputsN(pt bitutil.Word128, n int) []bitutil.Word128
+// appendTracer128 is the fast path for victims that can stop the trace
+// at the probe window's end, appending into a buffer the oracle reuses
+// across encryptions. gift.Cipher128 implements it.
+type appendTracer128 interface {
+	SBoxInputsAppend(dst []bitutil.Word128, pt bitutil.Word128, n int) []bitutil.Word128
 }
 
 // Oracle128 is the ideal probing channel against a GIFT-128 victim,
@@ -31,6 +32,9 @@ type Oracle128 struct {
 	lines       int
 	encryptions uint64
 	events      obs.Tracer
+	// states is the reusable victim-trace buffer (appendTracer128
+	// victims), reset per encryption.
+	states []bitutil.Word128
 }
 
 // New128 builds an oracle for a GIFT-128 victim holding the given key.
@@ -92,8 +96,9 @@ func (o *Oracle128) Collect(pt bitutil.Word128, targetRound int) probe.LineSet {
 	}
 
 	var states []bitutil.Word128
-	if tt, ok := o.tracer.(truncatedTracer128); ok {
-		states = tt.SBoxInputsN(pt, last)
+	if tt, ok := o.tracer.(appendTracer128); ok {
+		o.states = tt.SBoxInputsAppend(o.states[:0], pt, last)
+		states = o.states
 	} else {
 		states = o.tracer.SBoxInputs(pt)
 	}

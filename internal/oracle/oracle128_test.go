@@ -41,7 +41,7 @@ func TestOracle128CollectMatchesTrace(t *testing.T) {
 }
 
 func TestOracle128TruncatedFastPathAgrees(t *testing.T) {
-	// The SBoxInputsN fast path must produce identical observations to
+	// The SBoxInputsAppend fast path must produce identical observations to
 	// the full trace.
 	key := bitutil.Word128{Lo: 7, Hi: 9}
 	c := gift.NewCipher128FromWord(key)
@@ -56,7 +56,7 @@ func TestOracle128TruncatedFastPathAgrees(t *testing.T) {
 	}
 }
 
-// fullTracer128 hides the SBoxInputsN method to force the slow path.
+// fullTracer128 hides the SBoxInputsAppend method to force the slow path.
 type fullTracer128 struct{ c *gift.Cipher128 }
 
 func (f fullTracer128) SBoxInputs(pt bitutil.Word128) []bitutil.Word128 {

@@ -12,10 +12,11 @@ type TracerP interface {
 	SBoxInputs(pt uint64) []uint64
 }
 
-// truncatedTracerP is the fast path for victims that can stop the trace
-// early.
-type truncatedTracerP interface {
-	SBoxInputsN(pt uint64, n int) []uint64
+// appendTracerP is the fast path for victims that can stop the trace
+// early, appending into a buffer the oracle reuses across encryptions.
+// present.Cipher80 implements it.
+type appendTracerP interface {
+	SBoxInputsAppend(dst []uint64, pt uint64, n int) []uint64
 }
 
 // OracleP is the ideal probing channel against a table-based PRESENT
@@ -32,6 +33,9 @@ type OracleP struct {
 	noise       *rng.Source
 	lines       int
 	encryptions uint64
+	// states is the reusable victim-trace buffer (appendTracerP
+	// victims), reset per encryption.
+	states []uint64
 }
 
 // NewPresent builds an oracle over a PRESENT victim.
@@ -70,8 +74,9 @@ func (o *OracleP) Collect(pt uint64, targetRound int) probe.LineSet {
 	}
 
 	var states []uint64
-	if tt, ok := o.tracer.(truncatedTracerP); ok {
-		states = tt.SBoxInputsN(pt, last)
+	if tt, ok := o.tracer.(appendTracerP); ok {
+		o.states = tt.SBoxInputsAppend(o.states[:0], pt, last)
+		states = o.states
 	} else {
 		states = o.tracer.SBoxInputs(pt)
 	}

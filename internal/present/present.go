@@ -77,14 +77,21 @@ func InvSubCells(s uint64) uint64 {
 	return out
 }
 
+// permGroups and invPermGroups are the pLayer tables compiled into
+// rotation classes (31 each), as GIFT-64 compiles its permutation.
+var (
+	permGroups    = bitutil.CompilePerm64(&Perm)
+	invPermGroups = bitutil.CompilePerm64(&InvPerm)
+)
+
 // PermBits applies the PRESENT pLayer.
 func PermBits(s uint64) uint64 {
-	return bitutil.PermuteBits64(s, &Perm)
+	return bitutil.ApplyPerm64(s, permGroups)
 }
 
 // InvPermBits applies the inverse pLayer.
 func InvPermBits(s uint64) uint64 {
-	return bitutil.PermuteBits64(s, &InvPerm)
+	return bitutil.ApplyPerm64(s, invPermGroups)
 }
 
 // Round applies one PRESENT round: addRoundKey, sBoxLayer, pLayer.
@@ -147,25 +154,10 @@ func roundKey80(k key80) uint64 {
 //
 //grinch:secret k return
 func updateKey80(k key80, counter uint64) key80 {
-	// Rotate left 61 over 80 bits = take bits [18..0 ‖ 79..19].
-	full := [2]uint64{k.lo, uint64(k.hi)} // low, high(16 bits)
-	bit := func(i uint) uint64 {
-		if i < 64 {
-			return full[0] >> i & 1
-		}
-		return full[1] >> (i - 64) & 1
-	}
-	var nlo uint64
-	var nhi uint16
-	for i := uint(0); i < 80; i++ {
-		src := (i + 19) % 80 // left-rotate by 61 = right-rotate by 19
-		b := bit(src)
-		if i < 64 {
-			nlo |= b << i
-		} else {
-			nhi |= uint16(b) << (i - 64)
-		}
-	}
+	// Rotate left 61 over 80 bits = right 19: new bits 0..44 are old
+	// bits 19..63, 45..60 are old 64..79 and 61..79 are old 0..18.
+	nlo := k.lo>>19 | uint64(k.hi)<<45 | k.lo<<61
+	nhi := uint16(k.lo >> 3)
 	// S-box on bits 79..76.
 	top := uint8(nhi >> 12)
 	nhi = nhi&0x0fff | uint16(SBox[top])<<12
@@ -216,21 +208,24 @@ func (c *Cipher80) RoundKeys() []uint64 {
 // the XOR of the round input with the round key (PRESENT's key-first
 // ordering). The nibbles of element r-1 are round r's table indices.
 func (c *Cipher80) SBoxInputs(pt uint64) []uint64 {
-	return c.SBoxInputsN(pt, Rounds)
+	return c.SBoxInputsAppend(make([]uint64, 0, Rounds), pt, Rounds)
 }
 
-// SBoxInputsN is SBoxInputs truncated to the first n rounds.
-func (c *Cipher80) SBoxInputsN(pt uint64, n int) []uint64 {
+// SBoxInputsAppend appends the first n index states of SBoxInputs to
+// dst (grown as needed) and returns the extended slice; n is clamped to
+// the round count. The trace oracle reuses one buffer across
+// encryptions.
+func (c *Cipher80) SBoxInputsAppend(dst []uint64, pt uint64, n int) []uint64 {
 	if n > Rounds {
 		n = Rounds
 	}
-	states := make([]uint64, n)
 	s := pt
 	for r := 0; r < n; r++ {
-		states[r] = s ^ c.rk[r]
-		s = PermBits(SubCells(states[r]))
+		x := s ^ c.rk[r]
+		dst = append(dst, x)
+		s = PermBits(SubCells(x))
 	}
-	return states
+	return dst
 }
 
 // PartialDecrypt inverts rounds n..1 (not the final whitening).
@@ -267,12 +262,7 @@ func NewCipher128(key [16]byte) *Cipher128 {
 //grinch:secret k return
 func updateKey128(k bitutil.Word128, counter uint64) bitutil.Word128 {
 	// Rotate left 61 over 128 bits.
-	var n bitutil.Word128
-	for i := uint(0); i < 128; i++ {
-		if k.Bit((i+67)%128) != 0 { // left 61 = right 67
-			n = n.SetBit(i, 1)
-		}
-	}
+	n := bitutil.Word128{Lo: k.Lo<<61 | k.Hi>>3, Hi: k.Hi<<61 | k.Lo>>3}
 	// S-box on bits 127..124 and 123..120.
 	top := uint8(n.Hi >> 60)
 	next := uint8(n.Hi >> 56 & 0xf)

@@ -4,6 +4,8 @@ import (
 	"encoding/hex"
 	"testing"
 	"testing/quick"
+
+	"grinch/internal/bitutil"
 )
 
 // Official PRESENT-80 test vectors from the CHES 2007 paper (Appendix I).
@@ -182,6 +184,22 @@ func TestSBoxInputsConsistent(t *testing.T) {
 	if got := PermBits(SubCells(s)) ^ c.RoundKeys()[Rounds]; got != c.EncryptBlock(pt) {
 		t.Fatalf("trace-reconstructed ciphertext mismatch")
 	}
+	// The append form is the same trace truncated, in a reused buffer.
+	buf := make([]uint64, 0, Rounds)
+	for n := 0; n <= Rounds+1; n++ {
+		got := c.SBoxInputsAppend(buf[:0], pt, n)
+		if len(got) != min(n, Rounds) {
+			t.Fatalf("n=%d: %d states", n, len(got))
+		}
+		for r := range got {
+			if got[r] != states[r] {
+				t.Fatalf("n=%d: round %d index state %016x, want %016x", n, r+1, got[r], states[r])
+			}
+		}
+		if n > 0 && &got[0] != &buf[:1][0] {
+			t.Fatalf("n=%d: buffer not reused", n)
+		}
+	}
 }
 
 func TestPartialDecrypt(t *testing.T) {
@@ -241,4 +259,62 @@ func TestKeyScheduleDistinctRoundKeys(t *testing.T) {
 		}
 		seen[rk] = true
 	}
+}
+
+// updateKey80Ref and updateKey128Ref are the bit-at-a-time references
+// for the key-schedule steps' word-shift rotations.
+func updateKey80Ref(k key80, counter uint64) key80 {
+	bit := func(i uint) uint64 {
+		if i < 64 {
+			return k.lo >> i & 1
+		}
+		return uint64(k.hi) >> (i - 64) & 1
+	}
+	var n key80
+	for i := uint(0); i < 80; i++ {
+		b := bit((i + 19) % 80)
+		if i < 64 {
+			n.lo |= b << i
+		} else {
+			n.hi |= uint16(b) << (i - 64)
+		}
+	}
+	n.hi = n.hi&0x0fff | uint16(SBox[n.hi>>12])<<12
+	n.lo ^= (counter & 0x1f) << 15
+	return n
+}
+
+func updateKey128Ref(k bitutil.Word128, counter uint64) bitutil.Word128 {
+	var n bitutil.Word128
+	for i := uint(0); i < 128; i++ {
+		n = n.SetBit(i, k.Bit((i+67)%128))
+	}
+	n.Hi = n.Hi&0x00ff_ffff_ffff_ffff | uint64(SBox[n.Hi>>60])<<60 | uint64(SBox[n.Hi>>56&0xf])<<56
+	n.Hi ^= (counter & 0x1f) >> 2
+	n.Lo ^= (counter & 0x3) << 62
+	return n
+}
+
+func TestKeyUpdateMatchesPerBit(t *testing.T) {
+	f := func(hi uint16, lo, lo2 uint64, counter uint8) bool {
+		c := uint64(counter%32) + 1
+		k80 := key80{hi: hi, lo: lo}
+		k128 := bitutil.Word128{Lo: lo, Hi: lo2}
+		return updateKey80(k80, c) == updateKey80Ref(k80, c) &&
+			updateKey128(k128, c) == updateKey128Ref(k128, c)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+var sinkState uint64
+
+func BenchmarkPermBits(b *testing.B) {
+	s := uint64(0x0123456789abcdef)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s = PermBits(s)
+	}
+	sinkState = s
 }
