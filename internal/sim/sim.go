@@ -9,6 +9,20 @@
 // outcome is a pure function of its inputs — no real-time or goroutine
 // scheduling effects leak in. Virtual time is in picoseconds, which
 // divides every clock period of interest exactly (10 MHz = 100 000 ps).
+//
+// Run-ahead: while Run or RunUntil drives the kernel, a Proc.Wait whose
+// wake-up would be the very next event to fire — every queued event is
+// strictly later, and the wake-up is within RunUntil's limit — takes
+// that wake-up in place instead of parking the process goroutine and
+// handing control to the kernel and back. It advances the clock and the
+// schedule counter exactly as popping the wake-up event would have, so
+// no event can be reordered: the wake-up event would have carried the
+// highest sequence number yet and an earlier (time, seq) than anything
+// queued, and nothing else runs between scheduling it and firing it. An
+// event already queued for the same instant has a lower sequence number
+// and fires first, so that case parks as before. Outside Run/RunUntil
+// (a caller driving Step by hand) and once Stop has been called, Wait
+// always parks.
 package sim
 
 import (
@@ -113,6 +127,10 @@ type Kernel struct {
 	events   eventHeap
 	procs    []*Proc
 	stopping bool
+	// running is set while Run or RunUntil drives the kernel; limit is
+	// the latest time that run may reach. Together they bound run-ahead.
+	running bool
+	limit   Time
 }
 
 // NewKernel returns an empty kernel at time zero.
@@ -134,10 +152,16 @@ func (k *Kernel) At(t Time, fn func()) *Event {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: scheduling into the past (%v < %v)", t, k.now))
 	}
-	k.seq++
-	e := &Event{at: t, seq: k.seq, fn: fn, index: -1}
-	heap.Push(&k.events, e)
+	e := &Event{}
+	k.push(e, t, fn)
 	return e
+}
+
+// push queues e to fire fn at t, after everything already queued for t.
+func (k *Kernel) push(e *Event, t Time, fn func()) {
+	k.seq++
+	*e = Event{at: t, seq: k.seq, fn: fn, index: -1}
+	heap.Push(&k.events, e)
 }
 
 // Cancel removes a pending event. Cancelling a fired or already-cancelled
@@ -170,20 +194,24 @@ func (k *Kernel) Step() bool {
 // blocked forever on queues do not keep Run alive; a drained queue with
 // parked processes is the simulation's deadlock/quiescence state.
 func (k *Kernel) Run() {
+	k.running, k.limit = true, ^Time(0)
 	for !k.stopping && k.Step() {
 	}
+	k.running = false
 	k.finish()
 }
 
 // RunUntil fires events up to and including time t, then sets the clock
 // to t.
 func (k *Kernel) RunUntil(t Time) {
+	k.running, k.limit = true, t
 	for !k.stopping && k.events.Len() > 0 {
 		if k.events[0].at > t {
 			break
 		}
 		k.Step()
 	}
+	k.running = false
 	if k.now < t {
 		k.now = t
 	}
@@ -212,8 +240,13 @@ var errKilled = errors.New("sim: process killed")
 // goroutine but never concurrently with the kernel or another process:
 // control passes explicitly through Wait and queue operations.
 type Proc struct {
-	k      *Kernel
-	name   string
+	k    *Kernel
+	name string
+	// wake is p.dispatch, bound once, and wakeEv the event that fires
+	// it: a parked process has exactly one pending wake-up, so parking
+	// allocates nothing.
+	wake   func()
+	wakeEv Event
 	resume chan struct{}
 	parked chan struct{}
 	// dead is atomic: a process marks itself dead on its own goroutine
@@ -232,6 +265,8 @@ func (k *Kernel) Spawn(name string, body func(p *Proc)) *Proc {
 		parked: make(chan struct{}),
 		killed: make(chan struct{}),
 	}
+	p.wake = p.dispatch
+	p.wakeEv.index = -1
 	k.procs = append(k.procs, p)
 	k.Schedule(0, func() {
 		go func() {
@@ -293,8 +328,26 @@ func (p *Proc) Now() Time { return p.k.now }
 
 // Wait suspends the process for d of virtual time.
 func (p *Proc) Wait(d Time) {
-	p.k.Schedule(d, p.dispatch)
+	k := p.k
+	t := k.now + d
+	if k.running && !k.stopping && t <= k.limit &&
+		(len(k.events) == 0 || k.events[0].at > t) {
+		// Run-ahead (see the package doc): the wake-up would fire next,
+		// so take it in place.
+		k.seq++
+		k.now = t
+		return
+	}
+	p.wakeAt(t)
 	p.park()
+}
+
+// wakeAt queues p's wake-up at t on p's own event.
+func (p *Proc) wakeAt(t Time) {
+	if p.wakeEv.index >= 0 {
+		panic(fmt.Sprintf("sim: process %s already has a pending wake-up", p.name))
+	}
+	p.k.push(&p.wakeEv, t, p.wake)
 }
 
 // WaitUntil suspends the process until absolute time t (no-op if t has
@@ -331,7 +384,7 @@ func (q *Queue[T]) Send(v T) {
 	if len(q.waiters) > 0 {
 		w := q.waiters[0]
 		q.waiters = q.waiters[1:]
-		q.k.Schedule(0, w.dispatch)
+		w.wakeAt(q.k.now)
 	}
 }
 
