@@ -58,13 +58,24 @@ type link struct {
 	tail sim.Time // release time of the last packet on this link
 }
 
+// Output ports of a router, one per mesh direction. Every link is
+// identified by its upstream tile and the port it leaves by.
+const (
+	portXPlus = iota
+	portXMinus
+	portYPlus
+	portYMinus
+	ports
+)
+
 // Mesh is the network. One Mesh belongs to one kernel.
 type Mesh struct {
 	cfg   Config
 	k     *sim.Kernel
 	clock sim.Clock
-	// links[from][to] for adjacent tiles, keyed by flattened indices.
-	links map[[2]int]*link
+	// links[index(from)*ports+port] is the link leaving tile from by
+	// port; ports facing off the mesh edge are never used.
+	links []link
 	stats Stats
 }
 
@@ -73,7 +84,7 @@ func New(k *sim.Kernel, clock sim.Clock, cfg Config) (*Mesh, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Mesh{cfg: cfg, k: k, clock: clock, links: map[[2]int]*link{}}, nil
+	return &Mesh{cfg: cfg, k: k, clock: clock, links: make([]link, cfg.Width*cfg.Height*ports)}, nil
 }
 
 // MustNew is New for known-good configurations.
@@ -94,28 +105,41 @@ func (m *Mesh) contains(c Coord) bool {
 	return c.X >= 0 && c.X < m.cfg.Width && c.Y >= 0 && c.Y < m.cfg.Height
 }
 
-// Route returns the XY path from src to dst, inclusive of both
-// endpoints: all X movement first, then all Y movement.
-func (m *Mesh) Route(src, dst Coord) []Coord {
+// checkRoute panics unless both endpoints lie on the mesh.
+func (m *Mesh) checkRoute(src, dst Coord) {
 	if !m.contains(src) || !m.contains(dst) {
 		panic(fmt.Sprintf("noc: route %v→%v outside %dx%d mesh", src, dst, m.cfg.Width, m.cfg.Height))
 	}
-	path := []Coord{src}
-	cur := src
-	for cur.X != dst.X {
-		if cur.X < dst.X {
-			cur.X++
-		} else {
-			cur.X--
-		}
-		path = append(path, cur)
+}
+
+// next takes one XY step from cur towards dst (cur ≠ dst): all X
+// movement first, then all Y movement. It returns the downstream tile
+// and the output port of cur the hop leaves by.
+func next(cur, dst Coord) (Coord, int) {
+	switch {
+	case cur.X < dst.X:
+		cur.X++
+		return cur, portXPlus
+	case cur.X > dst.X:
+		cur.X--
+		return cur, portXMinus
+	case cur.Y < dst.Y:
+		cur.Y++
+		return cur, portYPlus
+	default:
+		cur.Y--
+		return cur, portYMinus
 	}
-	for cur.Y != dst.Y {
-		if cur.Y < dst.Y {
-			cur.Y++
-		} else {
-			cur.Y--
-		}
+}
+
+// Route returns the XY path from src to dst, inclusive of both
+// endpoints: all X movement first, then all Y movement.
+func (m *Mesh) Route(src, dst Coord) []Coord {
+	m.checkRoute(src, dst)
+	path := make([]Coord, 1, m.Hops(src, dst)+1)
+	path[0] = src
+	for cur := src; cur != dst; {
+		cur, _ = next(cur, dst)
 		path = append(path, cur)
 	}
 	return path
@@ -144,31 +168,23 @@ func (m *Mesh) flits(payloadBytes int) uint64 {
 	return n
 }
 
-func (m *Mesh) linkFor(a, b Coord) *link {
-	key := [2]int{m.index(a), m.index(b)}
-	l, ok := m.links[key]
-	if !ok {
-		l = &link{}
-		m.links[key] = l
-	}
-	return l
-}
-
 // Send transports a packet from src to dst, blocking the calling process
 // until the tail flit arrives. It returns the end-to-end latency.
 // Store-and-forward at packet granularity: each link is held for the
 // whole packet, which upper-bounds a wormhole router and keeps the
-// model deterministic.
+// model deterministic. The hops are walked in place, so a packet
+// allocates nothing.
 func (m *Mesh) Send(p *sim.Proc, src, dst Coord, payloadBytes int) sim.Time {
+	m.checkRoute(src, dst)
 	start := p.Now()
-	path := m.Route(src, dst)
 	nflits := m.flits(payloadBytes)
 	serial := m.clock.Cycles(nflits * m.cfg.LinkCycles)
 	hop := m.clock.Cycles(m.cfg.RouterCycles)
 
 	t := start + hop // source router traversal
-	for i := 0; i+1 < len(path); i++ {
-		l := m.linkFor(path[i], path[i+1])
+	for cur := src; cur != dst; {
+		nxt, port := next(cur, dst)
+		l := &m.links[m.index(cur)*ports+port]
 		grant := t
 		if l.tail > grant {
 			grant = l.tail
@@ -177,6 +193,7 @@ func (m *Mesh) Send(p *sim.Proc, src, dst Coord, payloadBytes int) sim.Time {
 		l.tail = grant + serial
 		t = l.tail + hop // downstream router traversal
 		m.stats.Hops++
+		cur = nxt
 	}
 	m.stats.Packets++
 	m.stats.TotalTime += t - start
