@@ -52,15 +52,16 @@ bench:
 	$(GO) test -bench BenchmarkTable1Campaign -benchtime 3x -run XXX ./internal/experiments/
 
 # Machine-readable benchmark baseline: a fixed small benchmark set
-# (attack hot path, full-key recovery on each cipher + campaign
-# orchestration) parsed into
+# (attack hot path, full-key recovery on each cipher, campaign
+# orchestration, and the Table II platform race on the simulation
+# kernel and NoC) parsed into
 # BENCH_baseline.json via cmd/benchjson. Values are machine-dependent;
 # the committed file records the reference machine's numbers. Override
 # BENCH_OUT to write elsewhere (the regression guard measures into a
 # scratch file instead of clobbering the baseline).
 BENCH_OUT ?= BENCH_baseline.json
 bench-json:
-	$(GO) test -bench 'BenchmarkAttackNilTracer$$|BenchmarkAttackNilMetrics$$|BenchmarkAttackMetrics$$|BenchmarkTable1$$|BenchmarkTable1Campaign$$|BenchmarkExtension_FullRecoveryByCipher$$' \
+	$(GO) test -bench 'BenchmarkAttackNilTracer$$|BenchmarkAttackNilMetrics$$|BenchmarkAttackMetrics$$|BenchmarkTable1$$|BenchmarkTable1Campaign$$|BenchmarkExtension_FullRecoveryByCipher$$|BenchmarkTable2$$|BenchmarkPlatformSession$$' \
 		-benchtime 3x -run XXX . ./internal/experiments/ | \
 		$(GO) run ./cmd/benchjson -o $(BENCH_OUT)
 
