@@ -1,102 +1,103 @@
 package campaign
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"sync"
 )
 
-// journalHeader is the first line of a journal file. It pins the
-// journal to one campaign: a resume against a journal whose fingerprint
-// does not match the spec is an error, because job indices would then
-// refer to different grid points.
+// journalHeader is the first line of a campaign journal. It pins the
+// journal to one campaign: a resume against a journal written for
+// another spec is an error, because job indices would then refer to
+// different grid points. Campaign and Jobs are functions of the spec,
+// so comparing whole headers compares fingerprints.
 type journalHeader struct {
 	Campaign    string `json:"campaign"`
 	Fingerprint string `json:"fingerprint"`
 	Jobs        int    `json:"jobs"`
 }
 
-// Journal is the append-only checkpoint file of a campaign run. Every
-// completed job is recorded as one JSON line (the same Result record
-// the sinks receive, timing included); on resume the journal is read
-// back and the recorded jobs are not re-executed. Appends are flushed
-// line-by-line so an interrupted run loses at most the in-flight jobs;
-// a torn final line from a hard kill is detected, ignored and cut off
-// on load.
+// Journal is an append-only, header-pinned checkpoint log of Results:
+// the campaign journal of a Run and, in campaignd, the journal of one
+// shard. The first line is the header; every completed job is recorded
+// as one JSON line (the same Result record the sinks receive). On
+// resume the log is read back and the recorded jobs are not
+// re-executed. Each append is a single write, so an interrupted run
+// loses at most the in-flight jobs; a torn final line from a hard kill
+// is detected, ignored and cut off on load.
 type Journal struct {
-	mu   sync.Mutex
-	f    *os.File
-	w    *bufio.Writer
-	path string
+	mu sync.Mutex
+	f  *os.File
 }
 
 // OpenJournal opens (or creates) the journal at path for the given
 // spec and returns the results it already holds, keyed by job index.
 // An existing journal must carry the spec's fingerprint.
 func OpenJournal(path string, spec Spec) (*Journal, map[int]Result, error) {
-	prior := make(map[int]Result)
-	data, err := os.ReadFile(path)
-	switch {
-	case os.IsNotExist(err):
-		// Fresh journal: write the header.
-		f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644)
-		if err != nil {
-			return nil, nil, fmt.Errorf("campaign: creating journal: %w", err)
-		}
-		j := &Journal{f: f, w: bufio.NewWriter(f), path: path}
-		hdr := journalHeader{Campaign: spec.Name, Fingerprint: spec.Fingerprint(), Jobs: spec.NumJobs()}
-		if err := j.appendJSON(hdr); err != nil {
-			f.Close()
-			return nil, nil, err
-		}
-		return j, prior, nil
-	case err != nil:
-		return nil, nil, fmt.Errorf("campaign: reading journal: %w", err)
-	}
-
-	// Existing journal: validate the header and load completed jobs. A
-	// record is committed only with its newline, so a final line
-	// without one is a torn append from a hard kill: its job re-runs,
-	// and the fragment is cut off below before anything is appended.
-	complete := bytes.LastIndexByte(data, '\n') + 1
-	lines := splitLines(data[:complete])
-	if len(lines) == 0 {
-		return nil, nil, fmt.Errorf("campaign: journal %s is empty (no header)", path)
-	}
-	var hdr journalHeader
-	if err := json.Unmarshal(lines[0], &hdr); err != nil {
-		return nil, nil, fmt.Errorf("campaign: journal %s has a corrupt header: %w", path, err)
-	}
-	if want := spec.Fingerprint(); hdr.Fingerprint != want {
-		return nil, nil, fmt.Errorf("campaign: journal %s belongs to campaign %q (fingerprint %s, want %s); refusing to resume a different grid",
-			path, hdr.Campaign, hdr.Fingerprint, want)
-	}
-	for _, line := range lines[1:] {
-		var r Result
-		if err := json.Unmarshal(line, &r); err != nil {
-			// A corrupt complete line: its job re-runs.
-			continue
-		}
-		prior[r.Job] = r
-	}
-
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, nil, fmt.Errorf("campaign: reopening journal: %w", err)
-	}
-	// Without the cut, the next record would be glued onto the torn
-	// fragment and lost on the following resume.
-	if err := f.Truncate(int64(complete)); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("campaign: truncating torn journal tail: %w", err)
-	}
-	return &Journal{f: f, w: bufio.NewWriter(f), path: path}, prior, nil
+	return OpenLog(path, journalHeader{Campaign: spec.Name, Fingerprint: spec.Fingerprint(), Jobs: spec.NumJobs()})
 }
 
-// Append records one completed job and flushes it to the OS.
+// OpenLog opens (or creates) the journal at path pinned to hdr and
+// returns the results it already holds, keyed by job index. An existing
+// journal whose header line is not equal to hdr is refused.
+//
+// A record is committed only with its newline. A final line without
+// one is a torn append: its job re-runs, and the fragment is cut off
+// before anything is appended, or the next record would be glued onto
+// it and lost on the following resume. A journal with no complete line
+// at all was torn inside its header — no record can precede the
+// header — so it is started afresh.
+func OpenLog[H comparable](path string, hdr H) (_ *Journal, _ map[int]Result, err error) {
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, nil, fmt.Errorf("campaign: opening journal: %w", err)
+	}
+	defer func() {
+		if err != nil {
+			f.Close()
+		}
+	}()
+	data, err := io.ReadAll(f)
+	if err != nil {
+		return nil, nil, fmt.Errorf("campaign: reading journal: %w", err)
+	}
+	complete := bytes.LastIndexByte(data, '\n') + 1
+	lines := splitLines(data[:complete])
+	prior := make(map[int]Result)
+	if len(lines) > 0 {
+		var got H
+		if err := json.Unmarshal(lines[0], &got); err != nil {
+			return nil, nil, fmt.Errorf("campaign: journal %s has a corrupt header: %w", path, err)
+		}
+		if got != hdr {
+			return nil, nil, fmt.Errorf("campaign: journal %s is pinned to %+v, want %+v; refusing to resume a different grid",
+				path, got, hdr)
+		}
+		for _, line := range lines[1:] {
+			var r Result
+			if err := json.Unmarshal(line, &r); err != nil {
+				// A corrupt complete line: its job re-runs.
+				continue
+			}
+			prior[r.Job] = r
+		}
+	}
+	if err := f.Truncate(int64(complete)); err != nil {
+		return nil, nil, fmt.Errorf("campaign: truncating torn journal tail: %w", err)
+	}
+	j := &Journal{f: f}
+	if len(lines) == 0 {
+		if err := j.appendJSON(hdr); err != nil {
+			return nil, nil, err
+		}
+	}
+	return j, prior, nil
+}
+
+// Append records one completed job with a single write.
 func (j *Journal) Append(r Result) error {
 	return j.appendJSON(r)
 }
@@ -108,40 +109,21 @@ func (j *Journal) appendJSON(v any) error {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if _, err := j.w.Write(append(b, '\n')); err != nil {
+	if _, err := j.f.Write(append(b, '\n')); err != nil {
 		return fmt.Errorf("campaign: appending to journal: %w", err)
 	}
-	return j.w.Flush()
+	return nil
 }
 
-// Close flushes and closes the journal file.
+// Close closes the journal file.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if err := j.w.Flush(); err != nil {
-		j.f.Close()
-		return err
-	}
 	return j.f.Close()
 }
 
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
-
-// splitLines splits on '\n', dropping a trailing empty slice. A final
-// line without a newline is kept (OpenJournal cuts torn tails off
-// before splitting).
+// splitLines splits newline-terminated data into its lines.
 func splitLines(data []byte) [][]byte {
-	var lines [][]byte
-	start := 0
-	for i, b := range data {
-		if b == '\n' {
-			lines = append(lines, data[start:i])
-			start = i + 1
-		}
-	}
-	if start < len(data) {
-		lines = append(lines, data[start:])
-	}
-	return lines
+	lines := bytes.Split(data, []byte{'\n'})
+	return lines[:len(lines)-1]
 }

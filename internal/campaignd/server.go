@@ -1,6 +1,7 @@
 package campaignd
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
 	"os"
@@ -118,7 +119,7 @@ type shardState struct {
 	reissues int
 	failed   int
 	results  map[int]campaign.Result
-	journal  *shardJournal
+	journal  *campaign.Journal // nil when memory-only
 	// encs sums the victim encryptions of ingested (and
 	// journal-replayed) results; latMS observes each live-ingested
 	// result's wall duration before canonicalization strips it.
@@ -191,16 +192,23 @@ func (s *Server) logf(format string, args ...any) {
 func (s *Server) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var first error
+	var errs []error
 	for _, id := range s.order {
-		for _, sh := range s.campaigns[id].shards {
-			if err := sh.journal.Close(); err != nil && first == nil {
-				first = err
-			}
+		errs = append(errs, s.campaigns[id].closeJournals())
+	}
+	return errors.Join(errs...)
+}
+
+// closeJournals closes the campaign's open shard journals.
+func (c *campaignState) closeJournals() error {
+	var errs []error
+	for _, sh := range c.shards {
+		if sh.journal != nil {
+			errs = append(errs, sh.journal.Close())
 			sh.journal = nil
 		}
 	}
-	return first
+	return errors.Join(errs...)
 }
 
 // recover rebuilds campaign state from the data directory.
@@ -212,6 +220,11 @@ func (s *Server) recover() error {
 	for _, name := range dirs {
 		dir := filepath.Join(s.opts.DataDir, name)
 		req, err := loadSubmit(dir)
+		if os.IsNotExist(err) {
+			// The Submit that made this directory never returned an ID.
+			s.logf("skipping %s: no campaign.json", name)
+			continue
+		}
 		if err != nil {
 			return fmt.Errorf("campaignd: recovering %s: %w", name, err)
 		}
@@ -275,32 +288,38 @@ func (s *Server) buildCampaign(id string, req SubmitRequest, dir string) (*campa
 			"Per-job wall duration at ingestion, milliseconds, by shard.",
 			metrics.DurationMSBuckets,
 			metrics.L("campaign", id), metrics.L("shard", fmt.Sprint(rng.Shard)))
-		if dir != "" {
-			j, prior, err := openShardJournal(dir, id, c.fp, rng)
-			if err != nil {
-				return nil, err
-			}
-			sh.journal = j
-			sh.results = prior
-			// Count failures and detect completion by walking the range
-			// in index order (deterministic, and validates coverage).
-			complete := true
-			for i := rng.Start; i < rng.End; i++ {
-				r, ok := prior[i]
-				if !ok {
-					complete = false
-					continue
-				}
-				if r.Failed {
-					sh.failed++
-				}
-				sh.encs += r.Encryptions
-			}
-			if complete {
-				sh.state = ShardDone
-			}
-		}
 		c.shards = append(c.shards, sh)
+		if dir == "" {
+			continue
+		}
+		j, prior, err := campaign.OpenLog(shardJournalPath(dir, rng.Shard), shardJournalHeader{
+			Campaign: id, Fingerprint: c.fp, Shard: rng.Shard, Start: rng.Start, End: rng.End,
+		})
+		if err != nil {
+			c.closeJournals()
+			return nil, err
+		}
+		sh.journal = j
+		// Keep the in-range records, count failures and detect
+		// completion by walking the range in index order
+		// (deterministic, and validates coverage).
+		complete := true
+		for i := rng.Start; i < rng.End; i++ {
+			r, ok := prior[i]
+			if !ok {
+				complete = false
+				continue
+			}
+			r = r.Canonical()
+			sh.results[i] = r
+			if r.Failed {
+				sh.failed++
+			}
+			sh.encs += r.Encryptions
+		}
+		if complete {
+			sh.state = ShardDone
+		}
 	}
 	return c, nil
 }
@@ -309,6 +328,11 @@ func (s *Server) buildCampaign(id string, req SubmitRequest, dir string) (*campa
 // in-process embedding (tests, cmd/campaignd's boot submit); the HTTP
 // POST handler is a thin wrapper.
 func (s *Server) Submit(req SubmitRequest) (SubmitResponse, error) {
+	// Validate before touching disk: a rejected spec must leave no
+	// campaign.json for the next boot's recovery to trip over.
+	if err := req.Spec.Validate(); err != nil {
+		return SubmitResponse{}, err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	id := fmt.Sprintf("c%04d", s.nextID)
@@ -319,11 +343,14 @@ func (s *Server) Submit(req SubmitRequest) (SubmitResponse, error) {
 			return SubmitResponse{}, fmt.Errorf("campaignd: creating campaign dir: %w", err)
 		}
 		if err := saveSubmit(dir, req); err != nil {
-			return SubmitResponse{}, fmt.Errorf("campaignd: persisting submit: %w", err)
+			return SubmitResponse{}, errors.Join(fmt.Errorf("campaignd: persisting submit: %w", err), os.RemoveAll(dir))
 		}
 	}
 	c, err := s.buildCampaign(id, req, dir)
 	if err != nil {
+		if dir != "" {
+			err = errors.Join(err, os.RemoveAll(dir))
+		}
 		return SubmitResponse{}, err
 	}
 	s.nextID++
@@ -490,8 +517,10 @@ func (s *Server) Ingest(leaseID string, results []campaign.Result) error {
 			s.duplicates++
 			continue
 		}
-		if err := sh.journal.Append(r); err != nil {
-			return err
+		if sh.journal != nil {
+			if err := sh.journal.Append(r); err != nil {
+				return err
+			}
 		}
 		sh.results[r.Job] = r
 		if r.Failed {

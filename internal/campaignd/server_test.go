@@ -528,3 +528,40 @@ func TestSubmitValidation(t *testing.T) {
 		t.Fatalf("invalid submit returned %d, want 400", resp.StatusCode)
 	}
 }
+
+// TestRejectedSubmitLeavesNoTrace: a submit refused as invalid must not
+// persist anything, or the next coordinator boot over the same data
+// directory fails to recover it. A directory left without campaign.json
+// (a crash inside Submit) is skipped on recovery too.
+func TestRejectedSubmitLeavesNoTrace(t *testing.T) {
+	dataDir := t.TempDir()
+	srv, ts := newTestServer(t, campaignd.Options{DataDir: dataDir})
+	if _, err := srv.Submit(campaignd.SubmitRequest{Spec: campaign.Spec{Name: "nokind"}}); err == nil {
+		t.Fatal("spec without a kind was accepted")
+	}
+	resp, err := http.Post(ts.URL+campaignd.PathCampaigns, "application/json",
+		strings.NewReader(`{"spec": {"name": "nokind"}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("invalid submit returned %d, want 400", resp.StatusCode)
+	}
+	ts.Close()
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(filepath.Join(dataDir, "c0007"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+
+	srv2, err := campaignd.NewServer(campaignd.Options{DataDir: dataDir})
+	if err != nil {
+		t.Fatalf("restart after a rejected submit: %v", err)
+	}
+	defer srv2.Close()
+	if n := len(srv2.Statuses()); n != 0 {
+		t.Fatalf("restart recovered %d campaigns, want 0", n)
+	}
+}
