@@ -10,7 +10,7 @@
 //	campaign -journal t1.journal table1      # checkpointed; re-run to resume
 //	campaign -csv results.csv -quiet table2
 //	campaign -trace t1.trace.jsonl table1    # record the event trace
-//	campaign -debug-addr :6060 table1        # expvar metrics + pprof
+//	campaign -debug-addr :6060 table1        # /metrics, /debug/vars, pprof
 //	campaign -faults plans.json recovery     # sweep a structured-fault axis
 //
 // A campaign is a grid of independent attack jobs (probe round × flush
@@ -45,22 +45,22 @@
 // fault axis from a separate JSON file instead (one plan object or an
 // array of named plans) and overrides the spec's.
 //
-// Progress (with ETA) is reported on stderr every -progress interval;
-// the per-cell aggregate table lands on stdout after the run,
-// alongside any -out/-csv/-trace files.
+// The run keeps its counters in one internal/obs/metrics registry.
+// Progress (with ETA) is read from it onto stderr every -progress
+// interval, and -debug-addr serves it as /metrics. The per-cell
+// aggregate table lands on stdout after the run, alongside any
+// -out/-csv/-trace files.
 package main
 
 import (
 	"context"
-	"expvar"
+	_ "expvar" // -debug-addr serves /debug/vars (memstats, cmdline)
 	"flag"
 	"fmt"
 	"net/http"
 	_ "net/http/pprof" // -debug-addr serves the default mux's profiles
 	"os"
 	"os/signal"
-	"runtime"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -86,7 +86,7 @@ func main() {
 		faultFile = flag.String("faults", "", "fault-plan JSON file (one plan object or an array of named plans); adds a fault axis to the grid")
 		keepGoing = flag.Bool("keep-going", false, "exit zero even when jobs failed (failures are still logged and recorded)")
 		progress  = flag.Duration("progress", 500*time.Millisecond, "stderr progress-ticker interval")
-		debugAddr = flag.String("debug-addr", "", "serve expvar campaign metrics and net/http/pprof on this address (e.g. :6060)")
+		debugAddr = flag.String("debug-addr", "", "serve the run's /metrics, /debug/vars and net/http/pprof on this address (e.g. :6060)")
 		quiet     = flag.Bool("quiet", false, "suppress the stderr progress ticker")
 	)
 	flag.Parse()
@@ -129,24 +129,15 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	metrics := campaign.NewMetrics()
-	var reg *obsmetrics.Registry
+	reg := obsmetrics.New()
 	if *debugAddr != "" {
-		// The registry rides the debug endpoint: without -debug-addr it
-		// stays nil and the run loop takes the zero-cost path.
-		reg = obsmetrics.New()
-		serveDebug(*debugAddr, metrics, reg)
+		serveDebug(*debugAddr, reg)
 	}
-	var done64 atomic.Int64
 	opts := campaign.Options{
 		Workers:  *workers,
 		Sinks:    sinks,
 		Journal:  *journal,
-		Metrics:  metrics,
 		Registry: reg,
-		Progress: func(done, total int) {
-			done64.Store(int64(done))
-		},
 	}
 	if trace != nil {
 		opts.Trace = trace
@@ -154,7 +145,7 @@ func main() {
 
 	var stopTicker func()
 	if !*quiet && *progress > 0 {
-		stopTicker = startTicker(spec, metrics, &done64, *workers, *progress)
+		stopTicker = startTicker(spec.Name, reg, *progress)
 	}
 	rep, err := campaign.Run(ctx, spec, experiments.Execute, opts)
 	if stopTicker != nil {
@@ -175,7 +166,7 @@ func main() {
 		fatalf("%v", err)
 	}
 
-	printSummary(rep, agg, metrics, trace)
+	printSummary(rep, agg, reg, trace)
 	if len(fails.list) > 0 && !*keepGoing {
 		fmt.Fprintf(os.Stderr, "campaign %s: %d job(s) failed (use -keep-going to exit zero anyway)\n",
 			spec.Name, len(fails.list))
@@ -215,14 +206,12 @@ func (f *failures) report() {
 	}
 }
 
-// serveDebug publishes the campaign metrics as the expvar "campaign"
-// variable (schema documented in DESIGN.md §14) and serves the default
-// mux — /debug/vars (expvar), /metrics (Prometheus text exposition of
-// the campaign_* registry) and /debug/pprof (net/http/pprof) — on
-// addr. Debugging telemetry only: it never feeds back into results or
+// serveDebug serves the default mux — /metrics (Prometheus text
+// exposition of the campaign_* registry), /debug/vars (expvar's
+// memstats and cmdline) and /debug/pprof (net/http/pprof) — on addr.
+// Debugging telemetry only: it never feeds back into results or
 // traces.
-func serveDebug(addr string, m *campaign.Metrics, reg *obsmetrics.Registry) {
-	expvar.Publish("campaign", m)
+func serveDebug(addr string, reg *obsmetrics.Registry) {
 	http.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", obsmetrics.ContentType)
 		if err := obsmetrics.WriteProm(w, reg.Snapshot()); err != nil {
@@ -303,16 +292,16 @@ func buildSinks(outPath, csvPath string, timing bool) ([]campaign.Sink, []func()
 }
 
 // startTicker reports progress + ETA on stderr every interval until
-// stopped. The ETA derives from the metrics' per-job mean duration and
-// the worker count, so it stabilizes as soon as a few jobs finish.
-func startTicker(spec campaign.Spec, m *campaign.Metrics, done *atomic.Int64, workers int, interval time.Duration) func() {
-	total := spec.NumJobs()
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	stop := make(chan struct{})
+// stopped, from the run's registry: jobs accounted are the sum over
+// campaign_jobs_total's statuses, and the ETA extrapolates the
+// executed-job throughput since the start (replayed jobs cost no time,
+// so they stay out of the rate).
+func startTicker(name string, reg *obsmetrics.Registry, interval time.Duration) func() {
+	start := time.Now() //grinchvet:ignore wallclock progress display only
+	stop, exited := make(chan struct{}), make(chan struct{})
 	tick := time.NewTicker(interval)
 	go func() {
+		defer close(exited)
 		defer tick.Stop()
 		for {
 			select {
@@ -320,29 +309,35 @@ func startTicker(spec campaign.Spec, m *campaign.Metrics, done *atomic.Int64, wo
 				fmt.Fprintln(os.Stderr)
 				return
 			case <-tick.C:
-				snap := m.Snapshot()
-				d := int(done.Load())
-				line := fmt.Sprintf("\rcampaign %s: %d/%d jobs", spec.Name, d, total)
-				if snap.JobsDone > 0 && snap.JobMSMean > 0 {
-					remaining := total - d
-					eta := time.Duration(float64(remaining)*snap.JobMSMean/float64(workers)) * time.Millisecond
-					line += fmt.Sprintf(" (%.1fms/job, queue %d, in-flight %d, ETA %v)",
-						snap.JobMSMean, snap.QueueDepth, snap.InFlight, eta.Round(time.Second))
+				snap := reg.Snapshot()
+				jobs := obsmetrics.Total(snap, "campaign_jobs").Gauge
+				accounted := int64(obsmetrics.Total(snap, "campaign_jobs_total").Value)
+				executed := accounted - int64(obsmetrics.Total(snap, "campaign_jobs_replayed_total").Value)
+				inFlight := obsmetrics.Total(snap, "campaign_jobs_in_flight").Gauge
+				line := fmt.Sprintf("\rcampaign %s: %d/%d jobs", name, accounted, jobs)
+				if executed > 0 {
+					elapsed := time.Since(start) //grinchvet:ignore wallclock progress display only
+					eta := time.Duration(float64(jobs-accounted) * float64(elapsed) / float64(executed))
+					line += fmt.Sprintf(" (%.0f jobs/s, queue %d, in-flight %d, ETA %v)",
+						float64(executed)/elapsed.Seconds(), jobs-accounted-inFlight, inFlight, eta.Round(time.Second))
 				}
 				fmt.Fprint(os.Stderr, line+"   ")
 			}
 		}
 	}()
-	return func() { close(stop) }
+	return func() {
+		close(stop)
+		<-exited
+	}
 }
 
 // printSummary renders the per-cell aggregate table and run totals.
-func printSummary(rep campaign.Report, agg *campaign.Aggregator, m *campaign.Metrics, trace *obs.Writer) {
+func printSummary(rep campaign.Report, agg *campaign.Aggregator, reg *obsmetrics.Registry, trace *obs.Writer) {
 	fmt.Printf("campaign %s: %d jobs (%d resumed from journal, %d failed) in %v\n",
 		rep.Spec.Name, rep.Total, rep.Skipped, rep.Failed+rep.FailedReplayed, rep.Elapsed.Round(time.Millisecond))
-	snap := m.Snapshot()
-	fmt.Printf("  %d victim encryptions this run; per-job %.1fms mean, %.1fms max\n",
-		snap.Encryptions, snap.JobMSMean, snap.JobMSMax)
+	wall := obsmetrics.Total(reg.Snapshot(), "campaign_job_wall_ms")
+	fmt.Printf("  %d victim encryptions this run; per-job %.1fms p50, %.1fms p99\n",
+		rep.Encryptions, wall.Quantile(0.50), wall.Quantile(0.99))
 	if trace != nil {
 		fmt.Printf("  %d trace events recorded\n", trace.Count())
 	}

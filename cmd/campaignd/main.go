@@ -34,16 +34,15 @@
 // seen; /metrics serves the Prometheus text exposition (coordinator
 // counters plus per-worker campaignw_* series aggregated from
 // heartbeat deltas, DESIGN.md §14); /api/v1/status returns the same
-// fleet view as JSON with per-shard latency quantiles; /debug/vars
-// (expvar, including the "campaignd" counter set) and /debug/pprof
-// are built in — the -debug-addr endpoint of cmd/campaign, grown into
-// the service.
+// fleet view as JSON with per-shard latency quantiles — both read off
+// the one registry of coordinator series; /debug/vars (expvar's
+// memstats and cmdline) and /debug/pprof are built in — the
+// -debug-addr endpoint of cmd/campaign, grown into the service.
 package main
 
 import (
 	"context"
 	"errors"
-	"expvar"
 	"flag"
 	"fmt"
 	"net/http"
@@ -97,7 +96,6 @@ func main() {
 		fatalf("%v", err)
 	}
 	defer srv.Close()
-	expvar.Publish("campaignd", expvar.Func(func() any { return srv.Metrics() }))
 
 	if *specPath != "" || flag.NArg() == 1 {
 		spec, err := bootSpec(*specPath, experiments.Options{Trials: *trials, Budget: *budget, Seed: *seed})

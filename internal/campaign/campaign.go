@@ -19,9 +19,9 @@
 //   - Fault isolation. A panicking job is recovered and recorded as a
 //     failed cell; a context cancel (SIGINT) stops dispatch, drains
 //     in-flight workers, and flushes the journal.
-//   - Observability. Metrics exposes queue depth, completion counters,
-//     encryption totals and per-job duration statistics as an
-//     expvar-style snapshot.
+//   - Observability. An obs/metrics registry (Options.Registry)
+//     receives the grid size, jobs in flight, per-status completion
+//     counts, encryption totals and per-job wall durations.
 //
 // The package is experiment-agnostic: it knows grid axes (platform,
 // clock, line size, flush, probe round, trial) but not what a job does.

@@ -14,6 +14,7 @@ import (
 
 	"grinch/internal/faults"
 	"grinch/internal/obs"
+	"grinch/internal/obs/metrics"
 	"grinch/internal/rng"
 )
 
@@ -459,18 +460,22 @@ func TestJournalResume(t *testing.T) {
 		return toyExec(job, tr)
 	}
 
-	// First run: cancel once a third of the grid has completed.
+	// First run: a sink cancels once a third of the grid has been
+	// delivered; jobs past that third hold until then, so the cut lands
+	// mid-grid however the workers are scheduled.
 	ctx, cancel := context.WithCancel(context.Background())
 	opts := Options{
 		Workers: 4,
 		Journal: journal,
-		Progress: func(done, _ int) {
-			if done >= total/3 {
-				cancel()
-			}
-		},
+		Sinks:   []Sink{&cancelAfter{n: total / 3, cancel: cancel}},
 	}
-	rep, err := Run(ctx, spec, exec, opts)
+	held := func(job Job, tr obs.Tracer) (Measurement, error) {
+		if job.Index >= total/3 {
+			<-ctx.Done()
+		}
+		return exec(job, tr)
+	}
+	rep, err := Run(ctx, spec, held, opts)
 	if err != context.Canceled {
 		t.Fatalf("interrupted run returned %v, want context.Canceled", err)
 	}
@@ -510,6 +515,24 @@ func TestJournalResume(t *testing.T) {
 		t.Fatal("resumed JSONL differs from a clean run")
 	}
 }
+
+// cancelAfter is a sink that cancels the run once n results have been
+// delivered.
+type cancelAfter struct {
+	n, seen int
+	cancel  context.CancelFunc
+}
+
+func (c *cancelAfter) Begin(Spec, int) error { return nil }
+
+func (c *cancelAfter) Write(Result) error {
+	if c.seen++; c.seen >= c.n {
+		c.cancel()
+	}
+	return nil
+}
+
+func (c *cancelAfter) Close() error { return nil }
 
 func TestJournalRejectsForeignSpec(t *testing.T) {
 	journal := filepath.Join(t.TempDir(), "toy.journal")
@@ -626,27 +649,33 @@ func TestCSVSinkShape(t *testing.T) {
 	}
 }
 
+// TestMetricsSnapshot: after a run the registry holds the grid size,
+// every job accounted once by status, no job left in flight, the
+// report's encryption total and one encryption observation per job.
 func TestMetricsSnapshot(t *testing.T) {
-	m := NewMetrics()
-	_, err := Run(context.Background(), testSpec(), toyExec,
-		Options{Workers: 4, Metrics: m})
+	reg := metrics.New()
+	rep, err := Run(context.Background(), testSpec(), toyExec,
+		Options{Workers: 4, Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := m.Snapshot()
-	total := uint64(testSpec().NumJobs())
-	if snap.JobsTotal != total || snap.JobsDone != total {
-		t.Fatalf("snapshot %+v", snap)
+	snap := reg.Snapshot()
+	total := testSpec().NumJobs()
+	if got := metrics.Total(snap, "campaign_jobs").Gauge; got != int64(total) {
+		t.Fatalf("campaign_jobs = %d, want %d", got, total)
 	}
-	if snap.QueueDepth != 0 || snap.InFlight != 0 {
-		t.Fatalf("counters not drained: %+v", snap)
+	if got := metrics.Total(snap, "campaign_jobs_total").Value; got != uint64(total) {
+		t.Fatalf("campaign_jobs_total sums to %d, want %d", got, total)
 	}
-	if snap.Encryptions == 0 || snap.JobMSMax < snap.JobMSMean {
-		t.Fatalf("snapshot %+v", snap)
+	if got := metrics.Total(snap, "campaign_jobs_in_flight").Gauge; got != 0 {
+		t.Fatalf("campaign_jobs_in_flight = %d after the run, want 0", got)
 	}
-	// expvar.Var-style rendering.
-	if s := m.String(); !strings.Contains(s, `"jobs_done":36`) {
-		t.Fatalf("metrics JSON %s", s)
+	encs := metrics.Total(snap, "campaign_encryptions_total").Value
+	if encs == 0 || encs != rep.Encryptions {
+		t.Fatalf("campaign_encryptions_total = %d, Report.Encryptions = %d", encs, rep.Encryptions)
+	}
+	if n := metrics.Total(snap, "campaign_job_encryptions").Count(); n != uint64(total) {
+		t.Fatalf("campaign_job_encryptions observed %d jobs, want %d", n, total)
 	}
 }
 
@@ -659,9 +688,9 @@ func TestRunRejectsInvalidSpec(t *testing.T) {
 // TestFailureAccountingAcrossResume pins the -keep-going accounting
 // contract: a failed job is counted exactly once no matter how many
 // runs replay it from the journal. Replayed failures land in
-// Report.FailedReplayed (never in Report.Failed), and the metrics'
-// jobs_failed counter is seeded with them instead of re-counting them
-// as they pass through the sinks.
+// Report.FailedReplayed (never in Report.Failed), and the registry's
+// campaign_jobs_total{status} stays a partition of the grid: every job
+// is counted once, by outcome, whether it was replayed or executed.
 func TestFailureAccountingAcrossResume(t *testing.T) {
 	spec := testSpec()
 	total := spec.NumJobs()
@@ -712,9 +741,9 @@ func TestFailureAccountingAcrossResume(t *testing.T) {
 		}
 		return toyExec(job, tr)
 	}
-	metrics := NewMetrics()
+	reg := metrics.New()
 	rep, err := Run(context.Background(), spec, exec,
-		Options{Workers: 4, Journal: journal, Metrics: metrics})
+		Options{Workers: 4, Journal: journal, Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -727,16 +756,14 @@ func TestFailureAccountingAcrossResume(t *testing.T) {
 	if rep.Failed != wantExecFailed {
 		t.Fatalf("Failed = %d, want %d (executed failures only)", rep.Failed, wantExecFailed)
 	}
-	if got := metrics.Snapshot().JobsFailed; got != uint64(priorFailed+wantExecFailed) {
-		t.Fatalf("jobs_failed = %d, want %d (each failed job once)", got, priorFailed+wantExecFailed)
-	}
+	checkPartition(t, reg, rep, priorFailed+wantExecFailed)
 
 	// A second resume replays everything: all failures move to
-	// FailedReplayed, none are executed, and jobs_failed stays the same
-	// — not doubled.
-	metrics2 := NewMetrics()
+	// FailedReplayed, none are executed, and the failed count stays the
+	// same — not doubled.
+	reg2 := metrics.New()
 	rep2, err := Run(context.Background(), spec, exec,
-		Options{Workers: 4, Journal: journal, Metrics: metrics2})
+		Options{Workers: 4, Journal: journal, Registry: reg2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -746,7 +773,22 @@ func TestFailureAccountingAcrossResume(t *testing.T) {
 	if rep2.FailedReplayed != priorFailed+wantExecFailed {
 		t.Fatalf("full replay FailedReplayed = %d, want %d", rep2.FailedReplayed, priorFailed+wantExecFailed)
 	}
-	if got := metrics2.Snapshot().JobsFailed; got != uint64(priorFailed+wantExecFailed) {
-		t.Fatalf("full replay jobs_failed = %d, want %d (not double-counted)", got, priorFailed+wantExecFailed)
+	checkPartition(t, reg2, rep2, priorFailed+wantExecFailed)
+}
+
+// checkPartition asserts that a completed run's campaign_jobs_total
+// statuses sum to the grid size with each failed job counted once, and
+// that campaign_jobs_replayed_total equals the report's replay count.
+func checkPartition(t *testing.T, reg *metrics.Registry, rep Report, wantFailed int) {
+	t.Helper()
+	snap := reg.Snapshot()
+	if got := metrics.Total(snap, "campaign_jobs_total").Value; got != uint64(rep.Total) {
+		t.Errorf("campaign_jobs_total sums to %d over its statuses, want the grid size %d", got, rep.Total)
+	}
+	if got := metrics.Total(snap, "campaign_jobs_total", metrics.L("status", "failed")).Value; got != uint64(wantFailed) {
+		t.Errorf("campaign_jobs_total{status=\"failed\"} = %d, want %d (each failed job once)", got, wantFailed)
+	}
+	if got := metrics.Total(snap, "campaign_jobs_replayed_total").Value; got != uint64(rep.Skipped) {
+		t.Errorf("campaign_jobs_replayed_total = %d, want Report.Skipped = %d", got, rep.Skipped)
 	}
 }

@@ -5,15 +5,17 @@ import (
 )
 
 // runMeter is the campaign executor's pre-resolved instrument set over
-// an obs/metrics registry. It complements the expvar-oriented Metrics
-// type: Metrics is the live single-process snapshot; the registry
-// series are the fleet-wide vocabulary that workers ship to the
-// coordinator and /metrics exposes. The zero value (nil
+// an obs/metrics registry — the run's only counters. cmd/campaign's
+// progress ticker and summary read them back from a registry snapshot,
+// and /metrics exposes the same series. The zero value (nil
 // Options.Registry) is fully inert.
 type runMeter struct {
-	done    *metrics.Counter
-	failed  *metrics.Counter
-	skipped *metrics.Counter
+	jobs     *metrics.Gauge
+	inFlight *metrics.Gauge
+
+	done     *metrics.Counter
+	failed   *metrics.Counter
+	replayed *metrics.Counter
 
 	encryptions *metrics.Counter
 	retries     *metrics.Counter
@@ -35,9 +37,13 @@ func newRunMeter(r *metrics.Registry) runMeter {
 			"Campaign jobs accounted, by terminal status.", metrics.L("status", s))
 	}
 	return runMeter{
-		done:    status("done"),
-		failed:  status("failed"),
-		skipped: status("skipped"),
+		jobs: r.Gauge("campaign_jobs", "Campaign grid size."),
+		inFlight: r.WallGauge("campaign_jobs_in_flight",
+			"Jobs currently executing (non-deterministic)."),
+		done:   status("done"),
+		failed: status("failed"),
+		replayed: r.Counter("campaign_jobs_replayed_total",
+			"Jobs replayed from the journal instead of executed."),
 		encryptions: r.Counter("campaign_encryptions_total",
 			"Victim encryptions consumed across executed jobs."),
 		retries: r.Counter("campaign_retries_total",
@@ -55,11 +61,14 @@ func newRunMeter(r *metrics.Registry) runMeter {
 	}
 }
 
-// begin accounts the journal-replayed jobs (skipped plus their
-// failures) so fleet counters match the run's true totals.
-func (m runMeter) begin(skipped, priorFailed int) {
-	m.skipped.Add(uint64(skipped))
-	m.failed.Add(uint64(priorFailed))
+// begin sets the grid size and accounts the journal-replayed jobs by
+// their recorded outcome, so the statuses of a finished run sum to the
+// grid size with every failed job counted once.
+func (m runMeter) begin(total, replayed, replayedFailed int) {
+	m.jobs.Set(int64(total))
+	m.replayed.Add(uint64(replayed))
+	m.done.Add(uint64(replayed - replayedFailed))
+	m.failed.Add(uint64(replayedFailed))
 }
 
 // finished accounts one executed job's terminal state.

@@ -22,16 +22,11 @@ type Options struct {
 	// If the file already exists for the same spec, its completed jobs
 	// are replayed into the sinks and skipped.
 	Journal string
-	// Metrics receives live counters; nil allocates a private set.
-	Metrics *Metrics
-	// Registry, if set, receives fleet-vocabulary series (campaign_*:
-	// per-status job counters, encryption histograms, wall-time
-	// quarantined separately) alongside the expvar-oriented Metrics.
-	// Nil disables at one nil-check per job.
+	// Registry, if set, receives the run's counters (campaign_*: grid
+	// size, jobs in flight, per-status job counts, journal replays,
+	// encryption histograms, wall time quarantined separately). Nil
+	// disables them at one nil-check per instrument.
 	Registry *metrics.Registry
-	// Progress, if set, is called after every completed or replayed
-	// job with (jobs accounted for, grid size). Calls are serialized.
-	Progress func(done, total int)
 	// Trace, if set, enables event tracing: every job gets a private
 	// obs.Buffer (so parallel workers never interleave) and the buffered
 	// events reach this sink in job-index order, one WriteEvents call
@@ -87,10 +82,6 @@ func Run(ctx context.Context, spec Spec, exec Executor, opts Options) (Report, e
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	metrics := opts.Metrics
-	if metrics == nil {
-		metrics = NewMetrics()
-	}
 
 	// Resume: load completed jobs from the journal, if any.
 	var journal *Journal
@@ -113,9 +104,8 @@ func Run(ctx context.Context, spec Spec, exec Executor, opts Options) (Report, e
 			failedReplayed++
 		}
 	}
-	metrics.begin(len(jobs), len(prior), failedReplayed)
 	meter := newRunMeter(opts.Registry)
-	meter.begin(len(prior), failedReplayed)
+	meter.begin(len(jobs), len(prior), failedReplayed)
 
 	sinks := multiSink(opts.Sinks)
 	if err := sinks.Begin(spec, len(jobs)); err != nil {
@@ -132,7 +122,6 @@ func Run(ctx context.Context, spec Spec, exec Executor, opts Options) (Report, e
 			select {
 			case jobCh <- j:
 			case <-ctx.Done():
-				metrics.drainQueue()
 				return
 			}
 		}
@@ -145,7 +134,7 @@ func Run(ctx context.Context, spec Spec, exec Executor, opts Options) (Report, e
 		go func(id int) {
 			defer wg.Done()
 			for job := range jobCh {
-				metrics.jobStarted()
+				meter.inFlight.Add(1)
 				var buf *obs.Buffer
 				var tr obs.Tracer
 				if opts.Trace != nil {
@@ -153,6 +142,7 @@ func Run(ctx context.Context, spec Spec, exec Executor, opts Options) (Report, e
 					tr = buf
 				}
 				res := runJob(job, exec, id, tr)
+				meter.inFlight.Add(-1)
 				var events []obs.Event
 				if buf != nil {
 					events = buf.Events
@@ -196,19 +186,12 @@ func Run(ctx context.Context, spec Spec, exec Executor, opts Options) (Report, e
 			next++
 		}
 	}
-	progress := func(done int) {
-		if opts.Progress != nil {
-			opts.Progress(done, len(jobs))
-		}
-	}
-	progress(skipped)
 	deliver()
 
 	rep := Report{Spec: spec, Total: len(jobs), Skipped: skipped, FailedReplayed: failedReplayed}
 	var journalErr error
 	for tr := range resCh {
 		res := tr.Result
-		metrics.jobFinished(res)
 		meter.finished(res)
 		rep.Executed++
 		if res.Failed {
@@ -225,7 +208,6 @@ func Run(ctx context.Context, spec Spec, exec Executor, opts Options) (Report, e
 			evStash[res.Job] = tr.events
 		}
 		deliver()
-		progress(rep.Skipped + rep.Executed)
 	}
 
 	rep.Delivered = next

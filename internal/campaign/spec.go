@@ -55,6 +55,15 @@ type RetrySpec struct {
 	BackoffPS uint64 `json:"backoff_ps,omitempty"`
 }
 
+// MaxJobs bounds the expanded grid. Expansion materializes every job
+// (Jobs, and the coordinator's shard table), so the bound is what
+// keeps a spec from allocating without limit — or, with an int-wrapping
+// axis product, from expanding to a negative grid. 2^20 jobs is 50×
+// the largest benchmark grid (20,000 fleet jobs) and far above every
+// preset at any practical trial count, while its expansion stays a few
+// hundred MB.
+const MaxJobs = 1 << 20
+
 // Validate rejects specs the runner cannot expand meaningfully.
 func (s Spec) Validate() error {
 	if s.Kind == "" {
@@ -62,6 +71,9 @@ func (s Spec) Validate() error {
 	}
 	if s.Trials < 0 {
 		return fmt.Errorf("campaign: spec %q has negative trials", s.Name)
+	}
+	if s.NumJobs() > MaxJobs {
+		return fmt.Errorf("campaign: spec %q expands to more than %d jobs", s.Name, MaxJobs)
 	}
 	if s.Retry != nil && s.Retry.Attempts < 0 {
 		return fmt.Errorf("campaign: spec %q has negative retry attempts", s.Name)
@@ -90,17 +102,17 @@ func (s Spec) normalized() Spec {
 	return s
 }
 
-// NumJobs returns the size of the expanded grid.
+// NumJobs returns the size of the expanded grid, saturating at
+// MaxJobs+1: the product is checked here, once, so an oversized spec
+// can never wrap to a small or negative count.
 func (s Spec) NumJobs() int {
 	s = s.normalized()
-	return axisLen(len(s.Platforms)) * axisLen(len(s.MHz)) *
-		axisLen(len(s.LineWords)) * axisLen(len(s.Flush)) *
-		axisLen(len(s.ProbeRounds)) * axisLen(len(s.FaultPlans)) * s.Trials
-}
-
-func axisLen(n int) int {
-	if n == 0 {
-		return 1
+	// n stays at most MaxJobs+1 and every axis is an in-memory slice,
+	// so no product below can overflow.
+	n := min(max(s.Trials, 0), MaxJobs+1)
+	for _, axis := range []int{len(s.Platforms), len(s.MHz), len(s.LineWords),
+		len(s.Flush), len(s.ProbeRounds), len(s.FaultPlans)} {
+		n = min(n*max(axis, 1), MaxJobs+1)
 	}
 	return n
 }

@@ -79,22 +79,23 @@ type Server struct {
 	nextLease       int
 	started         time.Time
 
-	// Counters for the status page (guarded by mu).
-	leasesIssued    int
-	resultsIngested int
-	duplicates      int
-	reissues        int
-
-	// Ingest admission control: in-flight ingest requests and the shed
-	// count live outside mu so admission never queues behind ingestion.
-	ingestInflight atomic.Int64
-	shed           atomic.Uint64
-
-	// reg accumulates the coordinator's own instruments (per-shard
-	// ingestion-latency histograms); telemetry stores the latest
-	// cumulative delta per worker. Both are internally synchronized.
+	// reg holds the coordinator's own instruments: the event counters
+	// below and the per-shard ingestion-latency histograms. telemetry
+	// stores the latest cumulative delta per worker. Both are
+	// internally synchronized.
 	reg       *metrics.Registry
 	telemetry *metrics.Store
+
+	leasesIssued    *metrics.Counter
+	resultsIngested *metrics.Counter
+	duplicates      *metrics.Counter
+	reissues        *metrics.Counter
+	// shed counts ingest requests refused by admission control. Like
+	// ingestInflight it is touched outside mu, so admission never
+	// queues behind ingestion; ingestInflight stays a plain atomic
+	// because admission needs Add's return value.
+	shed           *metrics.Counter
+	ingestInflight atomic.Int64
 }
 
 type campaignState struct {
@@ -159,6 +160,7 @@ func NewServer(opts Options) (*Server, error) {
 	if opts.MaxInflightIngest == 0 {
 		opts.MaxInflightIngest = DefaultMaxInflightIngest
 	}
+	reg := metrics.New()
 	s := &Server{
 		opts:            opts,
 		now:             now,
@@ -166,8 +168,13 @@ func NewServer(opts Options) (*Server, error) {
 		leases:          map[string]*lease{},
 		workers:         map[string]*workerSeen{},
 		completedLeases: map[string]bool{},
-		reg:             metrics.New(),
+		reg:             reg,
 		telemetry:       metrics.NewStore(),
+		leasesIssued:    reg.Counter("campaignd_leases_issued_total", "Shard leases granted."),
+		resultsIngested: reg.Counter("campaignd_results_ingested_total", "Results accepted at ingestion (first copies only)."),
+		duplicates:      reg.Counter("campaignd_duplicate_results_total", "Duplicate results discarded at ingestion."),
+		reissues:        reg.Counter("campaignd_lease_reissues_total", "Expired leases whose shard returned to pending."),
+		shed:            reg.Counter("campaignd_shed_total", "Ingest requests refused with 429 by overload admission control."),
 	}
 	s.started = s.now()
 	if opts.DataDir != "" {
@@ -382,7 +389,7 @@ func (s *Server) sweepLocked() {
 			sh.state = ShardPending
 			sh.leaseID = ""
 			sh.reissues++
-			s.reissues++
+			s.reissues.Inc()
 			s.logf("lease %s (worker %s, %s %s) expired; shard returned to pending with %d/%d results kept",
 				id, l.worker, l.campaign, sh.rng, len(sh.results), sh.rng.Len())
 		}
@@ -414,7 +421,7 @@ func (s *Server) Acquire(worker string) LeaseResponse {
 			}
 			s.nextLease++
 			s.leases[l.id] = l
-			s.leasesIssued++
+			s.leasesIssued.Inc()
 			sh.state = ShardLeased
 			sh.leaseID = l.id
 			sh.worker = worker
@@ -514,7 +521,7 @@ func (s *Server) Ingest(leaseID string, results []campaign.Result) error {
 		wallNS := r.DurationNS
 		r = r.Canonical()
 		if _, dup := sh.results[r.Job]; dup {
-			s.duplicates++
+			s.duplicates.Inc()
 			continue
 		}
 		if sh.journal != nil {
@@ -530,7 +537,7 @@ func (s *Server) Ingest(leaseID string, results []campaign.Result) error {
 		if wallNS > 0 {
 			sh.latMS.Observe(uint64(wallNS) / 1e6)
 		}
-		s.resultsIngested++
+		s.resultsIngested.Inc()
 		w.results++
 	}
 	return nil
@@ -555,14 +562,14 @@ func (s *Server) admitIngest() (release func(), ok bool) {
 	}
 	if s.ingestInflight.Add(1) > int64(limit) {
 		s.ingestInflight.Add(-1)
-		s.shed.Add(1)
+		s.shed.Inc()
 		return nil, false
 	}
 	return func() { s.ingestInflight.Add(-1) }, true
 }
 
 // Shed returns how many ingest requests have been refused with 429.
-func (s *Server) Shed() uint64 { return s.shed.Load() }
+func (s *Server) Shed() uint64 { return s.shed.Value() }
 
 // Complete marks a leased shard done, verifying full coverage of its
 // range, and merges the campaign when it was the last shard. Replays

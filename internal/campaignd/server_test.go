@@ -529,6 +529,25 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsOversizedGrid: a grid whose size overflows int (or
+// merely exceeds campaign.MaxJobs) is a 400, not a campaign of a
+// negative number of jobs that can never merge.
+func TestSubmitRejectsOversizedGrid(t *testing.T) {
+	srv, ts := newTestServer(t, campaignd.Options{})
+	resp, err := http.Post(ts.URL+campaignd.PathCampaigns, "application/json",
+		strings.NewReader(`{"spec": {"kind":"first-round","trials":9223372036854775807,"line_words":[1,2]}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("overflowing grid submit returned %d, want 400", resp.StatusCode)
+	}
+	if n := len(srv.Statuses()); n != 0 {
+		t.Fatalf("%d campaigns registered after the refused submit", n)
+	}
+}
+
 // TestRejectedSubmitLeavesNoTrace: a submit refused as invalid must not
 // persist anything, or the next coordinator boot over the same data
 // directory fails to recover it. A directory left without campaign.json

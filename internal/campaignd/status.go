@@ -5,11 +5,13 @@ import (
 	"html/template"
 	"net/http"
 	"sort"
+
+	"grinch/internal/obs/metrics"
 )
 
-// MetricsSnapshot is the coordinator's operator-telemetry counter set,
-// JSON-serializable for expvar publication (cmd/campaignd publishes it
-// as the "campaignd" variable on /debug/vars).
+// MetricsSnapshot is the coordinator's operator-telemetry summary:
+// the counter part of the /api/v1/status JSON and the status page's
+// header line, derived from the same series /metrics exposes.
 type MetricsSnapshot struct {
 	Campaigns       int     `json:"campaigns"`
 	CampaignsMerged int     `json:"campaigns_merged"`
@@ -36,49 +38,45 @@ type MetricsSnapshot struct {
 	SuggestedShardSize int     `json:"suggested_shard_size"`
 }
 
-// Metrics returns the current snapshot. Jobs/sec is ingested results
-// over uptime — a coarse operator number, not a benchmark.
+// Metrics returns the current snapshot, read off the /metrics series
+// (the state-derived ones plus the registry's). Jobs/sec is ingested
+// results over uptime — a coarse operator number, not a benchmark.
 func (s *Server) Metrics() MetricsSnapshot {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.sweepLocked()
-	snap := MetricsSnapshot{
-		Campaigns:    len(s.order),
-		LeasesIssued: s.leasesIssued,
-		LeasesActive: len(s.leases),
-		Reissues:     s.reissues,
-		Duplicates:   s.duplicates,
-		Shed:         int(s.shed.Load()),
-		Workers:      len(s.workers),
-	}
-	for _, id := range s.order {
-		c := s.campaigns[id]
-		if c.merged {
-			snap.CampaignsMerged++
-		}
-		snap.JobsTotal += c.jobs
-		snap.Shards += len(c.shards)
-		for _, sh := range c.shards {
-			snap.JobsDone += len(sh.results)
-			snap.JobsFailed += sh.failed
-			snap.Encryptions += sh.encs
-			switch sh.state {
-			case ShardDone:
-				snap.ShardsDone++
-			case ShardLeased:
-				snap.ShardsLeased++
-			}
-		}
-	}
+	series := append(s.synthSeriesLocked(), s.reg.Snapshot()...)
 	up := s.now().Sub(s.started).Seconds()
-	snap.UptimeSeconds = up
+	s.mu.Unlock()
+
+	total := func(name string, labels ...metrics.Label) metrics.Series {
+		return metrics.Total(series, name, labels...)
+	}
+	shards := func(state string) int { return int(total("campaignd_shards", metrics.L("state", state)).Gauge) }
+	snap := MetricsSnapshot{
+		Campaigns:          int(total("campaignd_campaigns").Gauge),
+		CampaignsMerged:    int(total("campaignd_campaigns", metrics.L("state", CampaignMerged)).Gauge),
+		Shards:             int(total("campaignd_shards").Gauge),
+		ShardsDone:         shards(ShardDone),
+		ShardsLeased:       shards(ShardLeased),
+		JobsTotal:          int(total("campaignd_jobs").Gauge),
+		JobsDone:           int(total("campaignd_jobs_done_total").Value),
+		JobsFailed:         int(total("campaignd_jobs_failed_total").Value),
+		Encryptions:        total("campaignd_encryptions_total").Value,
+		LeasesIssued:       int(total("campaignd_leases_issued_total").Value),
+		LeasesActive:       int(total("campaignd_leases_active").Gauge),
+		Reissues:           int(total("campaignd_lease_reissues_total").Value),
+		Duplicates:         int(total("campaignd_duplicate_results_total").Value),
+		Shed:               int(total("campaignd_shed_total").Value),
+		Workers:            int(total("campaignd_workers_seen").Gauge),
+		UptimeSeconds:      up,
+		SuggestedShardSize: s.suggestedShardSize(total("campaignd_shard_job_ms")),
+	}
 	if up > 0 {
-		snap.JobsPerSecond = float64(s.resultsIngested) / up
+		snap.JobsPerSecond = float64(total("campaignd_results_ingested_total").Value) / up
 	}
 	if snap.JobsPerSecond > 0 && snap.JobsTotal > snap.JobsDone {
 		snap.ETASeconds = float64(snap.JobsTotal-snap.JobsDone) / snap.JobsPerSecond
 	}
-	snap.SuggestedShardSize = s.suggestedShardSizeLocked()
 	return snap
 }
 
@@ -142,10 +140,10 @@ func (s *Server) handleStatusPage(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) statusModel() statusModel {
-	metrics := s.Metrics()
+	snap := s.Metrics()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	model := statusModel{Metrics: metrics}
+	model := statusModel{Metrics: snap}
 	for _, id := range s.order {
 		c := s.campaigns[id]
 		model.Campaigns = append(model.Campaigns, statusCampaign{

@@ -73,11 +73,6 @@ func (s *Server) synthSeriesLocked() []metrics.Series {
 	out = append(out,
 		gauge("campaignd_campaigns", "Campaigns by state.", int64(running), metrics.L("state", CampaignRunning)),
 		gauge("campaignd_campaigns", "Campaigns by state.", int64(merged), metrics.L("state", CampaignMerged)),
-		counter("campaignd_leases_issued_total", "Shard leases granted.", uint64(s.leasesIssued)),
-		counter("campaignd_lease_reissues_total", "Expired leases whose shard returned to pending.", uint64(s.reissues)),
-		counter("campaignd_duplicate_results_total", "Duplicate results discarded at ingestion.", uint64(s.duplicates)),
-		counter("campaignd_results_ingested_total", "Results accepted at ingestion (first copies only).", uint64(s.resultsIngested)),
-		counter("campaignd_shed_total", "Ingest requests refused with 429 by overload admission control.", s.shed.Load()),
 		gauge("campaignd_ingest_inflight", "Result-ingest requests currently in flight.", s.ingestInflight.Load()),
 		gauge("campaignd_leases_active", "Live leases.", int64(len(s.leases))),
 		gauge("campaignd_workers_seen", "Distinct workers ever seen.", int64(len(s.workers))),
@@ -85,43 +80,21 @@ func (s *Server) synthSeriesLocked() []metrics.Series {
 	return out
 }
 
-// suggestedShardSizeLocked derives a shard-size hint from observed job
-// latency: a shard should take roughly four lease TTLs of wall time —
-// long enough to amortize lease round-trips, short enough that a lost
-// node costs little. Returns 0 until ingestion-latency data exists.
-func (s *Server) suggestedShardSizeLocked() int {
-	var all []metrics.Series
-	for _, ser := range s.reg.Snapshot() {
-		if ser.Name == "campaignd_shard_job_ms" {
-			all = append(all, ser)
-		}
-	}
-	if len(all) == 0 {
-		return 0
-	}
-	var count, sum uint64
-	for _, ser := range all {
-		count += ser.Count()
-		sum += ser.Sum
-	}
-	if count == 0 {
+// suggestedShardSize derives a shard-size hint from the observed
+// per-job latency histogram: a shard should take roughly four lease
+// TTLs of wall time — long enough to amortize lease round-trips, short
+// enough that a lost node costs little. Returns 0 until
+// ingestion-latency data exists.
+func (s *Server) suggestedShardSize(latMS metrics.Series) int {
+	if latMS.Count() == 0 {
 		return 0
 	}
 	// Sub-millisecond jobs round every observation to zero; clamp the
 	// mean to the histogram's resolution so the hint stays finite
 	// instead of reporting "no data" for a fleet that is simply fast.
-	meanMS := float64(sum) / float64(count)
-	if meanMS < 1 {
-		meanMS = 1
-	}
+	meanMS := max(latMS.Mean(), 1)
 	n := int(4 * float64(s.opts.LeaseTTL.Milliseconds()) / meanMS)
-	if n < 1 {
-		n = 1
-	}
-	if n > 100000 {
-		n = 100000
-	}
-	return n
+	return min(max(n, 1), 100000)
 }
 
 // FleetStatus is the machine-readable coordinator status: the counter
@@ -150,20 +123,13 @@ type RetryHealth struct {
 // retryHealth folds the fleet-wide retry telemetry from the worker
 // delta store plus the coordinator's shed counter.
 func (s *Server) retryHealth() RetryHealth {
-	h := RetryHealth{ShedTotal: s.shed.Load()}
-	for _, ser := range s.telemetry.Merged() {
-		switch ser.Name {
-		case "campaignw_report_retries_total":
-			h.WorkerRetriesTotal += ser.Value
-		case "campaignw_backoff_ms_total":
-			h.WorkerBackoffMSTotal += ser.Value
-		case "campaignw_shards_total":
-			if v, ok := metrics.Find([]metrics.Series{ser}, ser.Name, metrics.L("outcome", "lost")); ok {
-				h.WorkerShardsLostTotal += v.Value
-			}
-		}
+	merged := s.telemetry.Merged()
+	return RetryHealth{
+		ShedTotal:             s.shed.Value(),
+		WorkerRetriesTotal:    metrics.Total(merged, "campaignw_report_retries_total").Value,
+		WorkerBackoffMSTotal:  metrics.Total(merged, "campaignw_backoff_ms_total").Value,
+		WorkerShardsLostTotal: metrics.Total(merged, "campaignw_shards_total", metrics.L("outcome", "lost")).Value,
 	}
-	return h
 }
 
 // WorkerStatus is one worker's row in the fleet status.

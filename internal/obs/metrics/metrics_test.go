@@ -198,6 +198,35 @@ func TestSum(t *testing.T) {
 	}
 }
 
+func TestTotal(t *testing.T) {
+	series := []Series{
+		{Name: "jobs_total", Kind: KindCounter, Value: 3, Labels: []Label{L("c", "a"), L("status", "done")}},
+		{Name: "jobs_total", Kind: KindCounter, Value: 4, Labels: []Label{L("c", "b"), L("status", "done")}},
+		{Name: "jobs_total", Kind: KindCounter, Value: 5, Labels: []Label{L("c", "b"), L("status", "failed")}},
+		{Name: "lat", Kind: KindHistogram, Bounds: []uint64{10}, Counts: []uint64{1, 2}, Sum: 40, Labels: []Label{L("shard", "0")}},
+		{Name: "lat", Kind: KindHistogram, Bounds: []uint64{10}, Counts: []uint64{3, 0}, Sum: 9, Labels: []Label{L("shard", "1")}},
+		{Name: "up", Kind: KindGauge, Gauge: -2},
+	}
+	if s := Total(series, "jobs_total"); s.Value != 12 || s.Labels != nil {
+		t.Fatalf("Total(jobs_total) = %+v, want 12 unlabeled", s)
+	}
+	if s := Total(series, "jobs_total", L("status", "done")); s.Value != 7 {
+		t.Fatalf("Total(jobs_total, status=done) = %d, want 7", s.Value)
+	}
+	if s := Total(series, "lat"); s.Count() != 6 || s.Sum != 49 || s.Counts[0] != 4 {
+		t.Fatalf("Total(lat) = %+v", s)
+	}
+	if s := Total(series, "up"); s.Gauge != -2 {
+		t.Fatalf("Total(up) = %+v", s)
+	}
+	if s := Total(series, "missing"); s.Name != "" || s.Value != 0 {
+		t.Fatalf("Total of no match = %+v, want the zero Series", s)
+	}
+	if series[3].Labels == nil || series[3].Counts[0] != 1 {
+		t.Fatal("Total mutated its input")
+	}
+}
+
 func TestStoreIdempotence(t *testing.T) {
 	st := NewStore()
 	d := Delta{Seq: 1, Series: []Series{{Name: "w_jobs_total", Kind: KindCounter, Value: 10}}}

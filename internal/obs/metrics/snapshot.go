@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"slices"
 	"sort"
 	"sync"
 )
@@ -166,28 +167,38 @@ func WithLabel(series []Series, key, value string) []Series {
 // (subset match on labels), or a zero Series and false.
 func Find(series []Series, name string, labels ...Label) (Series, bool) {
 	for _, s := range series {
-		if s.Name != name {
-			continue
-		}
-		ok := true
-		for _, want := range labels {
-			found := false
-			for _, have := range s.Labels {
-				if have == want {
-					found = true
-					break
-				}
-			}
-			if !found {
-				ok = false
-				break
-			}
-		}
-		if ok {
+		if s.Name == name && hasLabels(s, labels) {
 			return s, true
 		}
 	}
 	return Series{}, false
+}
+
+// Total sums every series Find would match — not just the first — into
+// one unlabeled series via Sum: counters and gauges add, histograms add
+// bucket-wise. No match yields the zero Series.
+func Total(series []Series, name string, labels ...Label) Series {
+	var match []Series
+	for _, s := range series {
+		if s.Name == name && hasLabels(s, labels) {
+			s.Labels = nil
+			match = append(match, s)
+		}
+	}
+	if len(match) == 0 {
+		return Series{}
+	}
+	return Sum(match)[0]
+}
+
+// hasLabels reports whether every wanted label is on the series.
+func hasLabels(s Series, want []Label) bool {
+	for _, w := range want {
+		if !slices.Contains(s.Labels, w) {
+			return false
+		}
+	}
+	return true
 }
 
 // Delta is one worker-telemetry update: the worker's cumulative series
