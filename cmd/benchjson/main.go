@@ -16,6 +16,9 @@
 //
 // including custom ReportMetric units. Every metric is kept as a
 // name→value map per benchmark, with the GOMAXPROCS suffix split off.
+// The header also records the host's core count and GOMAXPROCS (read
+// by benchjson itself, which runs on the host it is piped from), so
+// the numbers can be interpreted.
 package main
 
 import (
@@ -45,6 +48,8 @@ type Doc struct {
 	GOOS       string      `json:"goos,omitempty"`
 	GOARCH     string      `json:"goarch,omitempty"`
 	CPU        string      `json:"cpu,omitempty"`
+	NumCPU     int         `json:"num_cpu"`
+	GOMAXPROCS int         `json:"gomaxprocs"`
 	Benchmarks []Benchmark `json:"benchmarks"`
 }
 
@@ -86,7 +91,7 @@ func main() {
 // parse scans `go test -bench` text and collects headers and result
 // lines. Unrecognized lines (PASS, ok, test logs) are skipped.
 func parse(r io.Reader) (Doc, error) {
-	doc := Doc{GoVersion: runtime.Version()}
+	doc := Doc{GoVersion: runtime.Version(), NumCPU: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0)}
 	pkg := ""
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)

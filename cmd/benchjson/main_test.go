@@ -1,6 +1,8 @@
 package main
 
 import (
+	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -55,6 +57,33 @@ func TestParseRejectsMalformed(t *testing.T) {
 	} {
 		if _, ok := parseResult(line); ok {
 			t.Errorf("parseResult accepted %q", line)
+		}
+	}
+}
+
+// TestParseRecordsHost pins the host fields of the header: the core
+// count and GOMAXPROCS the numbers were measured under, emitted as
+// num_cpu and gomaxprocs.
+func TestParseRecordsHost(t *testing.T) {
+	doc, err := parse(strings.NewReader(sample))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if doc.NumCPU != runtime.NumCPU() || doc.GOMAXPROCS != runtime.GOMAXPROCS(0) {
+		t.Fatalf("host fields num_cpu=%d gomaxprocs=%d, want %d and %d",
+			doc.NumCPU, doc.GOMAXPROCS, runtime.NumCPU(), runtime.GOMAXPROCS(0))
+	}
+	data, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var header map[string]any
+	if err := json.Unmarshal(data, &header); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"num_cpu", "gomaxprocs"} {
+		if v, ok := header[key].(float64); !ok || v < 1 {
+			t.Errorf("header %s = %v, want a positive count", key, header[key])
 		}
 	}
 }

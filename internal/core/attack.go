@@ -230,10 +230,10 @@ type fallibleChannel[W any] interface {
 
 // target is one pinned S-box access as the engine sees it: how to craft
 // plaintexts for it and how to read key candidates off its converged
-// line. TargetSpec, TargetSpec128 and TargetSpecP implement it; the
-// methods are documented there.
+// line. *TargetSpec, *TargetSpec128 and TargetSpecP implement it; the
+// methods are documented there (craft is CraftPlaintext).
 type target[W, RK any] interface {
-	CraftPlaintext(r *rng.Source, rks []RK) W
+	craft(r *rng.Source, rks []RK) W
 	FeasibleLines(lineWords int) probe.LineSet
 	CandidatesForLine(line, lineWords int) []uint8
 	ParentSegments() [4]int
@@ -560,7 +560,7 @@ func (e *engine[W, RK]) eliminate(spec target[W, RK], t, g int, rks []RK, confir
 		if bs != nil {
 			set, mask, retries, err = bs.next()
 		} else {
-			set, mask, retries, err = e.collect(spec.CraftPlaintext(e.rng, rks), t, g)
+			set, mask, retries, err = e.collect(spec.craft(e.rng, rks), t, g)
 		}
 		out.Retries += retries
 		encUpper += 1 + retries
@@ -945,16 +945,15 @@ type Attacker struct {
 // divide the 16-entry table; a single-line table (16 entries per line)
 // carries no index information and is rejected — that is exactly the
 // paper's first countermeasure. Unless Config.Batch is BatchOff, a
-// channel that proves batch support runs the batched pipeline.
+// probe.BatchChannel runs the batched pipeline; a channel that refuses
+// to prime drops back to the scalar path at its first refusal.
 func NewAttacker(ch probe.Channel, cfg Config) (*Attacker, error) {
 	a := new(Attacker)
 	if err := a.init(&gift64, ch, cfg); err != nil {
 		return nil, err
 	}
-	if a.cfg.Batch == BatchAuto {
-		if bc, ok := supportsBatch(ch); ok {
-			a.batch = &batchPipeline{ch: bc, e: &a.engine}
-		}
+	if bc, ok := ch.(probe.BatchChannel); ok && a.cfg.Batch == BatchAuto {
+		a.batch = &batchPipeline{ch: bc, e: &a.engine}
 	}
 	return a, nil
 }

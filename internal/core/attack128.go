@@ -17,7 +17,7 @@ var gift128 = cipherDesc[bitutil.Word128, gift.RoundKey128]{
 	segments:   gift.Segments128,
 	keyRounds:  2,
 	maxRound:   6,
-	target:     func(t, g int) target[bitutil.Word128, gift.RoundKey128] { return NewTarget128(t, g) },
+	target:     func(t, g int) target[bitutil.Word128, gift.RoundKey128] { return target128(t, g) },
 	roundKey:   roundKeyFromPairs128,
 	hypotheses: true,
 	pinShare:   worstPinShare,

@@ -87,6 +87,11 @@ func (t TargetSpecP) CraftState(r *rng.Source) uint64 {
 // CraftPlaintext inverts rounds Round-1..1 with the known (or
 // hypothesized) round keys.
 func (t TargetSpecP) CraftPlaintext(r *rng.Source, rks []uint64) uint64 {
+	return t.craft(r, rks)
+}
+
+// craft is the engine's name for CraftPlaintext (see target).
+func (t TargetSpecP) craft(r *rng.Source, rks []uint64) uint64 {
 	return craftPlaintext(t.CraftState(r), t.Round, rks, present.PartialDecrypt)
 }
 

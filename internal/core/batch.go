@@ -29,12 +29,21 @@ const (
 // batchSnapEvery crafts bound the replay to at most batchSnapEvery−1
 // re-crafts on abandon; growing refills (4→8→…→64) keep the waste
 // small on fast-converging targets (a clean channel converges just past
-// the default 4-observation floor, so the opening batch matches it)
+// the default 4-observation floor, so the opening refill matches it)
 // while long eliminations settle at full 64-wide batches.
+//
+// batchScalarMax is the scalar crossover. The bitsliced kernel costs 64
+// lanes however few are live, and a speculative batch wastes whatever
+// the elimination does not consume, so a refill of at most this many
+// observations is not batched at all: it crafts and collects each
+// observation on the scalar path, with nothing to prime or rewind.
+// With the 4→8 opening, an elimination's first 12 observations are
+// scalar and only longer eliminations batch.
 const (
 	batchSnapEvery = 8
 	batchFirstSize = 4
 	batchMaxSize   = 64
+	batchScalarMax = 8
 )
 
 // batchPipeline is the GIFT-64 batch capability the engine plugs in
@@ -43,6 +52,10 @@ const (
 type batchPipeline struct {
 	ch probe.BatchChannel
 	e  *engine[uint64, gift.RoundKey64]
+	// refused is set by the channel's first refused prime (a
+	// NewFromTracer oracle implements BatchChannel but cannot prime);
+	// every later refill then stays on the scalar path.
+	refused bool
 }
 
 // begin binds a pooled batchState to one elimination pass. Engine
@@ -55,8 +68,8 @@ func (p *batchPipeline) begin(spec target[uint64, gift.RoundKey64], rks []gift.R
 	return bs
 }
 
-// batchState is the in-flight crafted batch of one elimination pass:
-// up to 64 crafted plaintexts, their primed raw line sets, and the rng
+// batchState is the in-flight refill of one elimination pass: up to
+// 64 crafted plaintexts, their primed raw line sets, and the rng
 // snapshots needed to rewind uncommitted crafts. Pooled because sweeps
 // run hundreds of thousands of eliminations.
 type batchState struct {
@@ -64,10 +77,14 @@ type batchState struct {
 	raw   [64]probe.LineSet
 	snaps [batchMaxSize / batchSnapEvery]rng.Source
 	dec   gift.Batch64
-	// n is the number of crafted entries, idx the next to commit.
+	// n is the size of the current refill, idx the next entry to
+	// commit.
 	n, idx int
 	// nextSize is the adaptive size of the next refill.
 	nextSize int
+	// scalar marks a refill at or below batchScalarMax: nothing was
+	// crafted ahead, and each entry is crafted and collected on commit.
+	scalar bool
 	// primed reports whether raw holds channel-primed sets; when the
 	// channel unexpectedly refuses a prime, the crafted plaintexts are
 	// committed through the scalar collect path instead.
@@ -80,10 +97,11 @@ type batchState struct {
 
 var batchStatePool = sync.Pool{New: func() any { return new(batchState) }}
 
-// refill crafts the next batch and primes it on the channel. Crafting
-// consumes the plaintext rng exactly as the scalar path would, one
-// CraftState per entry, with a snapshot every batchSnapEvery crafts so
-// finish can rewind the tail that is never committed.
+// refill starts the next refill. Past the scalar crossover it crafts
+// the batch and primes it on the channel. Crafting consumes the
+// plaintext rng exactly as the scalar path would, one CraftState per
+// entry, with a snapshot every batchSnapEvery crafts so finish can
+// rewind the tail that is never committed.
 func (bs *batchState) refill() {
 	e, spec := bs.p.e, bs.spec
 	size := bs.nextSize
@@ -96,6 +114,11 @@ func (bs *batchState) refill() {
 		if rem := b - e.ch.Encryptions(); uint64(size) > rem {
 			size = int(rem)
 		}
+	}
+	bs.n, bs.idx = size, 0
+	bs.scalar = size <= batchScalarMax || bs.p.refused
+	if bs.scalar {
+		return
 	}
 	for i := 0; i < size; i++ {
 		if i%batchSnapEvery == 0 {
@@ -114,11 +137,11 @@ func (bs *batchState) refill() {
 		gift.PartialDecryptBatch64(&bs.pts, bs.rks, spec.Round-1, &bs.dec)
 	}
 	bs.primed = bs.p.ch.PrimeBatch(bs.pts[:size], spec.Round, bs.raw[:size])
-	bs.n, bs.idx = size, 0
+	bs.p.refused = !bs.primed
 }
 
 // next produces the next observation from the batch pipeline,
-// refilling when the current batch is drained. The commit itself —
+// refilling when the current refill is drained. The commit itself —
 // counter, events, noise, probe mask — happens inside the channel's
 // CollectPrimed with the scalar path's exact side-effect order.
 func (bs *batchState) next() (set, mask probe.LineSet, retries uint64, err error) {
@@ -127,20 +150,25 @@ func (bs *batchState) next() (set, mask probe.LineSet, retries uint64, err error
 	}
 	i := bs.idx
 	bs.idx++
-	if bs.primed {
-		set, mask = bs.p.ch.CollectPrimed(bs.raw[i], bs.spec.Round)
+	e, spec := bs.p.e, bs.spec
+	switch {
+	case bs.scalar:
+		return e.collect(spec.craft(e.rng, bs.rks), spec.Round, spec.Segment)
+	case bs.primed:
+		set, mask = bs.p.ch.CollectPrimed(bs.raw[i], spec.Round)
 		return set, mask, 0, nil
+	default:
+		return e.collect(bs.pts[i], spec.Round, spec.Segment)
 	}
-	return bs.p.e.collect(bs.pts[i], bs.spec.Round, bs.spec.Segment)
 }
 
 // finish rewinds the plaintext rng over the crafted-but-uncommitted
-// tail of the batch — restore the nearest snapshot at or before the
-// commit cursor and replay the few crafts up to it, leaving the rng
+// tail of a batched refill — restore the nearest snapshot at or before
+// the commit cursor and replay the few crafts up to it, leaving the rng
 // exactly where the scalar path would have — and returns the state to
-// the pool.
+// the pool. A scalar refill crafted nothing ahead and needs no rewind.
 func (bs *batchState) finish() {
-	if bs.idx < bs.n {
+	if !bs.scalar && bs.idx < bs.n {
 		rg := bs.p.e.rng
 		rg.Restore(bs.snaps[bs.idx/batchSnapEvery])
 		for i := 0; i < bs.idx%batchSnapEvery; i++ {
@@ -149,20 +177,4 @@ func (bs *batchState) finish() {
 	}
 	bs.p, bs.spec, bs.rks = nil, nil, nil
 	batchStatePool.Put(bs)
-}
-
-// supportsBatch verifies once, at attacker construction, that the
-// channel's batch path is actually usable (a NewFromTracer oracle
-// implements the interface methods but refuses to prime). The probe
-// prime is speculative by contract: no observable channel state moves.
-func supportsBatch(ch probe.Channel) (probe.BatchChannel, bool) {
-	bc, ok := ch.(probe.BatchChannel)
-	if !ok {
-		return nil, false
-	}
-	var raw [1]probe.LineSet
-	if !bc.PrimeBatch([]uint64{0}, 1, raw[:]) {
-		return nil, false
-	}
-	return bc, true
 }

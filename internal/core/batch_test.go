@@ -175,3 +175,54 @@ func TestBatchScalarDifferentialBudgetAbort(t *testing.T) {
 		diffRuns(t, "budget", batch, scalar)
 	}
 }
+
+// FuzzBatchMatchesScalar runs GIFT-64 key recovery over a fuzzed
+// channel geometry and budget in both batch modes: result, partial
+// result, encryption count, trace events and metrics must be
+// identical. The budget spans 1..4096 encryptions, so it can cut an
+// elimination inside its scalar warm-up, at the scalar crossover, and
+// inside a batched refill.
+func FuzzBatchMatchesScalar(f *testing.F) {
+	f.Add(uint64(1), uint8(0), uint8(0), true, uint16(4095))
+	f.Fuzz(func(t *testing.T, seed uint64, lineWords, probeRound uint8, flush bool, budget uint16) {
+		ocfg := oracle.Config{
+			ProbeRound: 1 + int(probeRound%3),
+			Flush:      flush,
+			LineWords:  1 << (lineWords % 4),
+			Seed:       seed,
+		}
+		acfg := Config{Seed: seed, TotalBudget: 1 + uint64(budget)%4096}
+		batch := runWithMode(t, BatchAuto, ocfg, acfg, true)
+		scalar := runWithMode(t, BatchOff, ocfg, acfg, true)
+		diffRuns(t, "fuzz", batch, scalar)
+	})
+}
+
+// BenchmarkRecoverKey64Batch is the GIFT-64 full-recovery pair on the
+// clean channel (probe round 1, flush, 1-word lines): the batched
+// pipeline against the scalar reference path.
+func BenchmarkRecoverKey64Batch(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		mode BatchMode
+	}{{"auto", BatchAuto}, {"off", BatchOff}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var encs uint64
+			for i := 0; i < b.N; i++ {
+				key := bitutil.Word128{Lo: uint64(i) * 0x9e3779b97f4a7c15, Hi: uint64(i) + 1}
+				ch := oracle.MustNew(key, oracle.Config{ProbeRound: 1, Flush: true, LineWords: 1})
+				a, err := NewAttacker(ch, Config{Seed: uint64(i), Batch: c.mode})
+				if err != nil {
+					b.Fatal(err)
+				}
+				res, err := a.RecoverKey()
+				if err != nil || res.Key != key {
+					b.Fatalf("key %d not recovered: %v", i, err)
+				}
+				encs += res.Encryptions
+			}
+			b.ReportMetric(float64(encs)/float64(b.N), "encryptions/op")
+		})
+	}
+}

@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"grinch/internal/bitutil"
 	"grinch/internal/gift"
 	"grinch/internal/probe"
 	"grinch/internal/rng"
@@ -55,18 +56,6 @@ type Source struct {
 // 0b1111 exactly by the two round-key bits and the known round constant.
 type TargetSpec struct {
 	giftPinned
-
-	// Crafting fast-path metadata, precomputed by buildTarget64 so the
-	// per-plaintext hot loop is free of slice chases and pin-tracking
-	// branches. craftInputs[i] packs Sources[i].Inputs as eight nibbles;
-	// craftSrcShift[i] is 4*Sources[i].Segment; craftUnpinned lists the
-	// shifts 4*seg of the twelve non-source segments in ascending
-	// segment order (the draw order the scalar loop uses). craftFast is
-	// false for hand-built specs, which take the general path.
-	craftFast     bool
-	craftSrcShift [4]uint8
-	craftInputs   [4]uint32
-	craftUnpinned [12]uint8
 }
 
 // sboxBitList returns the S-box inputs whose output has bit j set
@@ -82,17 +71,20 @@ func sboxBitList(j int) []uint8 {
 	return list
 }
 
+// sboxBitLists holds sboxBitList(j) for each output bit j. Every
+// target's Sources share these four lists — consumers only read them.
+var sboxBitLists = [4][]uint8{sboxBitList(0), sboxBitList(1), sboxBitList(2), sboxBitList(3)}
+
 // target64Specs caches every (round, segment) specification: the specs
 // are pure functions of the cipher's constants, and campaign sweeps
-// request them hundreds of thousands of times. The cached Sources'
-// Inputs slices are shared — TargetSpec consumers only read them.
+// request them hundreds of thousands of times.
 var target64Specs = buildTarget64Specs()
 
 func buildTarget64Specs() [gift.Rounds64][gift.Segments64]TargetSpec {
 	var specs [gift.Rounds64][gift.Segments64]TargetSpec
 	for t := 1; t <= gift.Rounds64; t++ {
 		for g := 0; g < gift.Segments64; g++ {
-			specs[t-1][g] = buildTarget64(t, g)
+			specs[t-1][g] = TargetSpec{newGiftPinned(gift.InvPerm64[:], t, g, 0)}
 		}
 	}
 	return specs
@@ -114,16 +106,6 @@ func target64(t, g int) *TargetSpec {
 	return &target64Specs[t-1][g]
 }
 
-// buildTarget64 constructs one specification. This is paper Algorithm 1
-// (SET_TARGET_BITS): the state positions that AddRoundKey XORs with the
-// target key bits are inverse-permuted to locate the S-box output bits
-// that must be pinned.
-func buildTarget64(t, g int) TargetSpec {
-	spec := TargetSpec{giftPinned: newGiftPinned(gift.InvPerm64[:], t, g, 0)}
-	spec.compileCraft()
-	return spec
-}
-
 // giftPinned is what the GIFT-64 and GIFT-128 targets share: the
 // variants differ only in state width, permutation and where
 // AddRoundKey puts the two key bits of a segment.
@@ -143,6 +125,9 @@ type giftPinned struct {
 	// keyShift is the index bit V lands on, U landing one above: 0 for
 	// GIFT-64, 1 for GIFT-128.
 	keyShift uint8
+	// plan is the compiled crafting fast path (zero, and so unused, for
+	// hand-built targets).
+	plan craftPlan
 }
 
 // newGiftPinned locates the pinning for segment g of round key t of a
@@ -159,7 +144,7 @@ func newGiftPinned(invPerm []uint8, t, g int, keyShift uint8) giftPinned {
 		p.Sources[j] = Source{
 			Segment: src / 4,
 			Bit:     src % 4,
-			Inputs:  sboxBitList(src % 4),
+			Inputs:  sboxBitLists[src%4],
 		}
 	}
 	// Round-constant contribution to the observed index: GIFT XORs a
@@ -173,38 +158,61 @@ func newGiftPinned(invPerm []uint8, t, g int, keyShift uint8) giftPinned {
 	case g < 6:
 		p.ConstXor = (c >> g & 1) << 3
 	}
+	p.plan = compileCraft(&p.Sources, len(invPerm)/4)
 	return p
 }
 
-// compileCraft fills the crafting fast-path metadata. It only succeeds
-// when every source list has exactly 8 entries (every balanced S-box
-// output bit does) and the four sources pin four distinct segments
-// (GIFT's permutation guarantees it); otherwise craftFast stays false
-// and CraftState falls back to the general loop.
-func (t *TargetSpec) compileCraft() {
-	var pinned uint16
-	for i := range t.Sources {
-		src := &t.Sources[i]
+// craftPlan is a GIFT target's crafting fast path, compiled once per
+// (round, segment) so the per-plaintext hot loop is free of slice
+// chases and pin-tracking branches. inputs[i] packs Sources[i].Inputs
+// as eight nibbles; srcShift[i] is 4*Sources[i].Segment; unpinned lists
+// the shifts 4*seg of the non-source segments in ascending segment
+// order — the draw order of the general loop — and loUnpinned counts
+// those below bit 64 (all twelve of GIFT-64's, sixteen minus the
+// sources of GIFT-128's). fast is false when the plan does not apply.
+type craftPlan struct {
+	fast       bool
+	loUnpinned uint8
+	srcShift   [4]uint8
+	inputs     [4]uint32
+	unpinned   [gift.Segments128 - 4]uint8
+}
+
+// compileCraft compiles the crafting plan of a target with the given
+// sources over a state of segments segments. It only succeeds when
+// every source list has exactly 8 entries (every balanced S-box output
+// bit does) and the four sources pin four distinct segments (GIFT's
+// permutation guarantees it); otherwise fast stays false and CraftState
+// falls back to the general loop.
+func compileCraft(sources *[4]Source, segments int) craftPlan {
+	var p craftPlan
+	var pinned uint32
+	for i := range sources {
+		src := &sources[i]
 		if len(src.Inputs) != 8 {
-			return
+			return craftPlan{}
 		}
 		for k, x := range src.Inputs {
-			t.craftInputs[i] |= uint32(x) << (4 * k)
+			p.inputs[i] |= uint32(x) << (4 * k)
 		}
-		t.craftSrcShift[i] = uint8(4 * src.Segment)
+		p.srcShift[i] = uint8(4 * src.Segment)
 		pinned |= 1 << src.Segment
 	}
-	if bits.OnesCount16(pinned) != 4 {
-		return
+	if bits.OnesCount32(pinned) != 4 {
+		return craftPlan{}
 	}
 	n := 0
-	for seg := 0; seg < gift.Segments64; seg++ {
+	for seg := 0; seg < segments; seg++ {
 		if pinned&(1<<seg) == 0 {
-			t.craftUnpinned[n] = uint8(4 * seg)
+			p.unpinned[n] = uint8(4 * seg)
 			n++
+			if seg < 16 {
+				p.loUnpinned++
+			}
 		}
 	}
-	t.craftFast = true
+	p.fast = true
+	return p
 }
 
 // pinnedValue is the value the four pinned bits take before AddRoundKey
@@ -259,8 +267,9 @@ func (t giftPinned) CandidatesForLine(line, lineWords int) []uint8 {
 // 2, GENERATE): each source segment gets a value drawn from its valid
 // list so the pinned output bit is 1; every other segment is random.
 func (t *TargetSpec) CraftState(r *rng.Source) uint64 {
-	if !t.craftFast {
-		return t.craftStateGeneral(r)
+	p := &t.plan
+	if !p.fast {
+		return t.craftStateGeneral(r, gift.Segments64).Lo
 	}
 	// Fast path over the compiled metadata: every source draw is
 	// Intn(8) — and IntnPow2(3) is the same draw, same value, small
@@ -272,10 +281,10 @@ func (t *TargetSpec) CraftState(r *rng.Source) uint64 {
 	st := *r
 	var state uint64
 	for i := 0; i < 4; i++ {
-		x := t.craftInputs[i] >> (4 * uint(st.IntnPow2(3))) & 0xf
-		state |= uint64(x) << t.craftSrcShift[i]
+		x := p.inputs[i] >> (4 * uint(st.IntnPow2(3))) & 0xf
+		state |= uint64(x) << p.srcShift[i]
 	}
-	u := &t.craftUnpinned
+	u := &p.unpinned
 	state |= st.Nibble() << u[0]
 	state |= st.Nibble() << u[1]
 	state |= st.Nibble() << u[2]
@@ -292,21 +301,25 @@ func (t *TargetSpec) CraftState(r *rng.Source) uint64 {
 	return state
 }
 
-// craftStateGeneral handles source lists of any length; specs built by
-// NewTarget64 never take it (the GIFT S-box is balanced), but the
-// method's contract does not require 8-entry lists.
-func (t *TargetSpec) craftStateGeneral(r *rng.Source) uint64 {
-	var state uint64
-	var pinned uint16
+// craftStateGeneral is the reference crafting loop over a state of
+// segments segments, for source lists of any length: each source draws
+// Intn(len(Inputs)) in source order, then every other segment draws a
+// nibble in ascending order. Compiled plans reproduce it draw for draw;
+// targets built by NewTarget64 and NewTarget128 never take it (the GIFT
+// S-box is balanced), but CraftState's contract does not require
+// 8-entry lists.
+func (t *giftPinned) craftStateGeneral(r *rng.Source, segments uint) bitutil.Word128 {
+	var state bitutil.Word128
+	var pinned uint32
 	for i := range t.Sources {
 		src := &t.Sources[i]
 		x := src.Inputs[r.Intn(len(src.Inputs))]
-		state |= uint64(x) << (4 * src.Segment)
+		state = state.SetNibble(uint(src.Segment), uint64(x))
 		pinned |= 1 << src.Segment
 	}
-	for seg := 0; seg < gift.Segments64; seg++ {
+	for seg := uint(0); seg < segments; seg++ {
 		if pinned&(1<<seg) == 0 {
-			state |= r.Nibble() << (4 * seg)
+			state = state.SetNibble(seg, r.Nibble())
 		}
 	}
 	return state
@@ -315,6 +328,13 @@ func (t *TargetSpec) craftStateGeneral(r *rng.Source) uint64 {
 // CraftPlaintext draws a crafted round-Round state and turns it into
 // the plaintext that produces it (see craftPlaintext).
 func (t TargetSpec) CraftPlaintext(r *rng.Source, rks []gift.RoundKey64) uint64 {
+	return t.craft(r, rks)
+}
+
+// craft is CraftPlaintext on the engine's pointer into the target
+// cache, which spares the per-observation struct copy of a value
+// receiver called through an interface.
+func (t *TargetSpec) craft(r *rng.Source, rks []gift.RoundKey64) uint64 {
 	return craftPlaintext(t.CraftState(r), t.Round, rks, gift.PartialDecrypt64)
 }
 

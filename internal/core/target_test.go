@@ -1,10 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"grinch/internal/bitutil"
 	"grinch/internal/gift"
+	"grinch/internal/present"
 	"grinch/internal/rng"
 )
 
@@ -217,3 +219,80 @@ func TestCraftPlaintextRandomizesOtherSegments(t *testing.T) {
 		t.Fatalf("free segment took only %d distinct values in 200 crafts", len(values))
 	}
 }
+
+// TestCraftFastMatchesGeneral pins the compiled crafting plans of
+// GIFT-64 and GIFT-128 against the general loop they replace: for every
+// (round, segment) and several seeds, the crafted state must be the
+// general loop's state and the rng must end at the same position — the
+// batch pipeline's rewind and every golden depend on the draw order.
+func TestCraftFastMatchesGeneral(t *testing.T) {
+	check := func(cipher string, round, g int, p *giftPinned, segments uint, fast func(*rng.Source) bitutil.Word128) {
+		t.Helper()
+		if !p.plan.fast {
+			t.Fatalf("%s round %d segment %d: no compiled plan", cipher, round, g)
+		}
+		for _, seed := range []uint64{1, 2, 0xdeadbeef, 1 << 63} {
+			rf, rg := rng.New(seed), rng.New(seed)
+			for i := 0; i < 4; i++ {
+				if got, want := fast(rf), p.craftStateGeneral(rg, segments); got != want {
+					t.Fatalf("%s round %d segment %d seed %d craft %d: fast %x, general %x", cipher, round, g, seed, i, got, want)
+				}
+			}
+			if *rf != *rg {
+				t.Fatalf("%s round %d segment %d seed %d: rng positions diverged", cipher, round, g, seed)
+			}
+		}
+	}
+	for round := 1; round <= gift.Rounds64; round++ {
+		for g := 0; g < gift.Segments64; g++ {
+			spec := target64(round, g)
+			check("GIFT-64", round, g, &spec.giftPinned, gift.Segments64, func(r *rng.Source) bitutil.Word128 {
+				return bitutil.Word128{Lo: spec.CraftState(r)}
+			})
+		}
+	}
+	for round := 1; round <= gift.Rounds128; round++ {
+		for g := 0; g < gift.Segments128; g++ {
+			spec := target128(round, g)
+			check("GIFT-128", round, g, &spec.giftPinned, gift.Segments128, spec.CraftState)
+		}
+	}
+}
+
+// BenchmarkCraftPlaintext measures one crafted plaintext per cipher, as
+// the engine draws it through its target interface, for a round-1
+// target (crafting only) and a round-2 target (crafting plus a
+// one-round partial decryption), and requires the craft to allocate
+// nothing.
+func BenchmarkCraftPlaintext(b *testing.B) {
+	key := bitutil.Word128{Lo: 0x0123456789abcdef, Hi: 0xfedcba9876543210}
+	rks64 := gift.NewCipher64FromWord(key).RoundKeys()
+	rks128 := gift.NewCipher128FromWord(key).RoundKeys()
+	rksP := present.NewCipher80([10]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}).RoundKeys()
+	for _, round := range []int{1, 2} {
+		t64, t128, tP := gift64.target(round, 5), gift128.target(round, 5), present80.target(round, 5)
+		for _, c := range []struct {
+			name  string
+			craft func(r *rng.Source)
+		}{
+			{"GIFT-64", func(r *rng.Source) { sink64 ^= t64.craft(r, rks64) }},
+			{"GIFT-128", func(r *rng.Source) { sink64 ^= t128.craft(r, rks128).Lo }},
+			{"PRESENT-80", func(r *rng.Source) { sink64 ^= tP.craft(r, rksP) }},
+		} {
+			b.Run(fmt.Sprintf("%s/round=%d", c.name, round), func(b *testing.B) {
+				r := rng.New(1)
+				if allocs := testing.AllocsPerRun(100, func() { c.craft(r) }); allocs != 0 {
+					b.Fatalf("%.1f allocs per craft, want 0", allocs)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					c.craft(r)
+				}
+			})
+		}
+	}
+}
+
+// sink64 keeps benchmark results live.
+var sink64 uint64

@@ -169,8 +169,9 @@ func (b *Batch64) InvRound(rk RoundKey64) {
 // scratch (their prior contents are overwritten; the fused round pass
 // ping-pongs between them) so the hot path allocates nothing. The
 // visited states are bit-identical to the corresponding SBoxInputsN
-// elements; a window with first > last runs no rounds past last and
-// visits nothing, exactly like the scalar slice indexing.
+// elements; a window with first > last visits nothing, exactly like
+// the scalar slice indexing. Like SBoxInputsAppend it stops at the
+// round-last state: last states take last−1 rounds.
 //
 //grinch:secret pts
 func (c *Cipher64) TraceBatch(pts *[64]uint64, first, last int, st, st2 *Batch64, visit func(round int, st *Batch64)) {
@@ -182,6 +183,9 @@ func (c *Cipher64) TraceBatch(pts *[64]uint64, first, last int, st, st2 *Batch64
 	for r := 1; r <= last; r++ {
 		if r >= first {
 			visit(r, cur)
+		}
+		if r == last {
+			break
 		}
 		cur.subCellsPermKeyInto(next, c.rkm[r-1])
 		cur, next = next, cur

@@ -203,15 +203,20 @@ func (c *Cipher128) SBoxInputs(pt bitutil.Word128) []bitutil.Word128 {
 // SBoxInputsAppend appends the first n round states of SBoxInputs to dst
 // (grown as needed) and returns the extended slice; n is clamped to the
 // round count. The trace oracle reuses one buffer across encryptions,
-// so its hot loop allocates nothing per encryption.
+// so its hot loop allocates nothing per encryption. n states take n−1
+// rounds: the round after the last reported state is never computed.
 func (c *Cipher128) SBoxInputsAppend(dst []bitutil.Word128, pt bitutil.Word128, n int) []bitutil.Word128 {
 	if n > Rounds128 {
 		n = Rounds128
 	}
+	if n <= 0 {
+		return dst
+	}
 	s := pt
-	for r := 0; r < n; r++ {
+	dst = append(dst, s)
+	for r := 1; r < n; r++ {
+		s = PermBits128(SubCells128(s)).Xor(c.rkm[r-1])
 		dst = append(dst, s)
-		s = PermBits128(SubCells128(s)).Xor(c.rkm[r])
 	}
 	return dst
 }

@@ -257,31 +257,27 @@ func (c *Cipher64) SBoxInputs(pt uint64) []uint64 {
 // trace-oracle fast path when the probe window ends early. n is clamped
 // to the round count.
 func (c *Cipher64) SBoxInputsN(pt uint64, n int) []uint64 {
-	if n > Rounds64 {
-		n = Rounds64
-	}
-	states := make([]uint64, n)
-	s := pt
-	for r := 0; r < n; r++ {
-		states[r] = s
-		s = PermBits64(SubCells64(s)) ^ c.rkm[r]
-	}
-	return states
+	return c.SBoxInputsAppend(make([]uint64, 0, min(n, Rounds64)), pt, n)
 }
 
 // SBoxInputsAppend is SBoxInputsN writing into a caller-supplied
 // buffer: the first n round states are appended to dst (grown as
 // needed) and the extended slice returned. The trace oracle reuses one
 // buffer across encryptions, so the per-encryption slice allocation of
-// SBoxInputsN disappears from the hot loop.
+// SBoxInputsN disappears from the hot loop. n states take n−1 rounds:
+// the round after the last reported state is never computed.
 func (c *Cipher64) SBoxInputsAppend(dst []uint64, pt uint64, n int) []uint64 {
 	if n > Rounds64 {
 		n = Rounds64
 	}
+	if n <= 0 {
+		return dst
+	}
 	s := pt
-	for r := 0; r < n; r++ {
+	dst = append(dst, s)
+	for r := 1; r < n; r++ {
+		s = PermBits64(SubCells64(s)) ^ c.rkm[r-1]
 		dst = append(dst, s)
-		s = PermBits64(SubCells64(s)) ^ c.rkm[r]
 	}
 	return dst
 }

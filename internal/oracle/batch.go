@@ -1,7 +1,6 @@
 package oracle
 
 import (
-	"math/bits"
 	"sync"
 
 	"grinch/internal/bitutil"
@@ -30,25 +29,15 @@ type batchScratch struct {
 	// words stay zero so the final transpose reads it as a full 64×64
 	// matrix whose row L is line L's occupancy.
 	occ [64]uint64
-	// states is the per-plaintext trace buffer of the small-batch
-	// scalar path.
-	states []uint64
 }
-
-// batchScalarMax is the batch size below which the bitsliced kernel
-// loses to per-plaintext scalar traces: the kernel's cost is fixed at
-// 64 lanes regardless of how many are live, so a quarter-full batch
-// pays four lanes of kernel time per observation plus two 64×64
-// transposes. Fast-converging targets mostly prime the attack loop's
-// opening 8- and 16-wide refills, which is exactly this regime.
-const batchScalarMax = 8
 
 var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 
 // PrimeBatch implements probe.BatchChannel. It requires the real
 // GIFT-64 victim built by New: foreign tracer implementations
 // (countermeasure ciphers) cannot run the bitsliced kernel and force
-// the scalar path.
+// the scalar path. The kernel costs 64 lanes however few are live, so
+// the attack core only primes batches past its scalar crossover.
 func (o *Oracle) PrimeBatch(pts []uint64, targetRound int, raw []probe.LineSet) bool {
 	if o.cipher == nil || len(pts) == 0 || len(pts) > 64 || len(raw) < len(pts) { //grinchvet:ignore secret-branch capacity check reads only slice lengths and nil-ness, never plaintext contents
 		return false
@@ -63,33 +52,13 @@ func (o *Oracle) PrimeBatch(pts []uint64, targetRound int, raw []probe.LineSet) 
 	}
 
 	sc := batchScratchPool.Get().(*batchScratch)
-	shift := uint(bits.TrailingZeros(uint(o.cfg.LineWords)))
-	if len(pts) <= batchScalarMax {
-		// Small batch: trace each plaintext with the scalar cipher and
-		// demux nibbles directly, exactly as Collect does (LineWords is
-		// a power of two, so the line index is a shift). Same raw sets,
-		// no 64-lane kernel or transposes.
-		for i, pt := range pts {
-			sc.states = o.cipher.SBoxInputsAppend(sc.states[:0], pt, last)
-			var set probe.LineSet
-			for r := first; r <= last; r++ {
-				s := sc.states[r-1]
-				for seg := uint(0); seg < gift.Segments64; seg++ {
-					set = set.Add(int(bitutil.Nibble(s, seg) >> shift))
-				}
-			}
-			raw[i] = set
-		}
-		batchScratchPool.Put(sc)
-		return true
-	}
 	n := copy(sc.pts[:], pts)
 	for i := n; i < 64; i++ {
 		sc.pts[i] = 0
 	}
 	sc.occ = [64]uint64{}
 	o.cipher.TraceBatch(&sc.pts, first, last, &sc.st, &sc.st2, func(_ int, st *gift.Batch64) {
-		accumulateLines(st, shift, &sc.occ)
+		accumulateLines(st, o.shift, &sc.occ)
 	})
 	// Pivot line-major occupancy into block-major sets: after the
 	// transpose, word j holds block j's raw line set.

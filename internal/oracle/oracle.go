@@ -19,6 +19,7 @@ package oracle
 
 import (
 	"fmt"
+	"math/bits"
 
 	"grinch/internal/bitutil"
 	"grinch/internal/gift"
@@ -84,6 +85,21 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// lineShift is log2(LineWords): Validate admits only powers of two, so
+// an S-box index maps to its table line with a shift, not a division.
+func (c Config) lineShift() uint { return uint(bits.TrailingZeros(uint(c.LineWords))) }
+
+// flushReloadOnly rejects ProbeEvictTime for the oracles that only
+// model Flush+Reload (GIFT-128 and PRESENT): they have no masked
+// collect, so an Evict+Time configuration would silently probe every
+// line.
+func flushReloadOnly(cfg Config) error {
+	if cfg.Probe != ProbeFlushReload {
+		return fmt.Errorf("oracle: probe mode %d is not supported by this victim's oracle (Flush+Reload only)", cfg.Probe)
+	}
+	return nil
+}
+
 // validateNoise checks one noise probability field, naming the
 // offending field and value in the error. Both GIFT-64 and GIFT-128
 // oracles share this range: [0,1) — a probability of exactly 1 would
@@ -119,11 +135,13 @@ type appendTracer interface {
 // Oracle is an ideal probing channel against a GIFT-64 victim. It
 // implements probe.Channel and probe.MaskedChannel.
 type Oracle struct {
-	cfg         Config
-	tracer      Tracer         //grinch:secret
-	cipher      *gift.Cipher64 //grinch:secret
-	noise       *rng.Source
-	lines       int
+	cfg    Config
+	tracer Tracer         //grinch:secret
+	cipher *gift.Cipher64 //grinch:secret
+	noise  *rng.Source
+	lines  int
+	// shift maps an S-box index to its table line (Config.lineShift).
+	shift       uint
 	full        probe.LineSet
 	encryptions uint64
 	// cursor cycles the evicted line in Evict+Time mode.
@@ -159,6 +177,7 @@ func NewFromTracer(tr Tracer, cfg Config) (*Oracle, error) {
 		tracer: tr,
 		noise:  rng.New(cfg.Seed),
 		lines:  16 / cfg.LineWords,
+		shift:  cfg.lineShift(),
 		full:   probe.FullSet(16 / cfg.LineWords),
 	}, nil
 }
@@ -222,8 +241,7 @@ func (o *Oracle) Collect(pt uint64, targetRound int) probe.LineSet {
 	for r := first; r <= last; r++ {
 		s := states[r-1]
 		for i := uint(0); i < gift.Segments64; i++ {
-			idx := int(bitutil.Nibble(s, i))
-			set = set.Add(idx / o.cfg.LineWords)
+			set = set.Add(int(bitutil.Nibble(s, i) >> o.shift))
 		}
 	}
 	return o.applyNoise(set)

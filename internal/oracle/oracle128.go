@@ -30,6 +30,7 @@ type Oracle128 struct {
 	cipher      *gift.Cipher128 //grinch:secret
 	noise       *rng.Source
 	lines       int
+	shift       uint
 	encryptions uint64
 	events      obs.Tracer
 	// states is the reusable victim-trace buffer (appendTracer128
@@ -51,10 +52,14 @@ func New128(key bitutil.Word128, cfg Config) (*Oracle128, error) {
 }
 
 // New128FromTracer builds an oracle over any traced GIFT-128 victim.
+// It models Flush+Reload only and rejects ProbeEvictTime.
 //
 //grinch:secret tr
 func New128FromTracer(tr Tracer128, cfg Config) (*Oracle128, error) {
 	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if err := flushReloadOnly(cfg); err != nil {
 		return nil, err
 	}
 	return &Oracle128{
@@ -62,6 +67,7 @@ func New128FromTracer(tr Tracer128, cfg Config) (*Oracle128, error) {
 		tracer: tr,
 		noise:  rng.New(cfg.Seed),
 		lines:  16 / cfg.LineWords,
+		shift:  cfg.lineShift(),
 	}, nil
 }
 
@@ -106,8 +112,7 @@ func (o *Oracle128) Collect(pt bitutil.Word128, targetRound int) probe.LineSet {
 	for r := first; r <= last; r++ {
 		s := states[r-1]
 		for i := uint(0); i < gift.Segments128; i++ {
-			idx := int(s.Nibble(i))
-			set = set.Add(idx / o.cfg.LineWords)
+			set = set.Add(int(s.Nibble(i) >> o.shift))
 		}
 	}
 	return applyNoise(&o.cfg, o.noise, o.lines, set)

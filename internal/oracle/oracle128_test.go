@@ -177,3 +177,75 @@ func TestEvictTimeMembershipAgreesWithFullView(t *testing.T) {
 		}
 	}
 }
+
+// TestFlushReloadOnlyOraclesRejectEvictTime pins that the GIFT-128 and
+// PRESENT oracles, which have no masked collect, refuse an Evict+Time
+// configuration instead of silently probing every line.
+func TestFlushReloadOnlyOraclesRejectEvictTime(t *testing.T) {
+	cfg := Config{ProbeRound: 1, Flush: true, LineWords: 1, Probe: ProbeEvictTime}
+	key := bitutil.Word128{Lo: 3, Hi: 4}
+	if _, err := New128(key, cfg); err == nil {
+		t.Error("New128 accepted ProbeEvictTime")
+	}
+	if _, err := New128FromTracer(fullTracer128{gift.NewCipher128FromWord(key)}, cfg); err == nil {
+		t.Error("New128FromTracer accepted ProbeEvictTime")
+	}
+	if _, err := NewPresent(present.NewCipher80([10]byte{}), cfg); err == nil {
+		t.Error("NewPresent accepted ProbeEvictTime")
+	}
+}
+
+// TestCollectMatchesFullTraceAtEveryLineWidth checks each oracle's
+// demux against the full victim trace with the index divided by the
+// line width, at every width Validate admits and over probe windows of
+// one to three rounds.
+func TestCollectMatchesFullTraceAtEveryLineWidth(t *testing.T) {
+	key := bitutil.Word128{Lo: 0x0123456789abcdef, Hi: 0xfedcba9876543210}
+	c64 := gift.NewCipher64FromWord(key)
+	c128 := gift.NewCipher128FromWord(key)
+	cp := present.NewCipher80([10]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
+	// lines folds the nibbles of states[first-1 .. last-1] into lines.
+	lines := func(states []uint64, first, last, lw int) probe.LineSet {
+		var set probe.LineSet
+		for r := first; r <= last; r++ {
+			for seg := uint(0); seg < 16; seg++ {
+				set = set.Add(int(bitutil.Nibble(states[r-1], seg)) / lw)
+			}
+		}
+		return set
+	}
+	r := rng.New(9)
+	for _, lw := range []int{1, 2, 4, 8, 16} {
+		for pr := 1; pr <= 3; pr++ {
+			cfg := Config{ProbeRound: pr, Flush: true, LineWords: lw}
+			o64 := MustNew(key, cfg)
+			o128, err := New128(key, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			op, err := NewPresent(cp, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 10; i++ {
+				pt := r.Uint64()
+				if got, want := o64.Collect(pt, 2), lines(c64.SBoxInputs(pt), 3, 2+pr, lw); got != want {
+					t.Fatalf("GIFT-64 lw=%d pr=%d: got %v want %v", lw, pr, got, want)
+				}
+				// PRESENT's window for round key 2 starts at round 2.
+				if got, want := op.Collect(pt, 2), lines(cp.SBoxInputs(pt), 2, 1+pr, lw); got != want {
+					t.Fatalf("PRESENT lw=%d pr=%d: got %v want %v", lw, pr, got, want)
+				}
+				pt128 := bitutil.Word128{Lo: pt, Hi: r.Uint64()}
+				var lo, hi []uint64
+				for _, s := range c128.SBoxInputs(pt128) {
+					lo, hi = append(lo, s.Lo), append(hi, s.Hi)
+				}
+				want := lines(lo, 3, 2+pr, lw).Union(lines(hi, 3, 2+pr, lw))
+				if got := o128.Collect(pt128, 2); got != want {
+					t.Fatalf("GIFT-128 lw=%d pr=%d: got %v want %v", lw, pr, got, want)
+				}
+			}
+		}
+	}
+}

@@ -6,6 +6,7 @@ import (
 
 	"grinch/internal/bitutil"
 	"grinch/internal/gift"
+	"grinch/internal/present"
 	"grinch/internal/probe"
 	"grinch/internal/rng"
 )
@@ -227,3 +228,41 @@ func TestNoiseDeterministicBySeed(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkCollect measures one observation per cipher oracle — victim
+// trace plus line demux — on 1-word lines for a round-1 target at
+// probe round 1 with flush, the channel the cross-cipher comparison
+// uses.
+func BenchmarkCollect(b *testing.B) {
+	key := testKey
+	cfg := Config{ProbeRound: 1, Flush: true, LineWords: 1}
+	o128, err := New128(key, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	op, err := NewPresent(present.NewCipher80([10]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}), cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	o64 := MustNew(key, cfg)
+	var sink probe.LineSet
+	for _, c := range []struct {
+		name    string
+		collect func(pt uint64) probe.LineSet
+	}{
+		{"GIFT-64", func(pt uint64) probe.LineSet { return o64.Collect(pt, 1) }},
+		{"GIFT-128", func(pt uint64) probe.LineSet { return o128.Collect(bitutil.Word128{Lo: pt, Hi: ^pt}, 1) }},
+		{"PRESENT-80", func(pt uint64) probe.LineSet { return op.Collect(pt, 1) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sink ^= c.collect(uint64(i) * 0x9e3779b97f4a7c15)
+			}
+		})
+	}
+	collectSink = sink
+}
+
+// collectSink keeps benchmark results live.
+var collectSink probe.LineSet

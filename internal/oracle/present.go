@@ -32,17 +32,22 @@ type OracleP struct {
 	tracer      TracerP //grinch:secret
 	noise       *rng.Source
 	lines       int
+	shift       uint
 	encryptions uint64
 	// states is the reusable victim-trace buffer (appendTracerP
 	// victims), reset per encryption.
 	states []uint64
 }
 
-// NewPresent builds an oracle over a PRESENT victim.
+// NewPresent builds an oracle over a PRESENT victim. It models
+// Flush+Reload only and rejects ProbeEvictTime.
 //
 //grinch:secret tr
 func NewPresent(tr TracerP, cfg Config) (*OracleP, error) {
 	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if err := flushReloadOnly(cfg); err != nil {
 		return nil, err
 	}
 	return &OracleP{
@@ -50,6 +55,7 @@ func NewPresent(tr TracerP, cfg Config) (*OracleP, error) {
 		tracer: tr,
 		noise:  rng.New(cfg.Seed),
 		lines:  16 / cfg.LineWords,
+		shift:  cfg.lineShift(),
 	}, nil
 }
 
@@ -84,8 +90,7 @@ func (o *OracleP) Collect(pt uint64, targetRound int) probe.LineSet {
 	for r := first; r <= last; r++ {
 		s := states[r-1]
 		for i := uint(0); i < present.Segments; i++ {
-			idx := int(s >> (4 * i) & 0xf)
-			set = set.Add(idx / o.cfg.LineWords)
+			set = set.Add(int((s >> (4 * i) & 0xf) >> o.shift))
 		}
 	}
 	return applyNoise(&o.cfg, o.noise, o.lines, set)

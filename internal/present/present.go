@@ -214,16 +214,20 @@ func (c *Cipher80) SBoxInputs(pt uint64) []uint64 {
 // SBoxInputsAppend appends the first n index states of SBoxInputs to
 // dst (grown as needed) and returns the extended slice; n is clamped to
 // the round count. The trace oracle reuses one buffer across
-// encryptions.
+// encryptions. n states take n−1 S-box layers: the layer after the
+// last reported state is never computed.
 func (c *Cipher80) SBoxInputsAppend(dst []uint64, pt uint64, n int) []uint64 {
 	if n > Rounds {
 		n = Rounds
 	}
-	s := pt
-	for r := 0; r < n; r++ {
-		x := s ^ c.rk[r]
+	if n <= 0 {
+		return dst
+	}
+	x := pt ^ c.rk[0]
+	dst = append(dst, x)
+	for r := 1; r < n; r++ {
+		x = PermBits(SubCells(x)) ^ c.rk[r]
 		dst = append(dst, x)
-		s = PermBits(SubCells(x))
 	}
 	return dst
 }
