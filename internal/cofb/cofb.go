@@ -249,15 +249,15 @@ func (a *AEAD) Overhead() int { return TagSize }
 // SBoxInputs exposes the per-round S-box input states of the mode's
 // first block-cipher call, Y₀ = E_K(N) — the memory-access stream a
 // co-resident attacker observes while Seal processes an
-// attacker-chosen nonce. It implements oracle.Tracer128, which is how
-// the GRINCH extension attacks the AEAD: chosen nonces are chosen
-// block-cipher plaintexts (see examples/aead_attack).
+// attacker-chosen nonce. With SBoxInputsAppend it makes the AEAD an
+// oracle.Victim, which is how the GRINCH extension attacks it: chosen
+// nonces are chosen block-cipher plaintexts (see examples/aead_attack).
 func (a *AEAD) SBoxInputs(nonce bitutil.Word128) []bitutil.Word128 {
 	return a.cipher.SBoxInputs(nonce)
 }
 
-// SBoxInputsAppend is the buffer-reusing, truncated variant of
-// SBoxInputs (the trace oracle's fast path).
+// SBoxInputsAppend appends the first n states of SBoxInputs to dst, the
+// buffer-reusing, truncated form the trace oracle reads.
 func (a *AEAD) SBoxInputsAppend(dst []bitutil.Word128, nonce bitutil.Word128, n int) []bitutil.Word128 {
 	return a.cipher.SBoxInputsAppend(dst, nonce, n)
 }

@@ -171,11 +171,19 @@ func (c *WhitenedCipher64) RoundKeys() []gift.RoundKey64 {
 
 // SBoxInputs mirrors gift.Cipher64.SBoxInputs for the whitened cipher.
 func (c *WhitenedCipher64) SBoxInputs(pt uint64) []uint64 {
-	states := make([]uint64, len(c.rks))
+	return c.SBoxInputsAppend(make([]uint64, 0, len(c.rks)), pt, len(c.rks))
+}
+
+// SBoxInputsAppend mirrors gift.Cipher64.SBoxInputsAppend: it appends
+// the first n round states (n clamped to the round count) to dst, so
+// the whitened cipher is an oracle.Victim.
+func (c *WhitenedCipher64) SBoxInputsAppend(dst []uint64, pt uint64, n int) []uint64 {
 	s := pt
-	for r := range c.rks {
-		states[r] = s
-		s = gift.Round64(s, c.rks[r])
+	for r := 0; r < min(n, len(c.rks)); r++ {
+		if r > 0 {
+			s = gift.Round64(s, c.rks[r-1])
+		}
+		dst = append(dst, s)
 	}
-	return states
+	return dst
 }

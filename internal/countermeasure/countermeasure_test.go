@@ -112,6 +112,38 @@ func TestWhitenedCipherRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWhitenedSBoxInputs checks the whitened cipher's victim trace:
+// state r is the input of round r+1, the last one re-encrypts to the
+// ciphertext, and SBoxInputsAppend is the same trace truncated.
+func TestWhitenedSBoxInputs(t *testing.T) {
+	c := NewWhitenedCipher64(testKey)
+	rks := c.RoundKeys()
+	pt := uint64(0xfedcba9876543210)
+	states := c.SBoxInputs(pt)
+	if len(states) != gift.Rounds64 || states[0] != pt {
+		t.Fatalf("%d states, round-1 state %016x", len(states), states[0])
+	}
+	for r := 1; r < gift.Rounds64; r++ {
+		if want := gift.Round64(states[r-1], rks[r-1]); states[r] != want {
+			t.Fatalf("round %d state %016x, want %016x", r+1, states[r], want)
+		}
+	}
+	if gift.Round64(states[gift.Rounds64-1], rks[gift.Rounds64-1]) != c.EncryptBlock(pt) {
+		t.Fatal("trace-reconstructed ciphertext mismatch")
+	}
+	for n := 0; n <= gift.Rounds64+1; n++ {
+		got := c.SBoxInputsAppend(nil, pt, n)
+		if len(got) != min(n, gift.Rounds64) {
+			t.Fatalf("n=%d: %d states", n, len(got))
+		}
+		for r := range got {
+			if got[r] != states[r] {
+				t.Fatalf("n=%d: round %d state %016x, want %016x", n, r+1, got[r], states[r])
+			}
+		}
+	}
+}
+
 func TestWhitenedCipherDiffersFromStandard(t *testing.T) {
 	c := NewWhitenedCipher64(testKey)
 	ref := gift.NewCipher64FromWord(testKey)

@@ -165,13 +165,13 @@ func (b *Batch64) InvRound(rk RoundKey64) {
 // TraceBatch runs rounds 1..last of 64 encryptions bitsliced across
 // blocks, calling visit once per round r in [first, last] with the
 // bitsliced round-r S-box input state — the batched counterpart of
-// SBoxInputsN for a whole lane group. st and st2 are caller-supplied
-// scratch (their prior contents are overwritten; the fused round pass
-// ping-pongs between them) so the hot path allocates nothing. The
-// visited states are bit-identical to the corresponding SBoxInputsN
-// elements; a window with first > last visits nothing, exactly like
-// the scalar slice indexing. Like SBoxInputsAppend it stops at the
-// round-last state: last states take last−1 rounds.
+// SBoxInputsAppend for a whole lane group. st and st2 are
+// caller-supplied scratch (their prior contents are overwritten; the
+// fused round pass ping-pongs between them) so the hot path allocates
+// nothing. The visited states are bit-identical to the corresponding
+// SBoxInputsAppend elements; a window with first > last visits nothing,
+// exactly like the scalar slice indexing. Like SBoxInputsAppend it
+// stops at the round-last state: last states take last−1 rounds.
 //
 //grinch:secret pts
 func (c *Cipher64) TraceBatch(pts *[64]uint64, first, last int, st, st2 *Batch64, visit func(round int, st *Batch64)) {

@@ -62,10 +62,10 @@ func TestBatch64StepEquivalence(t *testing.T) {
 	check("InvRound", func(b *Batch64) { b.InvRound(rk) }, func(s uint64) uint64 { return InvRound64(s, rk) })
 }
 
-// TestTraceBatchMatchesSBoxInputsN proves the batched victim trace is
-// bit-identical to the scalar per-encryption trace for every window
-// geometry the oracle uses.
-func TestTraceBatchMatchesSBoxInputsN(t *testing.T) {
+// TestTraceBatchMatchesSBoxInputsAppend proves the batched victim
+// trace is bit-identical to the truncated scalar per-encryption trace
+// for every window geometry the oracle uses.
+func TestTraceBatchMatchesSBoxInputsAppend(t *testing.T) {
 	c := batchKey(3)
 	blocks := batchFill(17)
 	windows := []struct{ first, last int }{
@@ -93,7 +93,7 @@ func TestTraceBatchMatchesSBoxInputsN(t *testing.T) {
 			t.Fatalf("window [%d,%d]: visited %d rounds, want %d", w.first, w.last, len(visited), wantRounds)
 		}
 		for i, blk := range blocks {
-			states := c.SBoxInputsN(blk, last)
+			states := c.SBoxInputsAppend(nil, blk, last)
 			for r := w.first; r <= last; r++ {
 				if visited[r][i] != states[r-1] {
 					t.Fatalf("window [%d,%d] round %d block %d: batch %#x, scalar %#x",

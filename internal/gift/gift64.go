@@ -250,22 +250,14 @@ func (c *Cipher64) EncryptTraced(pt uint64, obs SBoxObserver) uint64 {
 // the input of that round's SubCells step — i.e. the 16 S-box indices of
 // round r are the nibbles of element r-1. len(result) == Rounds64.
 func (c *Cipher64) SBoxInputs(pt uint64) []uint64 {
-	return c.SBoxInputsN(pt, Rounds64)
+	return c.SBoxInputsAppend(make([]uint64, 0, Rounds64), pt, Rounds64)
 }
 
-// SBoxInputsN is SBoxInputs truncated to the first n rounds — the
-// trace-oracle fast path when the probe window ends early. n is clamped
-// to the round count.
-func (c *Cipher64) SBoxInputsN(pt uint64, n int) []uint64 {
-	return c.SBoxInputsAppend(make([]uint64, 0, min(n, Rounds64)), pt, n)
-}
-
-// SBoxInputsAppend is SBoxInputsN writing into a caller-supplied
-// buffer: the first n round states are appended to dst (grown as
-// needed) and the extended slice returned. The trace oracle reuses one
-// buffer across encryptions, so the per-encryption slice allocation of
-// SBoxInputsN disappears from the hot loop. n states take n−1 rounds:
-// the round after the last reported state is never computed.
+// SBoxInputsAppend appends the first n round states of SBoxInputs to dst
+// (grown as needed) and returns the extended slice; n is clamped to the
+// round count. The trace oracle reuses one buffer across encryptions,
+// so its hot loop allocates nothing per encryption. n states take n−1
+// rounds: the round after the last reported state is never computed.
 func (c *Cipher64) SBoxInputsAppend(dst []uint64, pt uint64, n int) []uint64 {
 	if n > Rounds64 {
 		n = Rounds64

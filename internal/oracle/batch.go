@@ -5,7 +5,6 @@ import (
 
 	"grinch/internal/bitutil"
 	"grinch/internal/gift"
-	"grinch/internal/obs"
 	"grinch/internal/probe"
 )
 
@@ -42,15 +41,7 @@ func (o *Oracle) PrimeBatch(pts []uint64, targetRound int, raw []probe.LineSet) 
 	if o.cipher == nil || len(pts) == 0 || len(pts) > 64 || len(raw) < len(pts) { //grinchvet:ignore secret-branch capacity check reads only slice lengths and nil-ness, never plaintext contents
 		return false
 	}
-	first := 1
-	if o.cfg.Flush {
-		first = targetRound + 1
-	}
-	last := targetRound + o.cfg.ProbeRound
-	if last > gift.Rounds64 {
-		last = gift.Rounds64
-	}
-
+	first, last := o.window(targetRound)
 	sc := batchScratchPool.Get().(*batchScratch)
 	n := copy(sc.pts[:], pts)
 	for i := n; i < 64; i++ {
@@ -187,23 +178,11 @@ func accumulateLines2(st *gift.Batch64, occ *[64]uint64) {
 }
 
 // CollectPrimed implements probe.BatchChannel: it commits one primed
-// observation with the exact side-effect sequence of Collect followed
-// by CollectMasked's mask selection — counter, encryption_start/end
-// events, noise draws in line order, then the Evict+Time cursor.
+// observation with the exact side-effect sequence of CollectMasked —
+// counter, encryption_start/end events, noise draws in line order, then
+// the Evict+Time cursor.
 func (o *Oracle) CollectPrimed(raw probe.LineSet, targetRound int) (set, mask probe.LineSet) {
-	o.encryptions++
-	if o.events != nil {
-		o.events.Emit(obs.Event{Kind: obs.KindEncryptionStart, Enc: o.encryptions, Cipher: "GIFT-64", Round: targetRound})
-		defer o.events.Emit(obs.Event{Kind: obs.KindEncryptionEnd, Enc: o.encryptions})
-	}
-	set = o.applyNoise(raw)
-	if o.cfg.Probe != ProbeEvictTime {
-		return set, o.full
-	}
-	l := o.cursor
-	o.cursor = (o.cursor + 1) % o.lines
-	mask = probe.LineSet(0).Add(l)
-	return set.Intersect(mask), mask
+	return o.mask(o.commit(raw, targetRound))
 }
 
 // compile-time interface check

@@ -23,77 +23,66 @@ import (
 //     shared level goes quiet after the first encryption, the attack
 //     starves (TestHierarchyDefeatsAttackWhenNonInclusive).
 //
-// It implements probe.Channel.
+// It implements probe.Channel; the trace core supplies the window, the
+// victim trace and the counter. The hierarchy decides what survives to
+// the probe, so the channel models neither injected noise nor
+// Evict+Time.
 type HierOracle struct {
-	cfg         Config
-	cipher      *gift.Cipher64 //grinch:secret
-	hier        *cache.Hierarchy
-	table       probe.TableLayout
-	lines       int
-	encryptions uint64
-	tracer      obs.Tracer
+	trace[uint64]
+	hier  *cache.Hierarchy
+	table probe.TableLayout
 }
 
 // NewHierarchyChannel builds the channel. The hierarchy's line size must
 // equal cfg.LineWords (1 word = 1 byte) so the index→line mapping holds.
+// It rejects injected noise and ProbeEvictTime, which it would
+// otherwise ignore.
 //
 //grinch:secret key
 func NewHierarchyChannel(key bitutil.Word128, cfg Config, hier *cache.Hierarchy, tableBase uint64) (*HierOracle, error) {
-	if err := cfg.Validate(); err != nil {
+	t, err := newTrace(&gift64Spec, gift.NewCipher64FromWord(key), cfg)
+	if err != nil {
 		return nil, err
+	}
+	if err := flushReloadOnly(cfg); err != nil {
+		return nil, err
+	}
+	if cfg.FalsePresence != 0 || cfg.FalseAbsence != 0 {
+		return nil, fmt.Errorf("oracle: the hierarchy channel injects no noise (FalsePresence = %v, FalseAbsence = %v)", cfg.FalsePresence, cfg.FalseAbsence)
 	}
 	if lb := hier.L2.Config().LineBytes; lb != cfg.LineWords {
 		return nil, fmt.Errorf("oracle: hierarchy line size %d ≠ LineWords %d", lb, cfg.LineWords)
 	}
 	return &HierOracle{
-		cfg:    cfg,
-		cipher: gift.NewCipher64FromWord(key),
-		hier:   hier,
-		table:  probe.TableLayout{Base: tableBase, EntryBytes: 1, Entries: 16},
-		lines:  16 / cfg.LineWords,
+		trace: t,
+		hier:  hier,
+		table: probe.TableLayout{Base: tableBase, EntryBytes: 1, Entries: 16},
 	}, nil
 }
-
-// Lines returns the observable table lines.
-func (o *HierOracle) Lines() int { return o.lines }
-
-// Encryptions returns the victim encryption count.
-func (o *HierOracle) Encryptions() uint64 { return o.encryptions }
-
-// SetTracer attaches an event tracer (nil disables tracing). The
-// channel emits encryption boundaries plus one cache_snapshot of the
-// shared L2 per Collect — the level the attack's signal lives in.
-func (o *HierOracle) SetTracer(t obs.Tracer) { o.tracer = t }
 
 // Collect runs one victim encryption through the hierarchy with the
 // attacker's flush landing between rounds targetRound and targetRound+1
 // (or before the encryption when Flush is false), then probes the
-// shared L2.
+// shared L2. Besides the encryption boundaries it emits one
+// cache_snapshot of the shared L2 per Collect — the level the attack's
+// signal lives in.
 func (o *HierOracle) Collect(pt uint64, targetRound int) probe.LineSet {
 	o.encryptions++
-	if o.tracer != nil {
-		o.tracer.Emit(obs.Event{Kind: obs.KindEncryptionStart, Enc: o.encryptions, Cipher: "GIFT-64", Round: targetRound})
+	if o.events != nil {
+		o.events.Emit(obs.Event{Kind: obs.KindEncryptionStart, Enc: o.encryptions, Cipher: o.spec.name, Round: targetRound})
 		defer func() {
 			snap := probe.CacheSnapshot(o.hier.L2)
 			snap.Enc = o.encryptions
-			o.tracer.Emit(snap)
-			o.tracer.Emit(obs.Event{Kind: obs.KindEncryptionEnd, Enc: o.encryptions})
+			o.events.Emit(snap)
+			o.events.Emit(obs.Event{Kind: obs.KindEncryptionEnd, Enc: o.encryptions})
 		}()
 	}
-
-	first := 1
-	if o.cfg.Flush {
-		first = targetRound + 1
-	}
-	last := targetRound + o.cfg.ProbeRound
-	if last > gift.Rounds64 {
-		last = gift.Rounds64
-	}
-	states := o.cipher.SBoxInputsN(pt, last)
+	first, last := o.window(targetRound)
+	o.states = o.victim.SBoxInputsAppend(o.states[:0], pt, last)
 
 	// Rounds before the flush point warm the hierarchy unobserved.
 	for r := 1; r < first; r++ {
-		o.victimRound(states[r-1])
+		o.victimRound(o.states[r-1])
 	}
 	// The attacker's flush: only the shared L2 is within reach; the
 	// hierarchy decides whether the victim's L1 copies go too.
@@ -102,7 +91,7 @@ func (o *HierOracle) Collect(pt uint64, targetRound int) probe.LineSet {
 	}
 	// The observation window.
 	for r := first; r <= last; r++ {
-		o.victimRound(states[r-1])
+		o.victimRound(o.states[r-1])
 	}
 	// Probe the shared level.
 	var set probe.LineSet

@@ -5,16 +5,21 @@
 // probe itself, with configurable probing round, flush behaviour, cache
 // line width and optional injected noise.
 //
-// The channel semantics (DESIGN.md §4): when the attack targets round t
-// (wanting the round-(t+1) S-box accesses) and the probe lands
-// ProbeRound rounds later, the observed set covers rounds
+// The channel semantics (DESIGN.md §4): when the attack targets round
+// key t, its signal round is s = t+lead — t+1 for GIFT, whose round key
+// is added after SubCells, and t for PRESENT, which adds it before —
+// and with the probe landing ProbeRound−1 rounds after the signal round
+// the observed set covers rounds
 //
-//	[t+1, t+ProbeRound]  with flush (the flush lands between the
-//	                     round-t and round-(t+1) lookups)
-//	[1,   t+ProbeRound]  without flush (stale earlier accesses remain)
+//	[s, s+ProbeRound−1]  with flush (the flush lands just before the
+//	                     round-s lookups)
+//	[1, s+ProbeRound−1]  without flush (stale earlier accesses remain)
 //
-// so ProbeRound = 1 is the cleanest channel (exactly the signal round)
-// and larger values accumulate noise rounds, reproducing Fig. 3.
+// clamped to the cipher's last round, so ProbeRound = 1 is the cleanest
+// channel (exactly the signal round) and larger values accumulate noise
+// rounds, reproducing Fig. 3. One generic trace core implements that
+// rule for every victim; Oracle, Oracle128 and OracleP are its GIFT-64,
+// GIFT-128 and PRESENT faces.
 package oracle
 
 import (
@@ -24,6 +29,7 @@ import (
 	"grinch/internal/bitutil"
 	"grinch/internal/gift"
 	"grinch/internal/obs"
+	"grinch/internal/present"
 	"grinch/internal/probe"
 	"grinch/internal/rng"
 )
@@ -79,20 +85,17 @@ func (c Config) Validate() error {
 	if err := validateNoise("FalsePresence", c.FalsePresence); err != nil {
 		return err
 	}
-	if err := validateNoise("FalseAbsence", c.FalseAbsence); err != nil {
-		return err
-	}
-	return nil
+	return validateNoise("FalseAbsence", c.FalseAbsence)
 }
 
 // lineShift is log2(LineWords): Validate admits only powers of two, so
 // an S-box index maps to its table line with a shift, not a division.
 func (c Config) lineShift() uint { return uint(bits.TrailingZeros(uint(c.LineWords))) }
 
-// flushReloadOnly rejects ProbeEvictTime for the oracles that only
-// model Flush+Reload (GIFT-128 and PRESENT): they have no masked
-// collect, so an Evict+Time configuration would silently probe every
-// line.
+// flushReloadOnly rejects ProbeEvictTime for the channels that only
+// model Flush+Reload (GIFT-128, PRESENT and the cache hierarchy): they
+// have no masked collect, so an Evict+Time configuration would silently
+// probe every line.
 func flushReloadOnly(cfg Config) error {
 	if cfg.Probe != ProbeFlushReload {
 		return fmt.Errorf("oracle: probe mode %d is not supported by this victim's oracle (Flush+Reload only)", cfg.Probe)
@@ -101,9 +104,9 @@ func flushReloadOnly(cfg Config) error {
 }
 
 // validateNoise checks one noise probability field, naming the
-// offending field and value in the error. Both GIFT-64 and GIFT-128
-// oracles share this range: [0,1) — a probability of exactly 1 would
-// make every observation pure noise and is always a config mistake.
+// offending field and value in the error. Every trace oracle shares
+// this range: [0,1) — a probability of exactly 1 would make every
+// observation pure noise and is always a config mistake.
 func validateNoise(field string, v float64) error {
 	if v < 0 || v >= 1 {
 		return fmt.Errorf("oracle: %s = %v out of range [0,1)", field, v)
@@ -111,165 +114,144 @@ func validateNoise(field string, v float64) error {
 	return nil
 }
 
-// Tracer produces per-round S-box input states for a victim cipher —
-// the address stream the cache leaks. gift.Cipher64 implements it; so
-// do the hardened cipher variants in internal/countermeasure, which
-// lets the same oracle demonstrate the countermeasures.
-type Tracer interface {
-	SBoxInputs(pt uint64) []uint64
+// Victim is the one victim contract of the trace oracles: the address
+// stream the cache leaks. SBoxInputsAppend appends to dst the S-box
+// input states of the first n rounds of encrypting pt — the nibbles of
+// element r−1 are round r's table indices — clamping n to the round
+// count, and returns the extended slice; the oracle reuses one buffer
+// across encryptions. gift.Cipher64, gift.Cipher128, present.Cipher80,
+// present.Cipher128, cofb.AEAD and countermeasure.WhitenedCipher64
+// implement it, which lets the same oracle demonstrate the
+// countermeasures.
+type Victim[W any] interface {
+	SBoxInputsAppend(dst []W, pt W, n int) []W
 }
 
-// truncatedTracer is the fast path for victims that can stop the trace
-// at the probe window's end.
-type truncatedTracer interface {
-	SBoxInputsN(pt uint64, n int) []uint64
+// cipherSpec describes a victim cipher to the trace core.
+type cipherSpec[W any] struct {
+	name   string // the Cipher label of encryption_start events
+	rounds int
+	// lead is the signal round's offset from the target round key: 1
+	// for GIFT (key added after SubCells), 0 for PRESENT (added before).
+	lead int
+	// fold returns the table lines one round state's S-box lookups
+	// touch, with shift mapping an index to its line.
+	fold func(s W, shift uint) probe.LineSet
 }
 
-// appendTracer is the allocation-free refinement of truncatedTracer:
-// the victim appends its round states into a caller-owned buffer that
-// the oracle reuses across encryptions. gift.Cipher64 implements it.
-type appendTracer interface {
-	SBoxInputsAppend(dst []uint64, pt uint64, n int) []uint64
+// The victim table: PRESENT's state is 16 nibble indices like GIFT-64's.
+var (
+	gift64Spec  = cipherSpec[uint64]{name: "GIFT-64", rounds: gift.Rounds64, lead: 1, fold: fold64}
+	gift128Spec = cipherSpec[bitutil.Word128]{name: "GIFT-128", rounds: gift.Rounds128, lead: 1, fold: fold128}
+	presentSpec = cipherSpec[uint64]{name: "PRESENT-80", rounds: present.Rounds, lead: 0, fold: fold64}
+)
+
+// fold64 folds the 16 nibble indices of a 64-bit round state into
+// lines.
+//
+//grinch:secret s
+func fold64(s uint64, shift uint) probe.LineSet {
+	var set probe.LineSet
+	for i := 0; i < 64; i += 4 {
+		set |= 1 << (s >> i & 0xf >> shift)
+	}
+	return set
 }
 
-// Oracle is an ideal probing channel against a GIFT-64 victim. It
-// implements probe.Channel and probe.MaskedChannel.
-type Oracle struct {
+// fold128 folds the 32 nibble indices of a GIFT-128 round state.
+//
+//grinch:secret s
+func fold128(s bitutil.Word128, shift uint) probe.LineSet {
+	return fold64(s.Lo, shift) | fold64(s.Hi, shift)
+}
+
+// trace is the generic core of every trace oracle: one probe window,
+// one victim trace, one line fold and one commit per observation.
+type trace[W any] struct {
+	spec   *cipherSpec[W]
 	cfg    Config
-	tracer Tracer         //grinch:secret
-	cipher *gift.Cipher64 //grinch:secret
+	victim Victim[W] //grinch:secret
 	noise  *rng.Source
 	lines  int
 	// shift maps an S-box index to its table line (Config.lineShift).
 	shift       uint
-	full        probe.LineSet
 	encryptions uint64
-	// cursor cycles the evicted line in Evict+Time mode.
-	cursor int
-	events obs.Tracer
-	// states is the reusable victim-trace buffer for the scalar Collect
-	// path (appendTracer victims), reset per encryption.
-	states []uint64
+	events      obs.Tracer
+	// states is the reusable victim-trace buffer, reset per encryption.
+	states []W
 }
 
-// New builds an oracle for a victim holding the given key.
+// newTrace validates cfg and builds the core over victim v.
 //
-//grinch:secret key
-func New(key bitutil.Word128, cfg Config) (*Oracle, error) {
-	c := gift.NewCipher64FromWord(key)
-	o, err := NewFromTracer(c, cfg)
-	if err != nil {
-		return nil, err
-	}
-	o.cipher = c
-	return o, nil
-}
-
-// NewFromTracer builds an oracle over any traced victim implementation.
-//
-//grinch:secret tr
-func NewFromTracer(tr Tracer, cfg Config) (*Oracle, error) {
+//grinch:secret v
+func newTrace[W any](spec *cipherSpec[W], v Victim[W], cfg Config) (trace[W], error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return trace[W]{}, err
 	}
-	return &Oracle{
+	return trace[W]{
+		spec:   spec,
 		cfg:    cfg,
-		tracer: tr,
+		victim: v,
 		noise:  rng.New(cfg.Seed),
 		lines:  16 / cfg.LineWords,
 		shift:  cfg.lineShift(),
-		full:   probe.FullSet(16 / cfg.LineWords),
 	}, nil
 }
 
-// MustNew is New for known-good configurations.
-//
-//grinch:secret key
-func MustNew(key bitutil.Word128, cfg Config) *Oracle {
-	o, err := New(key, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return o
-}
-
 // Lines returns the number of cache lines the S-box table spans.
-func (o *Oracle) Lines() int { return o.lines }
+func (t *trace[W]) Lines() int { return t.lines }
 
 // Encryptions returns how many encryptions the victim has performed for
 // this channel (the attack-effort metric).
-func (o *Oracle) Encryptions() uint64 { return o.encryptions }
-
-// Cipher exposes the victim cipher when the oracle was built with New
-// (nil for NewFromTracer victims); tests use it to verify recovery.
-func (o *Oracle) Cipher() *gift.Cipher64 { return o.cipher }
+func (t *trace[W]) Encryptions() uint64 { return t.encryptions }
 
 // SetTracer attaches an event tracer (nil disables tracing). The
-// channel emits encryption_start/encryption_end per Collect.
-func (o *Oracle) SetTracer(t obs.Tracer) { o.events = t }
+// channel emits encryption_start/encryption_end per observation.
+func (t *trace[W]) SetTracer(tr obs.Tracer) { t.events = tr }
+
+// window returns the rounds [first, last] whose lookups the probe
+// observes for an attack on round key targetRound (package doc).
+func (t *trace[W]) window(targetRound int) (first, last int) {
+	signal := targetRound + t.spec.lead
+	first = 1
+	if t.cfg.Flush {
+		first = signal
+	}
+	return first, min(signal+t.cfg.ProbeRound-1, t.spec.rounds)
+}
 
 // Collect runs one victim encryption of pt and returns the line set the
-// probe observes when the attack targets round targetRound.
-func (o *Oracle) Collect(pt uint64, targetRound int) probe.LineSet {
-	o.encryptions++
-	if o.events != nil {
-		o.events.Emit(obs.Event{Kind: obs.KindEncryptionStart, Enc: o.encryptions, Cipher: "GIFT-64", Round: targetRound})
-		defer o.events.Emit(obs.Event{Kind: obs.KindEncryptionEnd, Enc: o.encryptions})
-	}
-
-	first := 1
-	if o.cfg.Flush {
-		first = targetRound + 1
-	}
-	last := targetRound + o.cfg.ProbeRound
-	if last > gift.Rounds64 {
-		last = gift.Rounds64
-	}
-
-	var states []uint64
-	switch tt := o.tracer.(type) {
-	case appendTracer:
-		o.states = tt.SBoxInputsAppend(o.states[:0], pt, last)
-		states = o.states
-	case truncatedTracer:
-		states = tt.SBoxInputsN(pt, last)
-	default:
-		states = o.tracer.SBoxInputs(pt)
-	}
-
+// probe observes when the attack targets round key targetRound.
+func (t *trace[W]) Collect(pt W, targetRound int) probe.LineSet {
+	first, last := t.window(targetRound)
+	t.states = t.victim.SBoxInputsAppend(t.states[:0], pt, last)
 	var set probe.LineSet
 	for r := first; r <= last; r++ {
-		s := states[r-1]
-		for i := uint(0); i < gift.Segments64; i++ {
-			set = set.Add(int(bitutil.Nibble(s, i) >> o.shift))
-		}
+		set |= t.spec.fold(t.states[r-1], t.shift)
 	}
-	return o.applyNoise(set)
+	return t.commit(set, targetRound)
 }
 
-// CollectMasked implements probe.MaskedChannel: under Evict+Time the
-// attacker learns one line's membership per encryption; under
-// Flush+Reload the mask covers the whole table.
-func (o *Oracle) CollectMasked(pt uint64, targetRound int) (set, mask probe.LineSet) {
-	full := o.Collect(pt, targetRound)
-	if o.cfg.Probe != ProbeEvictTime {
-		return full, o.full
+// commit turns one encryption's raw, noise-free line set into the
+// observation: the encryption counter, encryption_start, the noise
+// draws in line order, then encryption_end. Every observation goes
+// through it, traced now (Collect) or primed earlier (CollectPrimed).
+func (t *trace[W]) commit(raw probe.LineSet, targetRound int) probe.LineSet {
+	t.encryptions++
+	if t.events == nil {
+		return applyNoise(&t.cfg, t.noise, t.lines, raw)
 	}
-	l := o.cursor
-	o.cursor = (o.cursor + 1) % o.lines
-	mask = probe.LineSet(0).Add(l)
-	return full.Intersect(mask), mask
+	t.events.Emit(obs.Event{Kind: obs.KindEncryptionStart, Enc: t.encryptions, Cipher: t.spec.name, Round: targetRound})
+	set := applyNoise(&t.cfg, t.noise, t.lines, raw)
+	t.events.Emit(obs.Event{Kind: obs.KindEncryptionEnd, Enc: t.encryptions})
+	return set
 }
 
-// applyNoise injects false presences and absences per line.
-func (o *Oracle) applyNoise(set probe.LineSet) probe.LineSet {
-	return applyNoise(&o.cfg, o.noise, o.lines, set)
-}
-
-// applyNoise is shared by the GIFT-64 and GIFT-128 oracles. The line
-// set is the victim's access pattern — secret-derived — so the
-// membership branch below is a (simulation-side) secret-dependent
-// branch the leakage pass keeps on the books.
+// applyNoise injects false presences and absences per line; every trace
+// oracle's commit draws through it. The line set is the victim's access
+// pattern — secret-derived — so the membership branch below is a
+// (simulation-side) secret-dependent branch the leakage pass keeps on
+// the books.
 //
 //grinch:secret set return
 func applyNoise(cfg *Config, noise *rng.Source, lines int, set probe.LineSet) probe.LineSet {
@@ -291,5 +273,72 @@ func applyNoise(cfg *Config, noise *rng.Source, lines int, set probe.LineSet) pr
 	return out
 }
 
+// Oracle is an ideal probing channel against a GIFT-64 victim. It
+// implements probe.Channel, probe.MaskedChannel and probe.BatchChannel.
+type Oracle struct {
+	trace[uint64]
+	cipher *gift.Cipher64 //grinch:secret
+	// cursor cycles the evicted line in Evict+Time mode.
+	cursor int
+}
+
+// New builds an oracle for a victim holding the given key.
+//
+//grinch:secret key
+func New(key bitutil.Word128, cfg Config) (*Oracle, error) {
+	c := gift.NewCipher64FromWord(key)
+	o, err := NewFromTracer(c, cfg)
+	if err != nil {
+		return nil, err
+	}
+	o.cipher = c
+	return o, nil
+}
+
+// NewFromTracer builds an oracle over any traced GIFT-64 victim.
+//
+//grinch:secret tr
+func NewFromTracer(tr Victim[uint64], cfg Config) (*Oracle, error) {
+	t, err := newTrace(&gift64Spec, tr, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &Oracle{trace: t}, nil
+}
+
+// MustNew is New for known-good configurations.
+//
+//grinch:secret key
+func MustNew(key bitutil.Word128, cfg Config) *Oracle {
+	o, err := New(key, cfg)
+	if err != nil {
+		panic(err)
+	}
+	return o
+}
+
+// Cipher exposes the victim cipher when the oracle was built with New
+// (nil for NewFromTracer victims); tests use it to verify recovery.
+func (o *Oracle) Cipher() *gift.Cipher64 { return o.cipher }
+
+// CollectMasked implements probe.MaskedChannel: under Evict+Time the
+// attacker learns one line's membership per encryption; under
+// Flush+Reload the mask covers the whole table.
+func (o *Oracle) CollectMasked(pt uint64, targetRound int) (set, mask probe.LineSet) {
+	return o.mask(o.Collect(pt, targetRound))
+}
+
+// mask is the probe primitive's view of one committed observation: the
+// whole table under Flush+Reload, the next line of the Evict+Time
+// cursor otherwise.
+func (o *Oracle) mask(set probe.LineSet) (probe.LineSet, probe.LineSet) {
+	if o.cfg.Probe != ProbeEvictTime {
+		return set, probe.FullSet(o.lines)
+	}
+	mask := probe.LineSet(0).Add(o.cursor)
+	o.cursor = (o.cursor + 1) % o.lines
+	return set.Intersect(mask), mask
+}
+
 // compile-time interface check
-var _ probe.Channel = (*Oracle)(nil)
+var _ probe.MaskedChannel = (*Oracle)(nil)

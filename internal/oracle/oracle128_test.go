@@ -40,29 +40,6 @@ func TestOracle128CollectMatchesTrace(t *testing.T) {
 	}
 }
 
-func TestOracle128TruncatedFastPathAgrees(t *testing.T) {
-	// The SBoxInputsAppend fast path must produce identical observations to
-	// the full trace.
-	key := bitutil.Word128{Lo: 7, Hi: 9}
-	c := gift.NewCipher128FromWord(key)
-	fast, _ := New128(key, Config{ProbeRound: 1, Flush: true, LineWords: 2})
-	slow, _ := New128FromTracer(fullTracer128{c}, Config{ProbeRound: 1, Flush: true, LineWords: 2})
-	r := rng.New(2)
-	for i := 0; i < 30; i++ {
-		pt := bitutil.Word128{Lo: r.Uint64(), Hi: r.Uint64()}
-		if fast.Collect(pt, 2) != slow.Collect(pt, 2) {
-			t.Fatalf("fast path diverges at trial %d", i)
-		}
-	}
-}
-
-// fullTracer128 hides the SBoxInputsAppend method to force the slow path.
-type fullTracer128 struct{ c *gift.Cipher128 }
-
-func (f fullTracer128) SBoxInputs(pt bitutil.Word128) []bitutil.Word128 {
-	return f.c.SBoxInputs(pt)
-}
-
 func TestOracle128Validation(t *testing.T) {
 	if _, err := New128(bitutil.Word128{}, Config{ProbeRound: 0, LineWords: 1}); err == nil {
 		t.Fatal("invalid config accepted")
@@ -187,7 +164,7 @@ func TestFlushReloadOnlyOraclesRejectEvictTime(t *testing.T) {
 	if _, err := New128(key, cfg); err == nil {
 		t.Error("New128 accepted ProbeEvictTime")
 	}
-	if _, err := New128FromTracer(fullTracer128{gift.NewCipher128FromWord(key)}, cfg); err == nil {
+	if _, err := New128FromTracer(gift.NewCipher128FromWord(key), cfg); err == nil {
 		t.Error("New128FromTracer accepted ProbeEvictTime")
 	}
 	if _, err := NewPresent(present.NewCipher80([10]byte{}), cfg); err == nil {

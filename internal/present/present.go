@@ -308,13 +308,20 @@ func (c *Cipher128) RoundKeys() []uint64 {
 
 // SBoxInputs mirrors Cipher80.SBoxInputs.
 func (c *Cipher128) SBoxInputs(pt uint64) []uint64 {
-	states := make([]uint64, Rounds)
-	s := pt
-	for r := 0; r < Rounds; r++ {
-		states[r] = s ^ c.rk[r]
-		s = PermBits(SubCells(states[r]))
+	return c.SBoxInputsAppend(make([]uint64, 0, Rounds), pt, Rounds)
+}
+
+// SBoxInputsAppend mirrors Cipher80.SBoxInputsAppend.
+func (c *Cipher128) SBoxInputsAppend(dst []uint64, pt uint64, n int) []uint64 {
+	x := pt
+	for r := 0; r < min(n, Rounds); r++ {
+		if r > 0 {
+			x = PermBits(SubCells(x))
+		}
+		x ^= c.rk[r]
+		dst = append(dst, x)
 	}
-	return states
+	return dst
 }
 
 // RecoverKey80 inverts the PRESENT-80 key schedule from the first two

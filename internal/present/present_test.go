@@ -202,6 +202,38 @@ func TestSBoxInputsConsistent(t *testing.T) {
 	}
 }
 
+// TestSBoxInputs128Consistent checks PRESENT-128's trace the same way:
+// round 1 indexes with pt ⊕ K1, the last index state re-encrypts to the
+// ciphertext, and the append form is the trace truncated.
+func TestSBoxInputs128Consistent(t *testing.T) {
+	c := NewCipher128([16]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
+	rks := c.RoundKeys()
+	pt := uint64(0x0123456789abcdef)
+	states := c.SBoxInputs(pt)
+	if len(states) != Rounds || states[0] != pt^rks[0] {
+		t.Fatalf("%d states, round-1 index state %016x", len(states), states[0])
+	}
+	for r := 1; r < Rounds; r++ {
+		if want := Round(states[r-1], 0) ^ rks[r]; states[r] != want {
+			t.Fatalf("round %d index state %016x, want %016x", r+1, states[r], want)
+		}
+	}
+	if got := PermBits(SubCells(states[Rounds-1])) ^ rks[Rounds]; got != c.EncryptBlock(pt) {
+		t.Fatal("trace-reconstructed ciphertext mismatch")
+	}
+	for n := 0; n <= Rounds+1; n++ {
+		got := c.SBoxInputsAppend(nil, pt, n)
+		if len(got) != min(n, Rounds) {
+			t.Fatalf("n=%d: %d states", n, len(got))
+		}
+		for r := range got {
+			if got[r] != states[r] {
+				t.Fatalf("n=%d: round %d index state %016x, want %016x", n, r+1, got[r], states[r])
+			}
+		}
+	}
+}
+
 func TestPartialDecrypt(t *testing.T) {
 	c := NewCipher80(mustKey80(t, present80KATs[0].key))
 	rks := c.RoundKeys()
