@@ -11,10 +11,11 @@
 //	campaignw -server http://host:8844 -workers 8 -batch 32
 //
 // Determinism: a worker adds no entropy. Job seeds derive from the
-// campaign seed and job index, the job grid is re-expanded locally
-// from the spec in each lease, and results are reported in canonical
-// (timing-free) form — so any fleet of campaignw processes produces
-// the same merged bytes as a single cmd/campaign run.
+// campaign seed and job index, each lease's range of the job grid is
+// expanded locally from the spec it carries, and the coordinator keeps
+// only the canonical (timing-free) line of each reported result — so
+// any fleet of campaignw processes produces the same merged bytes as a
+// single cmd/campaign run.
 //
 // Crash behaviour: a killed worker simply stops heartbeating; its
 // lease expires on the coordinator and the shard re-issues with the

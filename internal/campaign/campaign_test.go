@@ -138,6 +138,61 @@ func TestFaultAxisExpansion(t *testing.T) {
 	}
 }
 
+// TestJobsRangeMatchesNestedOrder pins the canonical order with every
+// axis swept: Jobs equals a plain nested-loop expansion (platforms
+// outermost, trials innermost), and JobsRange(a, b) is exactly
+// Jobs()[a:b] for every range, clipped to the grid.
+func TestJobsRangeMatchesNestedOrder(t *testing.T) {
+	spec := Spec{
+		Name: "all-axes", Kind: "toy", Seed: 9, Trials: 2, Budget: 50,
+		Platforms: []string{"soc", "mpsoc"}, MHz: []uint64{10, 25}, LineWords: []int{1, 2},
+		Flush: []bool{true, false}, ProbeRounds: []int{1, 3},
+		FaultPlans: []faults.Plan{{Name: "a"}, {Name: "b"}, {Name: "c"}},
+	}
+	var want []Point
+	for _, pl := range spec.Platforms {
+		for _, f := range spec.MHz {
+			for _, lw := range spec.LineWords {
+				for _, fl := range spec.Flush {
+					for _, pr := range spec.ProbeRounds {
+						for _, plan := range spec.FaultPlans {
+							for trial := 0; trial < spec.Trials; trial++ {
+								want = append(want, Point{Kind: spec.Kind, Platform: pl, MHz: f, LineWords: lw,
+									Flush: fl, ProbeRound: pr, Fault: plan.Name, Trial: trial})
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	jobs := spec.Jobs()
+	if len(jobs) != len(want) {
+		t.Fatalf("expanded %d jobs, want %d", len(jobs), len(want))
+	}
+	for i, j := range jobs {
+		if j.Index != i || j.Point != want[i] || j.FaultPlan.Name != want[i].Fault || j.Seed != DeriveSeed(spec.Seed, i) {
+			t.Fatalf("job %d = %+v, want point %+v", i, j, want[i])
+		}
+	}
+	n := len(jobs)
+	for a := -1; a <= n+1; a++ {
+		for b := a - 1; b <= n+1; b++ {
+			got := spec.JobsRange(a, b)
+			lo, hi := min(max(a, 0), n), min(max(b, 0), n)
+			if lo >= hi {
+				if len(got) != 0 {
+					t.Fatalf("JobsRange(%d, %d) expanded %d jobs, want none", a, b, len(got))
+				}
+				continue
+			}
+			if !reflect.DeepEqual(got, jobs[lo:hi]) {
+				t.Fatalf("JobsRange(%d, %d) differs from Jobs()[%d:%d]", a, b, lo, hi)
+			}
+		}
+	}
+}
+
 // TestSpecValidatesFaultAxis covers the axis-level rejections: invalid
 // plans, missing and duplicate names, negative retry attempts.
 func TestSpecValidatesFaultAxis(t *testing.T) {

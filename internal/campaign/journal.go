@@ -23,11 +23,12 @@ type journalHeader struct {
 // Journal is an append-only, header-pinned checkpoint log of Results:
 // the campaign journal of a Run and, in campaignd, the journal of one
 // shard. The first line is the header; every completed job is recorded
-// as one JSON line (the same Result record the sinks receive). On
-// resume the log is read back and the recorded jobs are not
-// re-executed. Each append is a single write, so an interrupted run
-// loses at most the in-flight jobs; a torn final line from a hard kill
-// is detected, ignored and cut off on load.
+// as its canonical line (CanonicalLine, the bytes the untimed JSONL
+// sink writes). On resume the log is read back and the recorded jobs
+// are not re-executed. Each append — one record or one batch — is a
+// single write, so an interrupted run loses at most the in-flight
+// jobs; a torn final line from a hard kill is detected, ignored and
+// cut off on load.
 type Journal struct {
 	mu sync.Mutex
 	f  *os.File
@@ -97,9 +98,22 @@ func OpenLog[H comparable](path string, hdr H) (_ *Journal, _ map[int]Result, er
 	return j, prior, nil
 }
 
-// Append records one completed job with a single write.
+// Append records one completed job's canonical line (CanonicalLine)
+// with a single write.
 func (j *Journal) Append(r Result) error {
-	return j.appendJSON(r)
+	line, err := CanonicalLine(r)
+	if err != nil {
+		return err
+	}
+	return j.write(line)
+}
+
+// AppendBatch records already encoded canonical lines (CanonicalLine)
+// with a single write, so a batch costs one system call. A crash
+// inside that write leaves a prefix of the lines committed: load keeps
+// every record whose newline landed and cuts off the torn one.
+func (j *Journal) AppendBatch(lines [][]byte) error {
+	return j.write(bytes.Join(lines, nil))
 }
 
 func (j *Journal) appendJSON(v any) error {
@@ -107,9 +121,16 @@ func (j *Journal) appendJSON(v any) error {
 	if err != nil {
 		return err
 	}
+	return j.write(append(b, '\n'))
+}
+
+func (j *Journal) write(b []byte) error {
+	if len(b) == 0 {
+		return nil
+	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if _, err := j.f.Write(append(b, '\n')); err != nil {
+	if _, err := j.f.Write(b); err != nil {
 		return fmt.Errorf("campaign: appending to journal: %w", err)
 	}
 	return nil

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"maps"
 	"os"
@@ -130,6 +131,55 @@ func crashAtEveryOffset[H comparable](t *testing.T, hdr H) {
 			t.Fatalf("offset %d: second reopen holds %d records, want %d", k, len(prior), len(recs))
 		}
 	}
+}
+
+// TestAppendBatchMatchesAppend: one AppendBatch of canonical lines
+// writes the bytes of the same records appended one at a time, and
+// Append stores the canonical projection only.
+func TestAppendBatchMatchesAppend(t *testing.T) {
+	hdr := journalHeader{Campaign: "toy", Fingerprint: "00000000deadbeef", Jobs: 64}
+	recs := journalRecords(64)
+	recs[1].DurationNS, recs[1].Worker = 5100, 3
+	dir := t.TempDir()
+	one, _, err := OpenLog(filepath.Join(dir, "one.journal"), hdr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, _, err := OpenLog(filepath.Join(dir, "batch.journal"), hdr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := make([][]byte, len(recs))
+	for i, r := range recs {
+		if err := one.Append(r); err != nil {
+			t.Fatal(err)
+		}
+		if lines[i], err = CanonicalLine(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := batch.AppendBatch(lines); err != nil {
+		t.Fatal(err)
+	}
+	if err := errors.Join(one.Close(), batch.Close()); err != nil {
+		t.Fatal(err)
+	}
+	a, b := readJournal(t, filepath.Join(dir, "one.journal")), readJournal(t, filepath.Join(dir, "batch.journal"))
+	if !bytes.Equal(a, b) {
+		t.Fatalf("batched journal differs:\n%s\nwant\n%s", b, a)
+	}
+	if bytes.Contains(a, []byte("duration_ns")) || bytes.Contains(a, []byte(`"worker"`)) {
+		t.Fatalf("journal kept execution-specific fields:\n%s", a)
+	}
+}
+
+func readJournal(t *testing.T, path string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // TestJournalLoadsExistingFormat pins the on-disk format: a campaign

@@ -23,6 +23,20 @@ type Sink interface {
 	Close() error
 }
 
+// CanonicalLine encodes r's canonical projection as one JSON line,
+// newline included. It is the only encoder of a deterministic result
+// record: the untimed JSONLSink, the journals and campaignd's shard
+// store all write its bytes, so campaignd's merge — a concatenation of
+// stored lines — is byte-identical to a single-process JSONL run by
+// construction.
+func CanonicalLine(r Result) ([]byte, error) {
+	b, err := json.Marshal(r.Canonical())
+	if err != nil {
+		return nil, err
+	}
+	return append(b, '\n'), nil
+}
+
 // JSONLSink streams one JSON object per line. With Timing false (the
 // default) the per-execution fields (duration, worker) are stripped so
 // the byte stream is identical for any worker count — the serialized
@@ -43,14 +57,17 @@ func (s *JSONLSink) Begin(Spec, int) error {
 
 // Write implements Sink.
 func (s *JSONLSink) Write(r Result) error {
-	if !s.Timing {
-		r = r.Canonical()
+	var b []byte
+	var err error
+	if s.Timing {
+		b, err = json.Marshal(r)
+		b = append(b, '\n')
+	} else {
+		b, err = CanonicalLine(r)
 	}
-	b, err := json.Marshal(r)
 	if err != nil {
 		return err
 	}
-	b = append(b, '\n')
 	_, err = s.bw.Write(b)
 	return err
 }

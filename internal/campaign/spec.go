@@ -122,8 +122,18 @@ func (s Spec) NumJobs() int {
 // and trials innermost. The order — and therefore every job's Index and
 // Seed — is a pure function of the spec, which is what makes journals
 // reusable and results independent of scheduling.
-func (s Spec) Jobs() []Job {
+func (s Spec) Jobs() []Job { return s.JobsRange(0, s.NumJobs()) }
+
+// JobsRange expands only the jobs with indices in [start, end) — a
+// campaignd shard — in the canonical order of Jobs, without
+// materializing the rest of the grid. The range is clipped to
+// [0, NumJobs()].
+func (s Spec) JobsRange(start, end int) []Job {
 	s = s.normalized()
+	start, end = max(start, 0), min(end, s.NumJobs())
+	if start >= end {
+		return nil
+	}
 	platforms := s.Platforms
 	if len(platforms) == 0 {
 		platforms = []string{""}
@@ -153,41 +163,42 @@ func (s Spec) Jobs() []Job {
 		retry = *s.Retry
 	}
 
-	jobs := make([]Job, 0, s.NumJobs())
-	idx := 0
-	for _, pl := range platforms {
-		for _, f := range mhz {
-			for _, lw := range lineWords {
-				for _, fl := range flush {
-					for _, pr := range probeRounds {
-						for _, plan := range plans {
-							for t := 0; t < s.Trials; t++ {
-								jobs = append(jobs, Job{
-									Index: idx,
-									Point: Point{
-										Kind:       s.Kind,
-										Platform:   pl,
-										MHz:        f,
-										LineWords:  lw,
-										Flush:      fl,
-										ProbeRound: pr,
-										Fault:      plan.Name,
-										Trial:      t,
-									},
-									Seed:       DeriveSeed(s.Seed, idx),
-									Budget:     s.Budget,
-									FaultPlan:  plan,
-									Retry:      retry,
-									DeadlinePS: s.DeadlinePS,
-									ScalarPath: s.ScalarPath,
-								})
-								idx++
-							}
-						}
-					}
-				}
-			}
+	// An index is a mixed-radix number over the axes, trials the least
+	// significant digit: peel the digits off innermost first.
+	jobs := make([]Job, 0, end-start)
+	for idx := start; idx < end; idx++ {
+		rest := idx
+		digit := func(n int) int {
+			d := rest % n
+			rest /= n
+			return d
 		}
+		t := digit(s.Trials)
+		plan := plans[digit(len(plans))]
+		pr := probeRounds[digit(len(probeRounds))]
+		fl := flush[digit(len(flush))]
+		lw := lineWords[digit(len(lineWords))]
+		f := mhz[digit(len(mhz))]
+		pl := platforms[digit(len(platforms))]
+		jobs = append(jobs, Job{
+			Index: idx,
+			Point: Point{
+				Kind:       s.Kind,
+				Platform:   pl,
+				MHz:        f,
+				LineWords:  lw,
+				Flush:      fl,
+				ProbeRound: pr,
+				Fault:      plan.Name,
+				Trial:      t,
+			},
+			Seed:       DeriveSeed(s.Seed, idx),
+			Budget:     s.Budget,
+			FaultPlan:  plan,
+			Retry:      retry,
+			DeadlinePS: s.DeadlinePS,
+			ScalarPath: s.ScalarPath,
+		})
 	}
 	return jobs
 }

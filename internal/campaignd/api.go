@@ -151,8 +151,8 @@ type Lease struct {
 	ID       string `json:"id"`
 	Campaign string `json:"campaign"`
 	ShardRange
-	// Spec is the full campaign spec; the worker re-expands the
-	// canonical job grid locally and slices [Start, End) — cheaper and
+	// Spec is the full campaign spec; the worker expands the jobs of
+	// [Start, End) locally (campaign.Spec.JobsRange) — cheaper and
 	// safer than shipping expanded jobs, since expansion is a pure
 	// function of the spec.
 	Spec campaign.Spec `json:"spec"`

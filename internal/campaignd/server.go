@@ -1,6 +1,7 @@
 package campaignd
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -51,9 +52,10 @@ type Options struct {
 const DefaultLeaseTTL = 15 * time.Second
 
 // DefaultMaxInflightIngest is far above what a healthy fleet holds
-// open (ingestion is serialized on the server mutex, so in-flight
-// requests pile up only when the coordinator is overloaded); hitting
-// it means shedding is the right call.
+// open: each worker keeps at most one report in flight, and ingestion
+// holds the server mutex only to dedupe and commit already encoded
+// lines, so requests pile up only when the coordinator is overloaded.
+// Hitting it means shedding is the right call.
 const DefaultMaxInflightIngest = 256
 
 // Server is the coordinator: campaign registry, shard lease manager,
@@ -119,11 +121,16 @@ type shardState struct {
 	worker   string
 	reissues int
 	failed   int
-	results  map[int]campaign.Result
-	journal  *campaign.Journal // nil when memory-only
+	// lines holds each ingested job's canonical line
+	// (campaign.CanonicalLine), indexed by job − rng.Start; nil means
+	// not ingested yet. done counts the non-nil entries. The lines are
+	// the shard's whole result state: the merge concatenates them.
+	lines   [][]byte
+	done    int
+	journal *campaign.Journal // nil when memory-only
 	// encs sums the victim encryptions of ingested (and
 	// journal-replayed) results; latMS observes each live-ingested
-	// result's wall duration before canonicalization strips it.
+	// result's wall duration, which its canonical line does not carry.
 	encs  uint64
 	latMS *metrics.Histogram
 }
@@ -290,7 +297,7 @@ func (s *Server) buildCampaign(id string, req SubmitRequest, dir string) (*campa
 		dir:  dir,
 	}
 	for _, rng := range Partition(jobs, shardSize) {
-		sh := &shardState{rng: rng, state: ShardPending, results: map[int]campaign.Result{}}
+		sh := &shardState{rng: rng, state: ShardPending, lines: make([][]byte, rng.Len())}
 		sh.latMS = s.reg.WallHistogram("campaignd_shard_job_ms",
 			"Per-job wall duration at ingestion, milliseconds, by shard.",
 			metrics.DurationMSBuckets,
@@ -307,24 +314,22 @@ func (s *Server) buildCampaign(id string, req SubmitRequest, dir string) (*campa
 			return nil, err
 		}
 		sh.journal = j
-		// Keep the in-range records, count failures and detect
-		// completion by walking the range in index order
-		// (deterministic, and validates coverage).
-		complete := true
+		// Keep the in-range records, re-encoded through the one line
+		// encoder, count failures and detect completion by walking the
+		// range in index order (deterministic, and validates coverage).
 		for i := rng.Start; i < rng.End; i++ {
 			r, ok := prior[i]
 			if !ok {
-				complete = false
 				continue
 			}
-			r = r.Canonical()
-			sh.results[i] = r
-			if r.Failed {
-				sh.failed++
+			line, err := campaign.CanonicalLine(r)
+			if err != nil {
+				c.closeJournals()
+				return nil, err
 			}
-			sh.encs += r.Encryptions
+			sh.commit(i, line, r)
 		}
-		if complete {
+		if sh.done == rng.Len() {
 			sh.state = ShardDone
 		}
 	}
@@ -391,7 +396,7 @@ func (s *Server) sweepLocked() {
 			sh.reissues++
 			s.reissues.Inc()
 			s.logf("lease %s (worker %s, %s %s) expired; shard returned to pending with %d/%d results kept",
-				id, l.worker, l.campaign, sh.rng, len(sh.results), sh.rng.Len())
+				id, l.worker, l.campaign, sh.rng, sh.done, sh.rng.Len())
 		}
 	}
 }
@@ -425,11 +430,12 @@ func (s *Server) Acquire(worker string) LeaseResponse {
 			sh.state = ShardLeased
 			sh.leaseID = l.id
 			sh.worker = worker
-			done := make([]int, 0, len(sh.results))
-			for idx := range sh.results { //grinchvet:ignore maporder key collection; sorted on the next line
-				done = append(done, idx)
+			done := make([]int, 0, sh.done)
+			for k, line := range sh.lines {
+				if line != nil {
+					done = append(done, sh.rng.Start+k)
+				}
 			}
-			sort.Ints(done)
 			s.logf("lease %s: %s %s → worker %s (%d results already ingested)", l.id, id, sh.rng, worker, len(done))
 			return LeaseResponse{Lease: &Lease{
 				ID:         l.id,
@@ -500,47 +506,82 @@ func (s *Server) Heartbeat(leaseID string) error {
 	return nil
 }
 
-// Ingest records a batch of results against a live lease. Duplicates
-// (re-executions after a re-issue, or a retried batch after a dropped
-// response) are discarded: results are pure functions of (spec,
-// index), so the first ingested copy is as good as any.
+// Ingest records a batch of results against a live lease, all or
+// nothing. Duplicates (re-executions after a re-issue, or a retried
+// batch after a dropped response) are discarded: results are pure
+// functions of (spec, index), so the first ingested copy is as good as
+// any.
+//
+// The batch is validated whole first (a live lease, every job in its
+// shard's range), then encoded outside the server mutex; under it the
+// fresh lines are deduped and committed with one journal write.
 func (s *Server) Ingest(leaseID string, results []campaign.Result) error {
 	s.mu.Lock()
+	_, _, sh, err := s.validLocked(leaseID)
+	s.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	rng := sh.rng // fixed for the shard's lifetime
+	for _, r := range results {
+		if !rng.Contains(r.Job) {
+			return fmt.Errorf("campaignd: lease %s reported job %d outside %s", leaseID, r.Job, rng)
+		}
+	}
+	lines := make([][]byte, len(results))
+	for i, r := range results {
+		if lines[i], err = campaign.CanonicalLine(r); err != nil {
+			return err
+		}
+	}
+
+	s.mu.Lock()
 	defer s.mu.Unlock()
+	// The lease may have expired or been superseded while unlocked.
 	l, _, sh, err := s.validLocked(leaseID)
 	if err != nil {
 		return err
 	}
-	w := s.seenLocked(l.worker)
-	l.expiry = s.now().Add(s.opts.LeaseTTL) // a result batch is as good as a heartbeat
-	for _, r := range results {
-		if !sh.rng.Contains(r.Job) {
-			return fmt.Errorf("campaignd: lease %s reported job %d outside %s", leaseID, r.Job, sh.rng)
-		}
-		// Latency must be read before Canonical strips it.
-		wallNS := r.DurationNS
-		r = r.Canonical()
-		if _, dup := sh.results[r.Job]; dup {
-			s.duplicates.Inc()
+	fresh := make([]int, 0, len(results)) // indices into results
+	batch := make([][]byte, 0, len(results))
+	taken := make(map[int]bool, len(results))
+	for i, r := range results {
+		if sh.lines[r.Job-rng.Start] != nil || taken[r.Job] {
 			continue
 		}
-		if sh.journal != nil {
-			if err := sh.journal.Append(r); err != nil {
-				return err
-			}
-		}
-		sh.results[r.Job] = r
-		if r.Failed {
-			sh.failed++
-		}
-		sh.encs += r.Encryptions
-		if wallNS > 0 {
-			sh.latMS.Observe(uint64(wallNS) / 1e6)
-		}
-		s.resultsIngested.Inc()
-		w.results++
+		taken[r.Job] = true
+		fresh = append(fresh, i)
+		batch = append(batch, lines[i])
 	}
+	if sh.journal != nil && len(batch) > 0 {
+		if err := sh.journal.AppendBatch(batch); err != nil {
+			return err
+		}
+	}
+	w := s.seenLocked(l.worker)
+	l.expiry = s.now().Add(s.opts.LeaseTTL) // a result batch is as good as a heartbeat
+	for _, i := range fresh {
+		r := results[i]
+		sh.commit(r.Job, lines[i], r)
+		if r.DurationNS > 0 {
+			sh.latMS.Observe(uint64(r.DurationNS) / 1e6)
+		}
+	}
+	s.duplicates.Add(uint64(len(results) - len(fresh)))
+	s.resultsIngested.Add(uint64(len(fresh)))
+	w.results += len(fresh)
 	return nil
+}
+
+// commit stores job's canonical line and folds its result into the
+// shard's counts.
+func (sh *shardState) commit(job int, line []byte, r campaign.Result) {
+	sh.lines[job-sh.rng.Start] = line
+	sh.done++
+	if r.Failed {
+		sh.failed++
+	}
+	sh.encs += r.Encryptions
 }
 
 // ApplyTelemetry installs a worker's cumulative metrics delta. Stale
@@ -586,11 +627,13 @@ func (s *Server) Complete(leaseID string) error {
 		}
 		return err
 	}
-	for i := sh.rng.Start; i < sh.rng.End; i++ {
-		if _, ok := sh.results[i]; !ok {
-			s.mu.Unlock()
-			return fmt.Errorf("campaignd: lease %s completed %s with job %d missing", leaseID, sh.rng, i)
+	if sh.done < sh.rng.Len() {
+		missing := sh.rng.Start
+		for sh.lines[missing-sh.rng.Start] != nil {
+			missing++
 		}
+		s.mu.Unlock()
+		return fmt.Errorf("campaignd: lease %s completed %s with job %d missing", leaseID, sh.rng, missing)
 	}
 	delete(s.leases, leaseID)
 	s.completedLeases[leaseID] = true
@@ -618,86 +661,87 @@ func (s *Server) Complete(leaseID string) error {
 	return mergeErr
 }
 
-// mergeLocked folds a fully executed campaign's shard results, in
-// shard order and job-index order within each shard, into the merged
-// JSONL (always) and the submit's Out/CSV files (when set) — the
+// mergeLocked concatenates a fully executed campaign's stored lines,
+// in shard order and job-index order within each shard, into the
+// merged JSONL (always) and the submit's Out file (when set), and
+// decodes them into the CSV file when one is requested — the
 // byte-deterministic projection: identical to a single-process
 // cmd/campaign run of the same spec.
 func (s *Server) mergeLocked(c *campaignState) error {
-	var jsonlBuf deterministicBuffer
-	sinks := []campaign.Sink{&campaign.JSONLSink{W: &jsonlBuf}}
-	var closers []func() error
-	addFile := func(path string, mk func(f *os.File) campaign.Sink) error {
-		if path == "" {
-			return nil
-		}
-		if c.dir != "" && !filepath.IsAbs(path) {
-			path = filepath.Join(c.dir, path)
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		sinks = append(sinks, mk(f))
-		closers = append(closers, f.Close)
-		return nil
-	}
-	if err := addFile(c.req.Out, func(f *os.File) campaign.Sink { return &campaign.JSONLSink{W: f} }); err != nil {
-		return err
-	}
-	if err := addFile(c.req.CSV, func(f *os.File) campaign.Sink { return &campaign.CSVSink{W: f} }); err != nil {
-		return err
-	}
-
 	err := func() error {
-		for _, sink := range sinks {
-			if err := sink.Begin(c.req.Spec, c.jobs); err != nil {
-				return err
-			}
-		}
+		size := 0
 		for _, sh := range c.shards {
-			for i := sh.rng.Start; i < sh.rng.End; i++ {
-				r, ok := sh.results[i]
-				if !ok {
-					return fmt.Errorf("campaignd: merge of %s found job %d missing from %s", c.id, i, sh.rng)
-				}
-				for _, sink := range sinks {
-					if err := sink.Write(r); err != nil {
-						return err
-					}
-				}
+			if sh.done < sh.rng.Len() {
+				return fmt.Errorf("campaignd: merge of %s found %s incomplete (%d/%d jobs)", c.id, sh.rng, sh.done, sh.rng.Len())
+			}
+			for _, line := range sh.lines {
+				size += len(line)
 			}
 		}
-		for _, sink := range sinks {
-			if err := sink.Close(); err != nil {
+		merged := make([]byte, 0, size)
+		for _, sh := range c.shards {
+			for _, line := range sh.lines {
+				merged = append(merged, line...)
+			}
+		}
+		if c.req.Out != "" {
+			if err := os.WriteFile(c.outPath(c.req.Out), merged, 0o666); err != nil {
 				return err
 			}
 		}
+		if c.req.CSV != "" {
+			if err := c.writeCSV(); err != nil {
+				return err
+			}
+		}
+		c.mergedJSONL = merged
 		return nil
 	}()
-	for _, cl := range closers {
-		if cerr := cl(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}
 	if err != nil {
 		c.mergeErr = err.Error()
 		return err
 	}
 	c.merged = true
 	c.mergeErr = ""
-	c.mergedJSONL = jsonlBuf.b
 	s.logf("campaign %s (%s) merged: %d jobs", c.id, c.req.Spec.Name, c.jobs)
 	return nil
 }
 
-// deterministicBuffer is a minimal append-only io.Writer (bytes.Buffer
-// without the unused surface).
-type deterministicBuffer struct{ b []byte }
+// outPath resolves a submit's output path: relative paths land in the
+// campaign's persistence directory when there is one.
+func (c *campaignState) outPath(path string) string {
+	if c.dir != "" && !filepath.IsAbs(path) {
+		return filepath.Join(c.dir, path)
+	}
+	return path
+}
 
-func (d *deterministicBuffer) Write(p []byte) (int, error) {
-	d.b = append(d.b, p...)
-	return len(p), nil
+// writeCSV decodes the stored lines, in merge order, into the submit's
+// CSV file.
+func (c *campaignState) writeCSV() error {
+	f, err := os.Create(c.outPath(c.req.CSV))
+	if err != nil {
+		return err
+	}
+	sink := &campaign.CSVSink{W: f}
+	err = func() error {
+		if err := sink.Begin(c.req.Spec, c.jobs); err != nil {
+			return err
+		}
+		for _, sh := range c.shards {
+			for _, line := range sh.lines {
+				var r campaign.Result
+				if err := json.Unmarshal(line, &r); err != nil {
+					return fmt.Errorf("campaignd: decoding a stored line of %s: %w", c.id, err)
+				}
+				if err := sink.Write(r); err != nil {
+					return err
+				}
+			}
+		}
+		return sink.Close()
+	}()
+	return errors.Join(err, f.Close())
 }
 
 // Statuses returns every campaign's status in submission order,
@@ -741,14 +785,14 @@ func (s *Server) statusLocked(c *campaignState, shards bool) CampaignStatus {
 		snap = s.reg.Snapshot()
 	}
 	for _, sh := range c.shards {
-		st.Done += len(sh.results)
+		st.Done += sh.done
 		st.Failed += sh.failed
 		if shards {
 			row := ShardStatus{
 				ShardRange:  sh.rng,
 				State:       sh.state,
 				Worker:      sh.worker,
-				Done:        len(sh.results),
+				Done:        sh.done,
 				Reissues:    sh.reissues,
 				Encryptions: sh.encs,
 			}

@@ -9,7 +9,7 @@ import (
 // This file is the coordinator's fleet-metrics surface: the Prometheus
 // exposition (GET /metrics) and the machine-readable status
 // (GET /api/v1/status). The job counters in the exposition derive from
-// the shard result maps — the authoritative, deduplicated,
+// the shard line stores — the authoritative, deduplicated,
 // journal-recovered store the merge itself reads — so for a merged
 // campaign, campaignd_jobs_done_total exactly equals the merged JSONL
 // row count (the CI reconciliation in scripts/ci_distributed.sh pins
@@ -54,7 +54,7 @@ func (s *Server) synthSeriesLocked() []metrics.Series {
 		var done, failed, encs uint64
 		shardsBy := map[string]int64{ShardPending: 0, ShardLeased: 0, ShardDone: 0}
 		for _, sh := range c.shards {
-			done += uint64(len(sh.results))
+			done += uint64(sh.done)
 			failed += uint64(sh.failed)
 			encs += sh.encs
 			shardsBy[sh.state]++

@@ -2,16 +2,19 @@
 // campaign service: it leases one shard at a time from a campaignd
 // coordinator, executes the shard's jobs on a local bounded pool
 // (campaign.ExecuteJobs), streams result batches back, and heartbeats
-// to keep the lease alive.
+// to keep the lease alive. Reports are double-buffered: one batch is
+// on the wire while the pool fills the next, so a report round trip
+// stalls the job slots only when it outlasts a whole batch. The last
+// partial batch is reported before the shard's Complete.
 //
-// Determinism is inherited, not re-implemented: the worker re-expands
-// the canonical job grid from the spec in its lease (a pure function
-// of the spec), slices its shard range, skips the indices the lease
-// reports already done, and every result it computes is the same bytes
-// any other node would compute. Crash-safety is the coordinator's
-// journal plus this pull loop: a worker that dies mid-shard simply
-// stops heartbeating, the lease expires, and the next worker resumes
-// the shard where the ingested results end.
+// Determinism is inherited, not re-implemented: the worker expands its
+// shard's range of the canonical job grid from the spec in its lease
+// (campaign.Spec.JobsRange, a pure function of the spec), skips the
+// indices the lease reports already done, and every result it computes
+// is the same bytes any other node would compute. Crash-safety is the
+// coordinator's journal plus this pull loop: a worker that dies
+// mid-shard simply stops heartbeating, the lease expires, and the next
+// worker resumes the shard where the ingested results end.
 package worker
 
 import (
@@ -212,26 +215,33 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 	}
 }
 
-// runShard executes one leased shard: expand, skip done, execute,
-// batch-report, complete. Every round-trip to the coordinator carries
-// the worker's cumulative telemetry delta.
+// runShard executes one leased shard: expand its range, skip done,
+// execute, batch-report, complete. Every round-trip to the coordinator
+// carries the worker's cumulative telemetry delta.
+//
+// Reports are double-buffered: a full batch goes out on its own
+// goroutine while the pool keeps executing into the other buffer, so
+// at most one report is in flight and the job slots stall only when a
+// second batch fills before the first report returns.
 func runShard(ctx context.Context, cfg Config, client *campaignd.Client, m *meter, logf func(string, ...any), l *campaignd.Lease) error {
 	if l.TTLMS <= 0 {
 		// A non-positive TTL cannot fence anything: refuse the lease
 		// loudly instead of dividing it into a panicking ticker.
 		return fmt.Errorf("worker %s: lease %s carries invalid ttl_ms %d (must be positive); refusing the shard", cfg.ID, l.ID, l.TTLMS)
 	}
-	all := l.Spec.Jobs()
-	if l.End > len(all) {
-		return fmt.Errorf("worker %s: lease %s range [%d,%d) exceeds grid size %d", cfg.ID, l.ID, l.Start, l.End, len(all))
+	if n := l.Spec.NumJobs(); l.Start < 0 || l.Start > l.End || l.End > n {
+		return fmt.Errorf("worker %s: lease %s range [%d,%d) is not a range of the %d-job grid; refusing the shard", cfg.ID, l.ID, l.Start, l.End, n)
 	}
-	done := make(map[int]bool, len(l.DoneJobs))
+	done := make([]bool, l.Len())
 	for _, idx := range l.DoneJobs {
-		done[idx] = true
+		if l.Contains(idx) {
+			done[idx-l.Start] = true
+		}
 	}
-	jobs := make([]campaign.Job, 0, l.Len())
-	for _, j := range all[l.Start:l.End] {
-		if !done[j.Index] {
+	all := l.Spec.JobsRange(l.Start, l.End)
+	jobs := all[:0] // filtered in place
+	for _, j := range all {
+		if !done[j.Index-l.Start] {
 			jobs = append(jobs, j)
 		}
 	}
@@ -271,17 +281,15 @@ func runShard(ctx context.Context, cfg Config, client *campaignd.Client, m *mete
 		}
 	}()
 
-	// flush reports the pending batch, persistently: each round is a
-	// full client call (which retries transient failures internally);
-	// if a round still fails, the worker backs off and tries again up
-	// to FlushRetries rounds instead of abandoning a shard whose
-	// results it already computed. The batch is only cleared on
-	// success, and the server dedupes by job index, so a response lost
-	// after the commit costs one duplicate round-trip, never a
-	// double-count. A revoked lease or cancelled shard stops the
-	// persistence immediately — those failures cannot heal.
-	batch := make([]campaign.Result, 0, cfg.Batch)
-	flush := func() error {
+	// flush reports one batch, persistently: each round is a full
+	// client call (which retries transient failures internally); if a
+	// round still fails, the worker backs off and tries again up to
+	// FlushRetries rounds instead of abandoning a shard whose results
+	// it already computed. The server dedupes by job index, so a
+	// response lost after the commit costs one duplicate round-trip,
+	// never a double-count. A revoked lease or cancelled shard stops
+	// the persistence immediately — those failures cannot heal.
+	flush := func(batch []campaign.Result) error {
 		if len(batch) == 0 {
 			return nil
 		}
@@ -290,7 +298,6 @@ func runShard(ctx context.Context, cfg Config, client *campaignd.Client, m *mete
 			err = client.ReportDelta(l.ID, batch, cfg.ID, m.delta())
 			if err == nil {
 				m.batches.Inc()
-				batch = batch[:0]
 				return nil
 			}
 			if errors.Is(err, campaignd.ErrLeaseGone) || shardCtx.Err() != nil {
@@ -314,23 +321,54 @@ func runShard(ctx context.Context, cfg Config, client *campaignd.Client, m *mete
 			}
 		}
 	}
+	// inflight carries the outcome of the report on the wire (nil: none
+	// is). A failed report cancels the shard at once, as a synchronous
+	// flush failing inside the pool callback would.
+	var inflight chan error
+	awaitReport := func() error {
+		if inflight == nil {
+			return nil
+		}
+		err := <-inflight
+		inflight = nil
+		return err
+	}
+	batch := make([]campaign.Result, 0, cfg.Batch)
+	spare := make([]campaign.Result, 0, cfg.Batch)
 	execErr := campaign.ExecuteJobs(shardCtx, jobs, cfg.Exec, cfg.Workers, func(r campaign.Result) error {
 		m.result(r)
 		batch = append(batch, r)
-		if len(batch) >= cfg.Batch {
-			return flush()
+		if len(batch) < cfg.Batch {
+			return nil
 		}
+		if err := awaitReport(); err != nil {
+			return err
+		}
+		out := batch
+		batch, spare = spare[:0], out
+		inflight = make(chan error, 1)
+		go func(ch chan<- error) {
+			err := flush(out)
+			if err != nil {
+				stopShard(err)
+			}
+			ch <- err
+		}(inflight)
 		return nil
 	})
+	reportErr := awaitReport()
 	stopShard(nil)
 	<-hbDone
 	if cause := context.Cause(shardCtx); errors.Is(cause, campaignd.ErrLeaseGone) {
 		return campaignd.ErrLeaseGone
 	}
+	if reportErr != nil {
+		return reportErr
+	}
 	if execErr != nil {
 		return execErr
 	}
-	if err := flush(); err != nil {
+	if err := flush(batch); err != nil {
 		return err
 	}
 	// Count the shard before snapshotting the delta: the complete

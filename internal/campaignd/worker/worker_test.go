@@ -2,11 +2,16 @@ package worker
 
 import (
 	"context"
+	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"grinch/internal/campaign"
 	"grinch/internal/campaignd"
+	"grinch/internal/obs"
 )
 
 // TestRunShardRejectsNonPositiveTTL pins the ticker-panic fix at the
@@ -21,6 +26,98 @@ func TestRunShardRejectsNonPositiveTTL(t *testing.T) {
 			t.Fatalf("ttl_ms=%d: err = %v, want an invalid-TTL refusal", ttl, err)
 		}
 	}
+}
+
+// TestRunShardRejectsMalformedRange: a lease whose range is not a
+// range of its spec's grid (negative start, start past end, end past
+// the grid) is refused with an error before the worker expands or
+// touches anything, instead of panicking in make or in slicing.
+func TestRunShardRejectsMalformedRange(t *testing.T) {
+	spec := campaign.Spec{Name: "tiny", Kind: "toy", Seed: 1, Trials: 8}
+	for _, rng := range []campaignd.ShardRange{
+		{Start: -1, End: 4},
+		{Start: 3, End: 1},
+		{Start: 6, End: 9},
+	} {
+		l := &campaignd.Lease{ID: "L1", ShardRange: rng, Spec: spec, TTLMS: 1000}
+		err := runShard(context.Background(), Config{ID: "w-unit"}, nil, newMeter(), func(string, ...any) {}, l)
+		if err == nil || !strings.Contains(err.Error(), "not a range of the 8-job grid") {
+			t.Fatalf("range [%d,%d): err = %v, want a malformed-range refusal", rng.Start, rng.End, err)
+		}
+	}
+}
+
+// TestOneReportInFlight: a worker never has two reports on the wire,
+// reports nothing after Complete, and keeps executing while a report is
+// in flight — with one pool slot, more than one job per report starts
+// during the report round trips (a synchronous flush allows at most the
+// one job already dispatched).
+func TestOneReportInFlight(t *testing.T) {
+	srv, err := campaignd.NewServer(campaignd.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	spec := campaign.Spec{Name: "overlap", Kind: "toy", Seed: 1, Trials: 64}
+	resp, err := srv.Submit(campaignd.SubmitRequest{Spec: spec, ShardSize: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var completed atomic.Bool
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case campaignd.PathResults:
+			if completed.Load() {
+				t.Error("a report arrived after Complete")
+			}
+			time.Sleep(5 * time.Millisecond) // a slow coordinator
+		case campaignd.PathComplete:
+			completed.Store(true)
+		}
+		srv.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+	rt := &reportCounter{next: http.DefaultTransport}
+	exec := func(j campaign.Job, _ obs.Tracer) (campaign.Measurement, error) {
+		if rt.inflight.Load() > 0 {
+			rt.overlapped.Add(1)
+		}
+		time.Sleep(time.Millisecond)
+		return campaign.Measurement{Encryptions: uint64(j.Index)}, nil
+	}
+	err = Run(context.Background(), Config{Server: ts.URL, ID: "w", Exec: exec, Workers: 1, Batch: 4,
+		Poll: 5 * time.Millisecond, Drain: true, Transport: rt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := srv.Status(resp.ID); st.State != campaignd.CampaignMerged || st.Done != 64 {
+		t.Fatalf("campaign %s with %d/64 jobs, want merged", st.State, st.Done)
+	}
+	if m := rt.max.Load(); m != 1 {
+		t.Fatalf("%d reports in flight at once, want 1", m)
+	}
+	if o, n := rt.overlapped.Load(), rt.reports.Load(); o <= n {
+		t.Fatalf("%d jobs started during %d report round trips; the pool stalled on each report", o, n)
+	}
+}
+
+// reportCounter is a worker transport that tracks the report round
+// trips on the wire.
+type reportCounter struct {
+	next                               http.RoundTripper
+	inflight, max, reports, overlapped atomic.Int32
+}
+
+func (c *reportCounter) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.URL.Path != campaignd.PathResults {
+		return c.next.RoundTrip(r)
+	}
+	c.reports.Add(1)
+	n := c.inflight.Add(1)
+	defer c.inflight.Add(-1)
+	for m := c.max.Load(); n > m && !c.max.CompareAndSwap(m, n); m = c.max.Load() {
+	}
+	return c.next.RoundTrip(r)
 }
 
 // TestMeterRetryAccounting pins the retry telemetry: per-class
