@@ -55,14 +55,15 @@ bench:
 # (attack hot path, full-key recovery on each cipher, campaign
 # orchestration, and the Table II platform race on the simulation
 # kernel and NoC) parsed into
-# BENCH_baseline.json via cmd/benchjson. Values are machine-dependent;
+# BENCH_baseline.json via cmd/benchjson, with -benchmem so every entry
+# carries B/op and allocs/op next to ns/op. Values are machine-dependent;
 # the committed file records the reference machine's numbers. Override
 # BENCH_OUT to write elsewhere (the regression guard measures into a
 # scratch file instead of clobbering the baseline).
 BENCH_OUT ?= BENCH_baseline.json
 bench-json:
 	$(GO) test -bench 'BenchmarkAttackNilTracer$$|BenchmarkAttackNilMetrics$$|BenchmarkAttackMetrics$$|BenchmarkTable1$$|BenchmarkTable1Campaign$$|BenchmarkExtension_FullRecoveryByCipher$$|BenchmarkTable2$$|BenchmarkPlatformSession$$' \
-		-benchtime 3x -run XXX . ./internal/experiments/ | \
+		-benchtime 3x -benchmem -run XXX . ./internal/experiments/ | \
 		$(GO) run ./cmd/benchjson -o $(BENCH_OUT)
 
 # Perf-regression gate: re-measure the benchmark set and fail on any

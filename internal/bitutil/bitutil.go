@@ -186,87 +186,13 @@ func transposePass(a *[64]uint64, j int, m uint64) {
 	}
 }
 
-// PermGroup is one rotation class of a compiled 64-bit permutation:
-// every input bit selected by Mask moves by the same distance, so the
-// whole class is applied with one masked rotate.
-type PermGroup struct {
-	Mask uint64
-	Rot  uint8
-}
-
-// CompilePerm64 preprocesses a 64-entry permutation table (output bit
-// perm[i] receives input bit i) into its rotation classes: input bits
-// are grouped by displacement perm[i]-i (mod 64), giving one (mask,
-// rotate) pair per distinct displacement. Applying the compiled form
-// costs three word ops per class — for GIFT-64's permutation, 25
-// classes — instead of one masked shift-OR per bit, and it is
-// branch-free on the data.
-func CompilePerm64(perm *[64]uint8) []PermGroup {
-	var masks [64]uint64
-	for i := uint(0); i < 64; i++ {
-		masks[(uint(perm[i])-i)&63] |= 1 << i
-	}
-	return permGroups(&masks)
-}
-
-// permGroups turns per-displacement masks into the non-empty rotation
-// classes, in displacement order.
-func permGroups(masks *[64]uint64) []PermGroup {
-	var groups []PermGroup
-	for d, m := range masks {
-		if m != 0 {
-			groups = append(groups, PermGroup{Mask: m, Rot: uint8(d)})
-		}
-	}
-	return groups
-}
-
-// ApplyPerm64 applies a permutation compiled by CompilePerm64. The
-// rotation never wraps a selected bit past its target: targets lie in
-// 0..63 by construction, so the masked rotate lands every bit exactly
-// where the table sends it.
-func ApplyPerm64(x uint64, groups []PermGroup) uint64 {
-	var out uint64
-	for _, g := range groups {
-		out |= bits.RotateLeft64(x&g.Mask, int(g.Rot))
-	}
-	return out
-}
-
-// Perm128 is a 128-entry bit permutation compiled by CompilePerm128:
-// the rotation classes of every (source half, destination half) pair,
-// indexed [src][dst] with half 0 = Lo and 1 = Hi.
-type Perm128 [2][2][]PermGroup
-
-// CompilePerm128 preprocesses a 128-entry permutation table (output
-// bit perm[i] receives input bit i) into rotation classes. Within one
-// (source half, destination half) pair every bit moves between 64-bit
-// words, so it is grouped by its displacement modulo 64 exactly as
-// CompilePerm64 does; GIFT-128's permutation has 16 classes per pair.
-func CompilePerm128(perm *[128]uint8) Perm128 {
-	var masks [2][2][64]uint64
-	for i := uint(0); i < 128; i++ {
-		p := uint(perm[i])
-		masks[i/64][p/64][(p-i)&63] |= 1 << (i & 63)
-	}
-	var c Perm128
-	for src := range masks {
-		for dst := range masks[src] {
-			c[src][dst] = permGroups(&masks[src][dst])
-		}
-	}
-	return c
-}
-
-// ApplyPerm128 applies a permutation compiled by CompilePerm128,
-// branch-free on the data.
-//
-//grinch:secret w return
-func ApplyPerm128(w Word128, p *Perm128) Word128 {
-	return Word128{
-		Lo: ApplyPerm64(w.Lo, p[0][0]) | ApplyPerm64(w.Hi, p[1][0]),
-		Hi: ApplyPerm64(w.Lo, p[0][1]) | ApplyPerm64(w.Hi, p[1][1]),
-	}
+// DeltaSwap exchanges the bits of x selected by m with the bits d
+// places above them (m must not overlap m<<d): the branch-free building
+// block of the cipher bit permutations, each a short network of delta
+// swaps with constant masks (Hacker's Delight §7-5).
+func DeltaSwap(x, m uint64, d uint) uint64 {
+	t := (x ^ x>>d) & m
+	return x ^ t ^ t<<d
 }
 
 // InvertPerm64 returns the inverse of a 64-entry permutation table.

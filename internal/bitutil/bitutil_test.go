@@ -161,9 +161,9 @@ func TestWord128BytesRoundTrip(t *testing.T) {
 	}
 }
 
-// PermuteBits64 is the per-bit reference for the compiled permutations:
-// output bit perm[i] receives input bit i. It is exported so the
-// external test package can compare the cipher tables against it.
+// PermuteBits64 is the per-bit reference for the cipher permutation
+// networks: output bit perm[i] receives input bit i. It is exported so
+// the external test package can compare the networks against it.
 func PermuteBits64(x uint64, perm *[64]uint8) uint64 {
 	var out uint64
 	for i := uint(0); i < 64; i++ {
@@ -335,48 +335,5 @@ func TestTranspose64Involution(t *testing.T) {
 	Transpose64(&b)
 	if a != b {
 		t.Fatal("Transpose64 applied twice did not restore the input")
-	}
-}
-
-func TestCompilePerm64MatchesTableWalk(t *testing.T) {
-	// The GIFT-64 and PRESENT permutations' closed forms, plus the
-	// identity and a full reversal, exercise one-class, many-class and
-	// wraparound rotation groupings.
-	var gift64, present, ident, rev [64]uint8
-	for i := 0; i < 64; i++ {
-		gift64[i] = uint8(4*(i/16) + 16*((3*((i%16)/4)+i%4)%4) + i%4)
-		present[i] = uint8(i * 16 % 63)
-		ident[i] = uint8(i)
-		rev[i] = uint8(63 - i)
-	}
-	present[63] = 63
-	for name, perm := range map[string]*[64]uint8{
-		"gift64": &gift64, "present": &present, "identity": &ident, "reversal": &rev,
-	} {
-		groups := CompilePerm64(perm)
-		x := uint64(0x0123456789abcdef)
-		for i := 0; i < 200; i++ {
-			if got, want := ApplyPerm64(x, groups), PermuteBits64(x, perm); got != want {
-				t.Fatalf("%s: ApplyPerm64(%#x) = %#x, want %#x", name, x, got, want)
-			}
-			x = x*0x9e3779b97f4a7c15 + 1
-		}
-	}
-}
-
-func TestCompilePerm64ClassMasksPartition(t *testing.T) {
-	var perm [64]uint8
-	for i := 0; i < 64; i++ {
-		perm[i] = uint8(4*(i/16) + 16*((3*((i%16)/4)+i%4)%4) + i%4)
-	}
-	var union uint64
-	for _, g := range CompilePerm64(&perm) {
-		if union&g.Mask != 0 {
-			t.Fatalf("rotation class masks overlap at %#x", union&g.Mask)
-		}
-		union |= g.Mask
-	}
-	if union != ^uint64(0) {
-		t.Fatalf("rotation class masks cover %#x, want all 64 bits", union)
 	}
 }

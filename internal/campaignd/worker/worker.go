@@ -287,9 +287,11 @@ func runShard(ctx context.Context, cfg Config, client *campaignd.Client, m *mete
 	// FlushRetries rounds instead of abandoning a shard whose results
 	// it already computed. The server dedupes by job index, so a
 	// response lost after the commit costs one duplicate round-trip,
-	// never a double-count. A revoked lease or cancelled shard stops
-	// the persistence immediately — those failures cannot heal.
-	flush := func(batch []campaign.Result) error {
+	// never a double-count. A revoked lease or a done ctx stops the
+	// persistence immediately — those failures cannot heal. Batches
+	// reported mid-shard run under shardCtx; the final batch runs under
+	// the worker's ctx, since shardCtx is stopped by then.
+	flush := func(ctx context.Context, batch []campaign.Result) error {
 		if len(batch) == 0 {
 			return nil
 		}
@@ -300,7 +302,7 @@ func runShard(ctx context.Context, cfg Config, client *campaignd.Client, m *mete
 				m.batches.Inc()
 				return nil
 			}
-			if errors.Is(err, campaignd.ErrLeaseGone) || shardCtx.Err() != nil {
+			if errors.Is(err, campaignd.ErrLeaseGone) || ctx.Err() != nil {
 				return err
 			}
 			if round >= cfg.FlushRetries {
@@ -313,11 +315,8 @@ func runShard(ctx context.Context, cfg Config, client *campaignd.Client, m *mete
 			m.flushRetry(wait)
 			logf("worker %s: lease %s: flush round %d failed (%v); holding %d results and retrying in %s",
 				cfg.ID, l.ID, round, err, len(batch), wait)
-			if !sleepCtx(shardCtx, wait) {
-				if cause := context.Cause(shardCtx); cause != nil {
-					return cause
-				}
-				return shardCtx.Err()
+			if !sleepCtx(ctx, wait) {
+				return context.Cause(ctx)
 			}
 		}
 	}
@@ -348,7 +347,7 @@ func runShard(ctx context.Context, cfg Config, client *campaignd.Client, m *mete
 		batch, spare = spare[:0], out
 		inflight = make(chan error, 1)
 		go func(ch chan<- error) {
-			err := flush(out)
+			err := flush(shardCtx, out)
 			if err != nil {
 				stopShard(err)
 			}
@@ -368,7 +367,7 @@ func runShard(ctx context.Context, cfg Config, client *campaignd.Client, m *mete
 	if execErr != nil {
 		return execErr
 	}
-	if err := flush(batch); err != nil {
+	if err := flush(ctx, batch); err != nil {
 		return err
 	}
 	// Count the shard before snapshotting the delta: the complete

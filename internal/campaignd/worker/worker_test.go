@@ -101,6 +101,50 @@ func TestOneReportInFlight(t *testing.T) {
 	}
 }
 
+// TestFinalFlushRetries: the last partial batch of a shard gets the
+// full FlushRetries budget with backoff, like every earlier batch. The
+// shard context is already stopped when that batch goes out, so the
+// final flush must not read it as a cancellation: two refused reports
+// (one client attempt each) must end in a merged campaign, not in
+// Run returning the 503.
+func TestFinalFlushRetries(t *testing.T) {
+	srv, err := campaignd.NewServer(campaignd.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	spec := campaign.Spec{Name: "final-flush", Kind: "toy", Seed: 1, Trials: 6}
+	resp, err := srv.Submit(campaignd.SubmitRequest{Spec: spec, ShardSize: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var refused atomic.Int32
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == campaignd.PathResults && refused.Add(1) <= 2 {
+			http.Error(w, "coordinator restarting", http.StatusServiceUnavailable)
+			return
+		}
+		srv.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+	exec := func(j campaign.Job, _ obs.Tracer) (campaign.Measurement, error) {
+		return campaign.Measurement{Encryptions: uint64(j.Index)}, nil
+	}
+	// Batch exceeds the shard, so the only report is the final flush.
+	err = Run(context.Background(), Config{Server: ts.URL, ID: "w", Exec: exec, Workers: 1, Batch: 64,
+		Poll: 5 * time.Millisecond, Drain: true, FlushRetries: 5,
+		Retry: &campaignd.RetryPolicy{Report: -1}})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if n := refused.Load(); n != 3 {
+		t.Fatalf("%d report round trips, want 2 refused and 1 accepted", n)
+	}
+	if st, _ := srv.Status(resp.ID); st.State != campaignd.CampaignMerged || st.Done != 6 {
+		t.Fatalf("campaign %s with %d/6 jobs, want merged", st.State, st.Done)
+	}
+}
+
 // reportCounter is a worker transport that tracks the report round
 // trips on the wire.
 type reportCounter struct {

@@ -3,6 +3,7 @@ package gift
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"grinch/internal/bitutil"
 )
@@ -126,22 +127,57 @@ func InvSubCells128(s bitutil.Word128) bitutil.Word128 {
 	return bitutil.Word128{Lo: InvSubCells64(s.Lo), Hi: InvSubCells64(s.Hi)}
 }
 
-// perm128Groups and invPerm128Groups are the permutation tables
-// compiled into rotation classes (16 per half pair for GIFT-128),
-// branch-free like their GIFT-64 counterparts.
-var (
-	perm128Groups    = bitutil.CompilePerm128(&Perm128)
-	invPerm128Groups = bitutil.CompilePerm128(&InvPerm128)
-)
-
-// PermBits128 applies the GIFT-128 bit permutation.
+// PermBits128 applies the GIFT-128 bit permutation. Writing bit i as
+// 16a+4b+c (a < 8), P128 sends it to 32((c−b) mod 4)+4a+c. The network
+// transposes the nibbles of each half as GIFT-64 does (16b+4a+c), moves
+// b to the top with the cross-word index swaps 4↔6 and 5↔6
+// (32b+4a+c), then reflects the 32-bit rows of each slice c, row
+// r → c−r.
+//
+//grinch:secret s return
 func PermBits128(s bitutil.Word128) bitutil.Word128 {
-	return bitutil.ApplyPerm128(s, &perm128Groups)
+	lo, hi := crossSwap(transposeNibbles(s.Lo), transposeNibbles(s.Hi), 0x0000ffff0000ffff, 16)
+	return reflectRows128(crossSwap(lo, hi, 0x00000000ffffffff, 32))
 }
 
-// InvPermBits128 applies the inverse bit permutation.
+// InvPermBits128 applies the inverse bit permutation: the steps of
+// PermBits128 undone in reverse order (the row reflection is an
+// involution).
+//
+//grinch:secret s return
 func InvPermBits128(s bitutil.Word128) bitutil.Word128 {
-	return bitutil.ApplyPerm128(s, &invPerm128Groups)
+	s = reflectRows128(s.Lo, s.Hi)
+	lo, hi := crossSwap(s.Lo, s.Hi, 0x00000000ffffffff, 32)
+	lo, hi = crossSwap(lo, hi, 0x0000ffff0000ffff, 16)
+	return bitutil.Word128{Lo: transposeNibbles(lo), Hi: transposeNibbles(hi)}
+}
+
+// crossSwap is a delta swap across the two halves of a 128-bit word:
+// it exchanges the bits of hi selected by m with the bits of lo d
+// places above them.
+//
+//grinch:secret lo hi
+func crossSwap(lo, hi, m uint64, d uint) (uint64, uint64) {
+	t := (lo>>d ^ hi) & m
+	return lo ^ t<<d, hi ^ t
+}
+
+// reflectRows128 moves each bit of slice c of hi‖lo from 32-bit row r
+// to row (c−r) mod 4, rows 0..3 being the low and high halves of lo,
+// then of hi. Slices 0 and 2 keep a row's half (of the same or the
+// other word) and slices 1 and 3 switch it, so each output word is four
+// masked terms of lo, hi and their 32-bit rotations. It is an
+// involution.
+//
+//grinch:secret lo hi
+func reflectRows128(lo, hi uint64) bitutil.Word128 {
+	const same, other = 0x4444444411111111, 0x1111111144444444
+	const m1, m3 = 0x2222222222222222, 0x8888888888888888
+	x, y := bits.RotateLeft64(lo, 32), bits.RotateLeft64(hi, 32)
+	return bitutil.Word128{
+		Lo: lo&same | hi&other | x&m1 | y&m3,
+		Hi: hi&same | lo&other | y&m1 | x&m3,
+	}
 }
 
 // AddRoundKey128 XORs the round key into the state: u_i into bit 4i+2,

@@ -3,6 +3,7 @@ package gift
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"grinch/internal/bitutil"
 )
@@ -149,22 +150,44 @@ func InvSubCells64(s uint64) uint64 {
 	return out
 }
 
-// perm64Groups and invPerm64Groups are the permutation tables compiled
-// into rotation classes (25 each for GIFT-64) — same output as the
-// per-bit table walk at roughly a third of the cost, still branch-free.
-var (
-	perm64Groups    = bitutil.CompilePerm64(&Perm64)
-	invPerm64Groups = bitutil.CompilePerm64(&InvPerm64)
-)
-
-// PermBits64 applies the GIFT-64 bit permutation.
+// PermBits64 applies the GIFT-64 bit permutation. Writing bit i as
+// 16a+4b+c, P64 sends it to 16((c−b) mod 4)+4a+c, since 3b ≡ −b
+// (mod 4). That is two branch-free steps with constant masks: transpose
+// the nibble matrix (16a+4b+c → 16b+4a+c), then reflect the 16-bit
+// rows of each slice c (the bits with i mod 4 = c), row r → c−r.
+//
+//grinch:secret s
 func PermBits64(s uint64) uint64 {
-	return bitutil.ApplyPerm64(s, perm64Groups)
+	return reflectRows64(transposeNibbles(s))
 }
 
-// InvPermBits64 applies the inverse bit permutation.
+// InvPermBits64 applies the inverse bit permutation. Both steps of
+// PermBits64 are involutions, so it runs them in reverse order.
+//
+//grinch:secret s
 func InvPermBits64(s uint64) uint64 {
-	return bitutil.ApplyPerm64(s, invPerm64Groups)
+	return transposeNibbles(reflectRows64(s))
+}
+
+// transposeNibbles transposes the 4×4 matrix of nibbles in x, moving
+// segment 4a+b to segment 4b+a: two delta swaps exchange index bits
+// 2↔4 and 3↔5. It is an involution.
+//
+//grinch:secret x
+func transposeNibbles(x uint64) uint64 {
+	x = bitutil.DeltaSwap(x, 0x0000f0f00000f0f0, 12)
+	return bitutil.DeltaSwap(x, 0x00000000ff00ff00, 24)
+}
+
+// reflectRows64 moves each bit of slice c from 16-bit row r to row
+// (c−r) mod 4: negating the row (swapping rows 1 and 3) and rotating
+// slice c left by 16c, fused into four masked rotates, one per net
+// rotation. It is an involution.
+//
+//grinch:secret x
+func reflectRows64(x uint64) uint64 {
+	return x&0x4444111144441111 | bits.RotateLeft64(x&0x8888222288882222, 16) |
+		bits.RotateLeft64(x&0x1111444411114444, 32) | bits.RotateLeft64(x&0x2222888822228888, 48)
 }
 
 // AddRoundKey64 XORs the round key and round constant into the state:

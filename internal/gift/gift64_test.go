@@ -296,3 +296,17 @@ func TestAvalanche64(t *testing.T) {
 		t.Fatalf("average avalanche %.2f bits, want ≈32", avg)
 	}
 }
+
+// sinkState keeps benchmarked results live.
+var sinkState uint64
+
+// BenchmarkPermBits64 chains the GIFT-64 permutation network, as
+// BenchmarkPermBits128 chains the GIFT-128 one.
+func BenchmarkPermBits64(b *testing.B) {
+	s := uint64(0x0123456789abcdef)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s = PermBits64(s)
+	}
+	sinkState = s
+}

@@ -77,21 +77,28 @@ func InvSubCells(s uint64) uint64 {
 	return out
 }
 
-// permGroups and invPermGroups are the pLayer tables compiled into
-// rotation classes (31 each), as GIFT-64 compiles its permutation.
-var (
-	permGroups    = bitutil.CompilePerm64(&Perm)
-	invPermGroups = bitutil.CompilePerm64(&InvPerm)
-)
-
-// PermBits applies the PRESENT pLayer.
+// PermBits applies the PRESENT pLayer. Bit 4s+k moves to
+// 16(4s+k) mod 63 = 16k+s: the pLayer transposes the 16×4 matrix of
+// segments by bit positions, which four delta swaps do by exchanging
+// index bits 0↔2, 1↔3, 2↔4 and 3↔5.
+//
+//grinch:secret s
 func PermBits(s uint64) uint64 {
-	return bitutil.ApplyPerm64(s, permGroups)
+	s = bitutil.DeltaSwap(s, 0x0a0a0a0a0a0a0a0a, 3)
+	s = bitutil.DeltaSwap(s, 0x00cc00cc00cc00cc, 6)
+	s = bitutil.DeltaSwap(s, 0x0000f0f00000f0f0, 12)
+	return bitutil.DeltaSwap(s, 0x00000000ff00ff00, 24)
 }
 
-// InvPermBits applies the inverse pLayer.
+// InvPermBits applies the inverse pLayer: the same swaps in reverse
+// order.
+//
+//grinch:secret s
 func InvPermBits(s uint64) uint64 {
-	return bitutil.ApplyPerm64(s, invPermGroups)
+	s = bitutil.DeltaSwap(s, 0x00000000ff00ff00, 24)
+	s = bitutil.DeltaSwap(s, 0x0000f0f00000f0f0, 12)
+	s = bitutil.DeltaSwap(s, 0x00cc00cc00cc00cc, 6)
+	return bitutil.DeltaSwap(s, 0x0a0a0a0a0a0a0a0a, 3)
 }
 
 // Round applies one PRESENT round: addRoundKey, sBoxLayer, pLayer.
