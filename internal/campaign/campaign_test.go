@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"grinch/internal/faults"
@@ -588,6 +590,79 @@ func (c *cancelAfter) Write(Result) error {
 }
 
 func (c *cancelAfter) Close() error { return nil }
+
+// failingSink refuses every Write.
+type failingSink struct{}
+
+func (failingSink) Begin(Spec, int) error { return nil }
+func (failingSink) Write(Result) error    { return errors.New("disk full") }
+func (failingSink) Close() error          { return nil }
+
+// TestSinkErrorStopsDispatch: a sink write error stops dispatch at
+// once, so the pool drains the jobs in flight and runs no more of the
+// grid. Every job but 0 waits until job 0 has executed, so the first
+// Write (index order) comes within a few jobs.
+func TestSinkErrorStopsDispatch(t *testing.T) {
+	spec := Spec{Name: "stop", Kind: "toy", Seed: 5, Trials: 64}
+	const workers = 2
+	var ran atomic.Int32
+	first := make(chan struct{})
+	exec := func(job Job, tr obs.Tracer) (Measurement, error) {
+		ran.Add(1)
+		if job.Index == 0 {
+			defer close(first)
+		} else {
+			<-first
+		}
+		return toyExec(job, tr)
+	}
+	rep, err := Run(context.Background(), spec, exec, Options{Workers: workers, Sinks: []Sink{failingSink{}}})
+	if err == nil || !strings.Contains(err.Error(), "disk full") {
+		t.Fatalf("Run = %v, want the sink's error", err)
+	}
+	if n := ran.Load(); n > 2*workers+1 {
+		t.Fatalf("executor ran %d of %d jobs after the first sink write failed, want at most %d", n, spec.NumJobs(), 2*workers+1)
+	}
+	if rep.Delivered != 0 {
+		t.Fatalf("delivered %d results through a failing sink", rep.Delivered)
+	}
+}
+
+// TestTraceKeepsFailedJobEvents: a job that errors or panics after
+// emitting still delivers its buffered events, in index order.
+func TestTraceKeepsFailedJobEvents(t *testing.T) {
+	exec := func(job Job, tr obs.Tracer) (Measurement, error) {
+		tr.Emit(obs.Event{Kind: obs.KindEncryptionStart, Enc: 1})
+		switch job.Index % 3 {
+		case 1:
+			return Measurement{}, errors.New("failed")
+		case 2:
+			panic("boom")
+		}
+		return Measurement{}, nil
+	}
+	var buf bytes.Buffer
+	w := obs.NewWriter(&buf)
+	rep, err := Run(context.Background(), testSpec(), exec, Options{Workers: 4, Trace: w})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	events, err := obs.ReadAll(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if total := testSpec().NumJobs(); len(events) != total || rep.Failed != total*2/3 {
+		t.Fatalf("%d events and %d failures from %d jobs, want %d and %d", len(events), rep.Failed, total, total, total*2/3)
+	}
+	for i, e := range events {
+		if e.Job != i {
+			t.Fatalf("event %d stamped job %d", i, e.Job)
+		}
+	}
+}
 
 func TestJournalRejectsForeignSpec(t *testing.T) {
 	journal := filepath.Join(t.TempDir(), "toy.journal")

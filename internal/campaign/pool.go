@@ -7,12 +7,13 @@ import (
 )
 
 // ExecuteJobs runs an explicit job slice on a bounded worker pool and
-// hands every completed result to emit. It is the low-level execution
-// primitive under the distributed shard worker (internal/campaignd/
-// worker): unlike Run it does not expand a spec, journal, or reorder —
-// the caller decides which jobs to run (a shard slice, minus the
-// indices its lease says are already done) and what to do with each
-// result (batch it to the coordinator, which sorts by index at merge).
+// hands every completed result to emit. It is the one job pool: Run
+// executes through it, and so does the distributed shard worker
+// (internal/campaignd/worker). Unlike Run it does not expand a spec,
+// journal, or reorder — the caller decides which jobs to run (a shard
+// slice, minus the indices its lease says are already done) and what
+// to do with each result (batch it to the coordinator, which sorts by
+// index at merge).
 //
 // Semantics:
 //
@@ -20,8 +21,7 @@ import (
 //     determinism contract is unaffected: each Result is a pure
 //     function of its Job (seeds are index-derived), only the emission
 //     order varies with scheduling.
-//   - A panicking or erroring executor yields a Failed result, exactly
-//     as in Run.
+//   - A panicking or erroring executor yields a Failed result.
 //   - Cancelling ctx stops dispatch; in-flight jobs drain and are still
 //     emitted, then ExecuteJobs returns ctx.Err(). An emit error stops
 //     dispatch the same way and is returned instead.
@@ -37,6 +37,9 @@ func ExecuteJobs(ctx context.Context, jobs []Job, exec Executor, workers int, em
 	go func() {
 		defer close(jobCh)
 		for _, j := range jobs {
+			if dispatchCtx.Err() != nil {
+				return // a ready worker must not win the race with a stop
+			}
 			select {
 			case jobCh <- j:
 			case <-dispatchCtx.Done():

@@ -3,7 +3,6 @@ package campaign
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -55,8 +54,9 @@ type Report struct {
 	Elapsed     time.Duration
 }
 
-// Run expands spec into jobs, executes them on a bounded worker pool,
-// and streams the results to the sinks in job-index order.
+// Run expands spec into jobs, executes them on the bounded worker pool
+// of ExecuteJobs, and streams the results to the sinks in job-index
+// order.
 //
 // Determinism: each job's seed is derived from (spec.Seed, job index),
 // so the result of every job — and, because delivery is reordered to
@@ -77,11 +77,6 @@ func Run(ctx context.Context, spec Spec, exec Executor, opts Options) (Report, e
 	}
 	spec = spec.normalized()
 	jobs := spec.Jobs()
-
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 
 	// Resume: load completed jobs from the journal, if any.
 	var journal *Journal
@@ -112,102 +107,77 @@ func Run(ctx context.Context, spec Spec, exec Executor, opts Options) (Report, e
 		return Report{}, err
 	}
 
-	jobCh := make(chan Job)
-	resCh := make(chan tracedResult)
-
-	// Dispatcher: feeds pending jobs until done or cancelled.
-	go func() {
-		defer close(jobCh)
-		for _, j := range pending {
-			select {
-			case jobCh <- j:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-
-	// Workers: execute jobs, recovering per-job panics.
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			for job := range jobCh {
-				meter.inFlight.Add(1)
-				var buf *obs.Buffer
-				var tr obs.Tracer
-				if opts.Trace != nil {
-					buf = &obs.Buffer{Job: job.Index}
-					tr = buf
-				}
-				res := runJob(job, exec, id, tr)
-				meter.inFlight.Add(-1)
-				var events []obs.Event
-				if buf != nil {
-					events = buf.Events
-				}
-				resCh <- tracedResult{res, events}
-			}
-		}(w)
-	}
-	go func() {
-		wg.Wait()
-		close(resCh)
-	}()
-
 	// Collector: journal in completion order, deliver to sinks in
 	// job-index order via a reorder buffer pre-seeded with the
 	// journal-replayed results (deliver consumes the stash, so count
-	// the resumed jobs first).
+	// the resumed jobs first). Each traced job's private buffer is
+	// parked in events until its result is delivered.
 	skipped := len(prior)
 	stash := prior
-	evStash := map[int][]obs.Event{}
+	var evMu sync.Mutex
+	events := map[int][]obs.Event{}
 	next := 0
-	var sinkErr error
-	deliver := func() {
-		for sinkErr == nil {
+	deliver := func() error {
+		for {
 			r, ok := stash[next]
 			if !ok {
-				return
+				return nil
 			}
 			delete(stash, next)
 			if err := sinks.Write(r); err != nil {
-				sinkErr = fmt.Errorf("campaign: sink write: %w", err)
-				return
+				return fmt.Errorf("campaign: sink write: %w", err)
 			}
-			if evs, ok := evStash[next]; ok {
-				delete(evStash, next)
+			evMu.Lock()
+			evs := events[next]
+			delete(events, next)
+			evMu.Unlock()
+			if len(evs) > 0 {
 				if err := opts.Trace.WriteEvents(evs); err != nil {
-					sinkErr = fmt.Errorf("campaign: trace write: %w", err)
-					return
+					return fmt.Errorf("campaign: trace write: %w", err)
 				}
 			}
 			next++
 		}
 	}
-	deliver()
+
+	// traced runs one job with the in-flight gauge and, when tracing,
+	// a private buffer. Its defers run even when exec panics, so failed
+	// and panicking jobs keep their events.
+	traced := func(job Job, _ obs.Tracer) (Measurement, error) {
+		meter.inFlight.Add(1)
+		defer meter.inFlight.Add(-1)
+		if opts.Trace == nil {
+			return exec(job, nil)
+		}
+		buf := &obs.Buffer{Job: job.Index}
+		defer func() {
+			evMu.Lock()
+			events[job.Index] = buf.Events
+			evMu.Unlock()
+		}()
+		return exec(job, buf)
+	}
 
 	rep := Report{Spec: spec, Total: len(jobs), Skipped: skipped, FailedReplayed: failedReplayed}
-	var journalErr error
-	for tr := range resCh {
-		res := tr.Result
-		meter.finished(res)
-		rep.Executed++
-		if res.Failed {
-			rep.Failed++
-		}
-		rep.Encryptions += res.Encryptions
-		if journal != nil {
-			if err := journal.Append(res); err != nil && journalErr == nil {
-				journalErr = err
+	// A sink, trace or journal write error stops dispatch: the pool
+	// drains the jobs in flight and runs no more.
+	runErr := deliver()
+	if runErr == nil {
+		runErr = ExecuteJobs(ctx, pending, traced, opts.Workers, func(res Result) error {
+			meter.finished(res)
+			rep.Executed++
+			if res.Failed {
+				rep.Failed++
 			}
-		}
-		stash[res.Job] = res
-		if len(tr.events) > 0 {
-			evStash[res.Job] = tr.events
-		}
-		deliver()
+			rep.Encryptions += res.Encryptions
+			if journal != nil {
+				if err := journal.Append(res); err != nil {
+					return err
+				}
+			}
+			stash[res.Job] = res
+			return deliver()
+		})
 	}
 
 	rep.Delivered = next
@@ -217,21 +187,10 @@ func Run(ctx context.Context, spec Spec, exec Executor, opts Options) (Report, e
 	switch {
 	case ctx.Err() != nil:
 		return rep, ctx.Err()
-	case sinkErr != nil:
-		return rep, sinkErr
-	case journalErr != nil:
-		return rep, journalErr
-	case closeErr != nil:
-		return rep, closeErr
+	case runErr != nil:
+		return rep, runErr
 	}
-	return rep, nil
-}
-
-// tracedResult pairs a completed job with the events its private
-// tracer buffered (nil when tracing is off).
-type tracedResult struct {
-	Result
-	events []obs.Event
+	return rep, closeErr
 }
 
 // runJob executes one job, converting errors and panics into failed

@@ -124,6 +124,9 @@ type CampaignStatus struct {
 	// Shards is included by the per-campaign endpoint and omitted from
 	// list responses.
 	Shards []ShardStatus `json:"shards,omitempty"`
+	// MergeError is the last failed merge's error (empty once a merge
+	// succeeds).
+	MergeError string `json:"merge_error,omitempty"`
 }
 
 // LeaseRequest asks for one shard of work.

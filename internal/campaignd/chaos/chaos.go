@@ -27,6 +27,7 @@ package chaos
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -149,8 +150,13 @@ func (f Fault) Validate() error {
 	default:
 		return fmt.Errorf("chaos: unknown fault kind %q (known: %s)", f.Kind, strings.Join(Kinds(), ", "))
 	}
-	if f.Probability < 0 || f.Probability > 1 {
+	// NaN fails every comparison: it would validate, print as "always",
+	// and never fire.
+	if math.IsNaN(f.Probability) || f.Probability < 0 || f.Probability > 1 {
 		return fmt.Errorf("chaos: %s probability %v outside [0,1]", f.Kind, f.Probability)
+	}
+	if f.DelayMS < 0 || f.Status < 0 {
+		return fmt.Errorf("chaos: %s has a negative ms or status", f.Kind)
 	}
 	if f.Period > 0 && f.Length > f.Period {
 		return fmt.Errorf("chaos: %s window length %d exceeds period %d", f.Kind, f.Length, f.Period)
@@ -240,6 +246,7 @@ func ParsePlan(spec string, seed uint64) (Plan, error) {
 			if !ok {
 				return Plan{}, fmt.Errorf("chaos: fault %q: parameter %q is not key=value", part, kv)
 			}
+			val = strings.TrimSpace(val) // a fault's last value is trimmed with the fault; trim all alike
 			var err error
 			switch key {
 			case "path":

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -88,6 +89,8 @@ func TestParsePlanErrors(t *testing.T) {
 		{"delay:ms=nope", "parameter"},
 		{"5xx:status=404", "outside [500,599]"},
 		{"refuse:p=1.5", "outside [0,1]"},
+		{"5xx:p=NaN", "outside [0,1]"},
+		{"refuse:ms=-5", "negative"},
 		{"refuse:len=10:period=5", "exceeds period"},
 		{"refuse:foo=1", "unknown parameter"},
 		{"refuse:path", "not key=value"},
@@ -97,6 +100,30 @@ func TestParsePlanErrors(t *testing.T) {
 			t.Errorf("ParsePlan(%q) err = %v, want substring %q", c.spec, err, c.wantSub)
 		}
 	}
+}
+
+// FuzzParsePlan: a plan ParsePlan accepts validates, and its String()
+// parses back to the same plan. The seed corpus in
+// testdata/fuzz/FuzzParsePlan holds the DSL examples plus inputs that
+// once broke the round trip (a NaN probability, a negative parameter a
+// kind ignores, a path ending in a space).
+func FuzzParsePlan(f *testing.F) {
+	f.Fuzz(func(t *testing.T, spec string, seed uint64) {
+		p, err := ParsePlan(spec, seed)
+		if err != nil {
+			return
+		}
+		if err := p.Validate(); err != nil {
+			t.Fatalf("ParsePlan(%q) accepted a plan that does not validate: %v", spec, err)
+		}
+		again, err := ParsePlan(p.String(), seed)
+		if err != nil {
+			t.Fatalf("ParsePlan(%q).String() = %q does not parse: %v", spec, p.String(), err)
+		}
+		if !reflect.DeepEqual(p, again) {
+			t.Fatalf("ParsePlan(%q) = %#v, but its String() %q parses as %#v", spec, p, p.String(), again)
+		}
+	})
 }
 
 // TestFaultWindow pins the faults.Fault-style windowing arithmetic.

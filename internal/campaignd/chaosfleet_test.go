@@ -14,22 +14,21 @@ import (
 
 // chaosWorker runs one draining worker through a fault-injecting
 // transport and returns the transport for injection assertions.
-func chaosWorker(t *testing.T, url, id string, plan chaos.Plan, retry *campaignd.RetryPolicy, flushRetries int) (*chaos.Transport, error) {
+func chaosWorker(t *testing.T, url, id string, plan chaos.Plan, retry *campaignd.RetryPolicy) (*chaos.Transport, error) {
 	t.Helper()
 	tr := chaos.NewTransport(plan, nil)
 	tr.Logf = t.Logf
 	err := worker.Run(context.Background(), worker.Config{
-		Server:       url,
-		ID:           id,
-		Exec:         toyExec,
-		Workers:      2,
-		Batch:        4,
-		Poll:         5 * time.Millisecond,
-		Drain:        true,
-		Transport:    tr,
-		Retry:        retry,
-		FlushRetries: flushRetries,
-		Logf:         t.Logf,
+		Server:    url,
+		ID:        id,
+		Exec:      toyExec,
+		Workers:   2,
+		Batch:     4,
+		Poll:      5 * time.Millisecond,
+		Drain:     true,
+		Transport: tr,
+		Retry:     retry,
+		Logf:      t.Logf,
 	})
 	return tr, err
 }
@@ -62,7 +61,7 @@ func TestReportReplayAfterDropResponse(t *testing.T) {
 	plan := chaos.Plan{Faults: []chaos.Fault{
 		{Kind: chaos.KindDropResponse, Path: campaignd.PathResults, Start: 1, Length: 1},
 	}}
-	tr, err := chaosWorker(t, ts.URL, "w-replay", plan, fastRetry(), 0)
+	tr, err := chaosWorker(t, ts.URL, "w-replay", plan, fastRetry())
 	if err != nil {
 		t.Fatalf("worker under drop-response: %v", err)
 	}
@@ -103,7 +102,7 @@ func TestCompleteReplayAfterDropResponse(t *testing.T) {
 	plan := chaos.Plan{Faults: []chaos.Fault{
 		{Kind: chaos.KindDropResponse, Path: campaignd.PathComplete, Start: 1, Length: 1},
 	}}
-	tr, err := chaosWorker(t, ts.URL, "w-complete", plan, fastRetry(), 0)
+	tr, err := chaosWorker(t, ts.URL, "w-complete", plan, fastRetry())
 	if err != nil {
 		t.Fatalf("worker under complete drop-response: %v", err)
 	}
@@ -111,7 +110,7 @@ func TestCompleteReplayAfterDropResponse(t *testing.T) {
 		t.Fatalf("injected %d drop-responses, want 1", got)
 	}
 
-	st, err := (&campaignd.Client{Base: ts.URL}).Status(resp.ID)
+	st, err := (&campaignd.Client{Base: ts.URL}).Status(context.Background(), resp.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,8 +129,9 @@ func TestCompleteReplayAfterDropResponse(t *testing.T) {
 // TestPreHardeningClientLosesShard is the regression demonstration the
 // acceptance criteria require: under the exact drop-response scenario
 // the hardened stack heals (TestReportReplayAfterDropResponse), the
-// pre-hardening posture — single-shot calls, single flush round —
-// abandons the shard and fails the worker.
+// pre-hardening posture — single-shot calls, so the report that lost
+// its response is never replayed — abandons the shard and fails the
+// worker.
 func TestPreHardeningClientLosesShard(t *testing.T) {
 	spec := toySpec(2)
 	srv, ts := newTestServer(t, campaignd.Options{Logf: t.Logf})
@@ -144,14 +144,14 @@ func TestPreHardeningClientLosesShard(t *testing.T) {
 		{Kind: chaos.KindDropResponse, Path: campaignd.PathResults, Start: 1, Length: 1},
 	}}
 	legacy := campaignd.NoRetryPolicy()
-	_, err = chaosWorker(t, ts.URL, "w-legacy", plan, &legacy, 1)
+	_, err = chaosWorker(t, ts.URL, "w-legacy", plan, &legacy)
 	if err == nil {
 		t.Fatal("the single-shot client survived a dropped response; the hardening demo is vacuous")
 	}
 	if !strings.Contains(err.Error(), "flush failed") {
 		t.Fatalf("worker failed with %v, want an abandoned flush", err)
 	}
-	st, err := (&campaignd.Client{Base: ts.URL}).Status(resp.ID)
+	st, err := (&campaignd.Client{Base: ts.URL}).Status(context.Background(), resp.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestFleetUnderMixedChaos(t *testing.T) {
 	results := make(chan res, 3)
 	for i, id := range []string{"w-chaos-0", "w-chaos-1", "w-chaos-2"} {
 		go func(i int, id string) {
-			tr, err := chaosWorker(t, ts.URL, id, mixed(uint64(1000+i)), fastRetry(), 0)
+			tr, err := chaosWorker(t, ts.URL, id, mixed(uint64(1000+i)), fastRetry())
 			results <- res{tr, err}
 		}(i, id)
 	}

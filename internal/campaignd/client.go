@@ -26,7 +26,7 @@ var ErrLeaseGone = errors.New("campaignd: lease revoked")
 // Call classes. Each API call belongs to one class with its own retry
 // budget: a report carries committed work and deserves persistence, a
 // heartbeat is superseded by the next tick seconds later, a lease
-// acquisition is already retried by the worker's pull loop.
+// acquisition must outlast a coordinator restart.
 const (
 	ClassSubmit    = "submit"
 	ClassLease     = "lease"
@@ -76,12 +76,15 @@ type RetryPolicy struct {
 
 // DefaultRetryPolicy is the production posture: persistent on calls
 // that carry committed work, impatient on calls that are naturally
-// superseded.
+// superseded. The client is the fleet's only retry loop, so the report
+// and lease budgets alone must ride out a coordinator restart: at the
+// default backoff, 17 report attempts wait ≈21.2 s and 15 lease
+// attempts ≈17.2 s before jitter.
 func DefaultRetryPolicy() RetryPolicy {
 	return RetryPolicy{
 		Submit:    4,
-		Lease:     4,
-		Report:    8,
+		Lease:     15,
+		Report:    17,
 		Heartbeat: 2,
 		Complete:  8,
 		Query:     3,
@@ -165,6 +168,11 @@ func (e *transientError) Unwrap() error { return e.err }
 // shard worker, the CLIs, and the tests. The zero value (plus Base) is
 // production-ready: a shared timeout-bearing http.Client and the
 // default retry policy.
+//
+// Every call takes the caller's context first. Each attempt runs under
+// a timeout derived from it, the backoff between attempts waits on it,
+// and once it is done the call returns its error, never a transient
+// one — a cancelled worker stops at once, even mid-backoff.
 type Client struct {
 	// Base is the server's base URL, e.g. "http://127.0.0.1:8844".
 	Base string
@@ -234,18 +242,20 @@ func (c *Client) backoffWait(p RetryPolicy, attempt int, err error) time.Duratio
 // do round-trips one call with the class's retry budget. body is nil
 // for GETs. out may be nil; raw (when non-nil) receives the response
 // body instead of JSON-decoding into out.
-func (c *Client) do(class, method, path string, body []byte, out any, raw *[]byte) error {
+func (c *Client) do(ctx context.Context, class, method, path string, body []byte, out any, raw *[]byte) error {
 	p := c.policy()
 	budget := p.attempts(class)
-	var err error
 	for attempt := 1; ; attempt++ {
-		err = c.once(method, path, body, out, raw, p.timeout())
+		err := c.once(ctx, method, path, body, out, raw, p.timeout())
 		if err == nil {
 			return nil
 		}
 		var te *transientError
 		if !errors.As(err, &te) {
 			return err
+		}
+		if ctx.Err() != nil {
+			return ctx.Err()
 		}
 		if attempt >= budget {
 			if budget > 1 {
@@ -257,13 +267,28 @@ func (c *Client) do(class, method, path string, body []byte, out any, raw *[]byt
 		if c.OnRetry != nil {
 			c.OnRetry(class, attempt, wait, err)
 		}
-		time.Sleep(wait)
+		if !sleepCtx(ctx, wait) {
+			return ctx.Err()
+		}
 	}
 }
 
-// once performs a single HTTP attempt under its own timeout.
-func (c *Client) once(method, path string, body []byte, out any, raw *[]byte, timeout time.Duration) error {
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+// sleepCtx sleeps d or until ctx is done, reporting whether the sleep
+// completed.
+func sleepCtx(ctx context.Context, d time.Duration) bool {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return true
+	case <-ctx.Done():
+		return false
+	}
+}
+
+// once performs a single HTTP attempt under a timeout derived from ctx.
+func (c *Client) once(ctx context.Context, method, path string, body []byte, out any, raw *[]byte, timeout time.Duration) error {
+	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
 	var rd io.Reader
 	if body != nil {
@@ -351,91 +376,78 @@ func parseRetryAfter(v string) time.Duration {
 }
 
 // post round-trips one JSON request; out may be nil.
-func (c *Client) post(class, path string, in, out any) error {
+func (c *Client) post(ctx context.Context, class, path string, in, out any) error {
 	body, err := json.Marshal(in)
 	if err != nil {
 		return err
 	}
-	return c.do(class, http.MethodPost, path, body, out, nil)
+	return c.do(ctx, class, http.MethodPost, path, body, out, nil)
 }
 
 // get round-trips one GET.
-func (c *Client) get(path string, out any) error {
-	return c.do(ClassQuery, http.MethodGet, path, nil, out, nil)
+func (c *Client) get(ctx context.Context, path string, out any) error {
+	return c.do(ctx, ClassQuery, http.MethodGet, path, nil, out, nil)
 }
 
 // Submit registers a campaign.
-func (c *Client) Submit(req SubmitRequest) (SubmitResponse, error) {
+func (c *Client) Submit(ctx context.Context, req SubmitRequest) (SubmitResponse, error) {
 	var resp SubmitResponse
-	err := c.post(ClassSubmit, PathCampaigns, req, &resp)
+	err := c.post(ctx, ClassSubmit, PathCampaigns, req, &resp)
 	return resp, err
 }
 
 // Lease asks for a shard; a nil Lease with AllDone reports a drained
 // coordinator.
-func (c *Client) Lease(worker string) (LeaseResponse, error) {
+func (c *Client) Lease(ctx context.Context, worker string) (LeaseResponse, error) {
 	var resp LeaseResponse
-	err := c.post(ClassLease, PathLease, LeaseRequest{Worker: worker}, &resp)
+	err := c.post(ctx, ClassLease, PathLease, LeaseRequest{Worker: worker}, &resp)
 	return resp, err
 }
 
-// Report streams a result batch for a leased shard.
-func (c *Client) Report(leaseID string, results []campaign.Result) error {
-	return c.ReportDelta(leaseID, results, "", nil)
+// Report streams a result batch for a leased shard, with a piggybacked
+// worker telemetry delta (ignored server-side when worker is empty or
+// d is nil).
+func (c *Client) Report(ctx context.Context, leaseID string, results []campaign.Result, worker string, d *metrics.Delta) error {
+	return c.post(ctx, ClassReport, PathResults, ReportRequest{Lease: leaseID, Results: results, Worker: worker, Metrics: d}, nil)
 }
 
-// ReportDelta is Report with a piggybacked worker telemetry delta
-// (ignored server-side when worker is empty or d is nil).
-func (c *Client) ReportDelta(leaseID string, results []campaign.Result, worker string, d *metrics.Delta) error {
-	return c.post(ClassReport, PathResults, ReportRequest{Lease: leaseID, Results: results, Worker: worker, Metrics: d}, nil)
+// Heartbeat extends a lease, with a piggybacked telemetry delta.
+func (c *Client) Heartbeat(ctx context.Context, leaseID, worker string, d *metrics.Delta) error {
+	return c.post(ctx, ClassHeartbeat, PathHeartbeat, HeartbeatRequest{Lease: leaseID, Worker: worker, Metrics: d}, nil)
 }
 
-// Heartbeat extends a lease.
-func (c *Client) Heartbeat(leaseID string) error {
-	return c.HeartbeatDelta(leaseID, "", nil)
-}
-
-// HeartbeatDelta is Heartbeat with a piggybacked telemetry delta.
-func (c *Client) HeartbeatDelta(leaseID, worker string, d *metrics.Delta) error {
-	return c.post(ClassHeartbeat, PathHeartbeat, HeartbeatRequest{Lease: leaseID, Worker: worker, Metrics: d}, nil)
-}
-
-// Complete marks a leased shard fully executed. Safe to retry: the
-// server remembers accepted completions by lease ID, so a replay after
-// a lost response acknowledges instead of 410ing.
-func (c *Client) Complete(leaseID string) error {
-	return c.CompleteDelta(leaseID, "", nil)
-}
-
-// CompleteDelta is Complete with a piggybacked telemetry delta.
-func (c *Client) CompleteDelta(leaseID, worker string, d *metrics.Delta) error {
-	return c.post(ClassComplete, PathComplete, CompleteRequest{Lease: leaseID, Worker: worker, Metrics: d}, nil)
+// Complete marks a leased shard fully executed, with a piggybacked
+// telemetry delta. Safe to retry: the server remembers accepted
+// completions by lease ID, so a replay after a lost response
+// acknowledges instead of 410ing.
+func (c *Client) Complete(ctx context.Context, leaseID, worker string, d *metrics.Delta) error {
+	return c.post(ctx, ClassComplete, PathComplete, CompleteRequest{Lease: leaseID, Worker: worker, Metrics: d}, nil)
 }
 
 // FleetStatus fetches the machine-readable coordinator status.
-func (c *Client) FleetStatus() (FleetStatus, error) {
+func (c *Client) FleetStatus(ctx context.Context) (FleetStatus, error) {
 	var out FleetStatus
-	err := c.get(PathStatusJSON, &out)
+	err := c.get(ctx, PathStatusJSON, &out)
 	return out, err
 }
 
 // Statuses lists every campaign.
-func (c *Client) Statuses() ([]CampaignStatus, error) {
+func (c *Client) Statuses(ctx context.Context) ([]CampaignStatus, error) {
 	var out []CampaignStatus
-	err := c.get(PathCampaigns, &out)
+	err := c.get(ctx, PathCampaigns, &out)
 	return out, err
 }
 
 // Status fetches one campaign with shard detail.
-func (c *Client) Status(id string) (CampaignStatus, error) {
+func (c *Client) Status(ctx context.Context, id string) (CampaignStatus, error) {
 	var out CampaignStatus
-	err := c.get(PathCampaigns+"/"+id, &out)
+	err := c.get(ctx, PathCampaigns+"/"+id, &out)
 	return out, err
 }
 
 // Output fetches a merged campaign's canonical JSONL bytes.
-func (c *Client) Output(id string) ([]byte, error) {
+func (c *Client) Output(ctx context.Context, id string) ([]byte, error) {
 	var raw []byte
-	err := c.do(ClassQuery, http.MethodGet, PathCampaigns+"/"+id+"/output", nil, nil, &raw)
+	err := c.do(ctx, ClassQuery, http.MethodGet, PathCampaigns+"/"+id+"/output", nil, nil, &raw)
 	return raw, err
 }

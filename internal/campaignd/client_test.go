@@ -61,7 +61,7 @@ func TestClientRetriesTransient(t *testing.T) {
 			}
 			retries = append(retries, attempt)
 		}}
-	if err := c.Report("lease-x", nil); err != nil {
+	if err := c.Report(context.Background(), "lease-x", nil, "", nil); err != nil {
 		t.Fatalf("Report after two transient failures: %v", err)
 	}
 	if n.Load() != 3 {
@@ -93,7 +93,7 @@ func TestClientHonorsRetryAfter(t *testing.T) {
 	var waits []time.Duration
 	c := &campaignd.Client{Base: ts.URL, Retry: &pol,
 		OnRetry: func(_ string, _ int, wait time.Duration, _ error) { waits = append(waits, wait) }}
-	if err := c.Heartbeat("lease-x"); err != nil {
+	if err := c.Heartbeat(context.Background(), "lease-x", "", nil); err != nil {
 		t.Fatalf("heartbeat through one 429: %v", err)
 	}
 	if len(waits) != 1 {
@@ -112,7 +112,7 @@ func TestClientLeaseGoneNotRetried(t *testing.T) {
 	ts, n := scriptServer(t, http.StatusGone)
 	pol := fastPolicy()
 	c := &campaignd.Client{Base: ts.URL, Retry: &pol}
-	if err := c.Heartbeat("stale"); !errors.Is(err, campaignd.ErrLeaseGone) {
+	if err := c.Heartbeat(context.Background(), "stale", "", nil); !errors.Is(err, campaignd.ErrLeaseGone) {
 		t.Fatalf("err = %v, want ErrLeaseGone", err)
 	}
 	if n.Load() != 1 {
@@ -126,7 +126,7 @@ func TestClientTerminalClientError(t *testing.T) {
 	ts, n := scriptServer(t, http.StatusBadRequest)
 	pol := fastPolicy()
 	c := &campaignd.Client{Base: ts.URL, Retry: &pol}
-	err := c.Report("lease-x", nil)
+	err := c.Report(context.Background(), "lease-x", nil, "", nil)
 	if err == nil || !strings.Contains(err.Error(), "scripted failure") {
 		t.Fatalf("err = %v, want the server's message, untried", err)
 	}
@@ -142,7 +142,7 @@ func TestClientBudgetExhausted(t *testing.T) {
 	pol := fastPolicy()
 	pol.Report = 3
 	c := &campaignd.Client{Base: ts.URL, Retry: &pol}
-	err := c.Report("lease-x", nil)
+	err := c.Report(context.Background(), "lease-x", nil, "", nil)
 	if err == nil || !strings.Contains(err.Error(), "after 3 attempts") {
 		t.Fatalf("err = %v, want a 3-attempt budget exhaustion", err)
 	}
@@ -157,7 +157,7 @@ func TestClientNoRetryPolicyIsSingleShot(t *testing.T) {
 	ts, n := scriptServer(t, http.StatusServiceUnavailable, http.StatusOK)
 	pol := campaignd.NoRetryPolicy()
 	c := &campaignd.Client{Base: ts.URL, Retry: &pol}
-	if err := c.Report("lease-x", nil); err == nil {
+	if err := c.Report(context.Background(), "lease-x", nil, "", nil); err == nil {
 		t.Fatal("single-shot policy retried through a 503")
 	}
 	if n.Load() != 1 {
@@ -181,7 +181,7 @@ func TestClientBackoffDeterminism(t *testing.T) {
 				waits = append(waits, wait)
 				mu.Unlock()
 			}}
-		c.Report("lease-x", nil)
+		c.Report(context.Background(), "lease-x", nil, "", nil)
 		return waits
 	}
 	a, b := schedule(12345), schedule(12345)
@@ -211,11 +211,33 @@ func TestClientPerAttemptTimeout(t *testing.T) {
 	pol.CallTimeout = 20 * time.Millisecond
 	c := &campaignd.Client{Base: ts.URL, Retry: &pol}
 	start := time.Now()
-	err := c.Heartbeat("lease-x")
+	err := c.Heartbeat(context.Background(), "lease-x", "", nil)
 	if err == nil || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want a deadline exceeded", err)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("timeout took %s; the deadline did not bound the attempt", elapsed)
+	}
+}
+
+// TestClientCancelMidBackoff: a call whose context is cancelled while
+// it backs off returns the context's error at once, not the transient
+// failure it was retrying.
+func TestClientCancelMidBackoff(t *testing.T) {
+	ts, n := scriptServer(t, http.StatusServiceUnavailable)
+	pol := campaignd.RetryPolicy{Report: 5, Base: time.Minute, Max: time.Minute}
+	c := &campaignd.Client{Base: ts.URL, Retry: &pol}
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(20*time.Millisecond, cancel)
+	start := time.Now()
+	err := c.Report(ctx, "lease-x", nil, "", nil)
+	if err != context.Canceled {
+		t.Fatalf("err = %v, want exactly context.Canceled", err)
+	}
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Fatalf("cancelled call returned after %s; the backoff ignored the context", elapsed)
+	}
+	if n.Load() != 1 {
+		t.Fatalf("server saw %d requests, want the one before the backoff", n.Load())
 	}
 }

@@ -122,7 +122,7 @@ func TestMetricsAndStatusUnderLoad(t *testing.T) {
 		t.Errorf("campaignw_shards_total = %.0f, want %d", shards, resp.Shards)
 	}
 
-	fleet, err := (&campaignd.Client{Base: ts.URL}).FleetStatus()
+	fleet, err := (&campaignd.Client{Base: ts.URL}).FleetStatus(context.Background())
 	if err != nil {
 		t.Fatalf("fleet status: %v", err)
 	}

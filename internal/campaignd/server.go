@@ -776,6 +776,7 @@ func (s *Server) statusLocked(c *campaignState, shards bool) CampaignStatus {
 		Fingerprint: c.fp,
 		State:       CampaignRunning,
 		Jobs:        c.jobs,
+		MergeError:  c.mergeErr,
 	}
 	if c.merged {
 		st.State = CampaignMerged

@@ -194,6 +194,20 @@ func killAfter(exec campaign.Executor, n int32, cancel context.CancelFunc) campa
 	}
 }
 
+// killAfterIngest is killAfter for a single-slot worker that must have
+// reported before it dies. Reports run under the worker's context, so
+// the kill aborts the one in flight: jobs from index n-1 on wait until
+// the coordinator has ingested n-1 results.
+func killAfterIngest(srv *campaignd.Server, exec campaign.Executor, n int32, cancel context.CancelFunc) campaign.Executor {
+	reported := func(j campaign.Job, tr obs.Tracer) (campaign.Measurement, error) {
+		for deadline := time.Now().Add(10 * time.Second); j.Index >= int(n)-1 && srv.Metrics().JobsDone < int(n)-1 && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		return exec(j, tr)
+	}
+	return killAfter(reported, n, cancel)
+}
+
 // TestWorkerKillAndRestart kills a worker mid-shard, lets its lease
 // expire, and finishes the campaign with a second worker: the shard is
 // re-issued with the ingested prefix intact, the replacement skips the
@@ -217,13 +231,13 @@ func TestWorkerKillAndRestart(t *testing.T) {
 	ctxA, cancelA := context.WithCancel(context.Background())
 	defer cancelA()
 	errA := worker.Run(ctxA, worker.Config{
-		Server: ts.URL, ID: "wA", Exec: killAfter(toyExec, 3, cancelA),
+		Server: ts.URL, ID: "wA", Exec: killAfterIngest(srv, toyExec, 3, cancelA),
 		Workers: 1, Batch: 1, Poll: 5 * time.Millisecond, Logf: t.Logf,
 	})
 	if errA == nil || ctxA.Err() == nil {
 		t.Fatalf("worker A was supposed to die mid-shard, got err=%v", errA)
 	}
-	st, err := (&campaignd.Client{Base: ts.URL}).Status(resp.ID)
+	st, err := (&campaignd.Client{Base: ts.URL}).Status(context.Background(), resp.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +262,7 @@ func TestWorkerKillAndRestart(t *testing.T) {
 		t.Fatalf("worker B: %v", err)
 	}
 
-	st, err = (&campaignd.Client{Base: ts.URL}).Status(resp.ID)
+	st, err = (&campaignd.Client{Base: ts.URL}).Status(context.Background(), resp.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,10 +312,10 @@ func TestServerRestartRecovery(t *testing.T) {
 	ctxA, cancelA := context.WithCancel(context.Background())
 	defer cancelA()
 	worker.Run(ctxA, worker.Config{
-		Server: ts1.URL, ID: "wA", Exec: killAfter(toyExec, 3, cancelA),
+		Server: ts1.URL, ID: "wA", Exec: killAfterIngest(srv1, toyExec, 3, cancelA),
 		Workers: 1, Batch: 1, Poll: 5 * time.Millisecond, Logf: t.Logf,
 	})
-	stBefore, err := (&campaignd.Client{Base: ts1.URL}).Status(resp.ID)
+	stBefore, err := (&campaignd.Client{Base: ts1.URL}).Status(context.Background(), resp.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +332,7 @@ func TestServerRestartRecovery(t *testing.T) {
 	srv2, ts2 := newTestServer(t, campaignd.Options{
 		DataDir: dataDir, Now: clock.Now, LeaseTTL: 10 * time.Second, Logf: t.Logf,
 	})
-	st, err := (&campaignd.Client{Base: ts2.URL}).Status(resp.ID)
+	st, err := (&campaignd.Client{Base: ts2.URL}).Status(context.Background(), resp.ID)
 	if err != nil {
 		t.Fatalf("recovered campaign not found: %v", err)
 	}
@@ -375,18 +389,18 @@ func TestLeaseFencing(t *testing.T) {
 	}
 	client := &campaignd.Client{Base: ts.URL}
 
-	leaseA, err := client.Lease("zombie")
+	leaseA, err := client.Lease(context.Background(), "zombie")
 	if err != nil || leaseA.Lease == nil {
 		t.Fatalf("lease A: %+v, %v", leaseA, err)
 	}
 	// Heartbeats keep it alive across half a TTL...
 	clock.Advance(ttl / 2)
-	if err := client.Heartbeat(leaseA.Lease.ID); err != nil {
+	if err := client.Heartbeat(context.Background(), leaseA.Lease.ID, "", nil); err != nil {
 		t.Fatalf("heartbeat on a live lease: %v", err)
 	}
 	// ...but silence past the TTL kills it.
 	clock.Advance(ttl + time.Second)
-	leaseB, err := client.Lease("healthy")
+	leaseB, err := client.Lease(context.Background(), "healthy")
 	if err != nil || leaseB.Lease == nil {
 		t.Fatalf("re-issue after expiry: %+v, %v", leaseB, err)
 	}
@@ -406,46 +420,46 @@ func TestLeaseFencing(t *testing.T) {
 		r.Measurement = m
 		return r
 	}
-	if err := client.Report(leaseA.Lease.ID, []campaign.Result{mkResult(jobs[0])}); err != campaignd.ErrLeaseGone {
+	if err := client.Report(context.Background(), leaseA.Lease.ID, []campaign.Result{mkResult(jobs[0])}, "", nil); err != campaignd.ErrLeaseGone {
 		t.Fatalf("zombie report: err=%v, want ErrLeaseGone", err)
 	}
-	if err := client.Heartbeat(leaseA.Lease.ID); err != campaignd.ErrLeaseGone {
+	if err := client.Heartbeat(context.Background(), leaseA.Lease.ID, "", nil); err != campaignd.ErrLeaseGone {
 		t.Fatalf("zombie heartbeat: err=%v, want ErrLeaseGone", err)
 	}
-	if err := client.Complete(leaseA.Lease.ID); err != campaignd.ErrLeaseGone {
+	if err := client.Complete(context.Background(), leaseA.Lease.ID, "", nil); err != campaignd.ErrLeaseGone {
 		t.Fatalf("zombie complete: err=%v, want ErrLeaseGone", err)
 	}
 
 	// The healthy lease works: completing early (missing jobs) is
 	// rejected, full coverage completes.
-	if err := client.Complete(leaseB.Lease.ID); err == nil || err == campaignd.ErrLeaseGone {
+	if err := client.Complete(context.Background(), leaseB.Lease.ID, "", nil); err == nil || err == campaignd.ErrLeaseGone {
 		t.Fatalf("complete with missing jobs: err=%v, want a coverage error", err)
 	}
 	for _, j := range jobs {
-		if err := client.Report(leaseB.Lease.ID, []campaign.Result{mkResult(j)}); err != nil {
+		if err := client.Report(context.Background(), leaseB.Lease.ID, []campaign.Result{mkResult(j)}, "", nil); err != nil {
 			t.Fatalf("healthy report: %v", err)
 		}
 	}
 	// Duplicates are dropped, not duplicated in the merge.
-	if err := client.Report(leaseB.Lease.ID, []campaign.Result{mkResult(jobs[1])}); err != nil {
+	if err := client.Report(context.Background(), leaseB.Lease.ID, []campaign.Result{mkResult(jobs[1])}, "", nil); err != nil {
 		t.Fatalf("duplicate report: %v", err)
 	}
 	// Out-of-range jobs are rejected.
 	bogus := mkResult(jobs[0])
 	bogus.Job = spec.NumJobs() + 5
-	if err := client.Report(leaseB.Lease.ID, []campaign.Result{bogus}); err == nil {
+	if err := client.Report(context.Background(), leaseB.Lease.ID, []campaign.Result{bogus}, "", nil); err == nil {
 		t.Fatal("out-of-range report was accepted")
 	}
-	if err := client.Complete(leaseB.Lease.ID); err != nil {
+	if err := client.Complete(context.Background(), leaseB.Lease.ID, "", nil); err != nil {
 		t.Fatalf("complete: %v", err)
 	}
 
 	wantJSONL, _ := referenceBytes(t, spec)
-	sts, err := client.Statuses()
+	sts, err := client.Statuses(context.Background())
 	if err != nil || len(sts) != 1 {
 		t.Fatalf("statuses: %v, %v", sts, err)
 	}
-	got, err := client.Output(sts[0].ID)
+	got, err := client.Output(context.Background(), sts[0].ID)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package campaignd
 
 import (
+	"context"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -36,7 +37,7 @@ func TestIngestShedding(t *testing.T) {
 			// The first attempt was shed; free the slot so the retry lands.
 			once.Do(release)
 		}}
-	lease, err := client.Lease("w-shed")
+	lease, err := client.Lease(context.Background(), "w-shed")
 	if err != nil || lease.Lease == nil {
 		t.Fatalf("lease: %+v, %v", lease, err)
 	}
@@ -51,7 +52,7 @@ func TestIngestShedding(t *testing.T) {
 	j := spec.Jobs()[0]
 	res := campaign.Result{Job: j.Index, Point: j.Point, Seed: j.Seed,
 		Measurement: campaign.Measurement{Encryptions: 1}}
-	if err := client.Report(lease.Lease.ID, []campaign.Result{res}); err != nil {
+	if err := client.Report(context.Background(), lease.Lease.ID, []campaign.Result{res}, "", nil); err != nil {
 		t.Fatalf("report through a shed: %v", err)
 	}
 

@@ -82,26 +82,27 @@ func TestChurnSoak(t *testing.T) {
 			{Kind: chaos.KindDelay, DelayMS: 2, Probability: 0.2},
 		}}
 	}
+	// The coordinator restart must look like an outage the worker
+	// outlasts, not a fatal condition: 96 lease attempts at this
+	// 5 ms / 250 ms backoff span ≈22.5 s before jitter.
 	retry := campaignd.DefaultRetryPolicy()
 	retry.Base = 5 * time.Millisecond
 	retry.Max = 250 * time.Millisecond
+	retry.Lease = 96
 	soakWorker := func(ctx context.Context, id string, seed uint64, exec campaign.Executor) (*chaos.Transport, error) {
 		tr := chaos.NewTransport(soakPlan(seed), nil)
 		pol := retry
 		return tr, worker.Run(ctx, worker.Config{
-			Server:  "http://" + addr,
-			ID:      id,
-			Exec:    exec,
-			Workers: 2,
-			Batch:   8,
-			Poll:    10 * time.Millisecond,
-			Drain:   true,
-			// The coordinator restart must look like an outage the worker
-			// outlasts, not a fatal condition.
-			ConnectRetries: 500,
-			Transport:      tr,
-			Retry:          &pol,
-			Logf:           t.Logf,
+			Server:    "http://" + addr,
+			ID:        id,
+			Exec:      exec,
+			Workers:   2,
+			Batch:     8,
+			Poll:      10 * time.Millisecond,
+			Drain:     true,
+			Transport: tr,
+			Retry:     &pol,
+			Logf:      t.Logf,
 		})
 	}
 

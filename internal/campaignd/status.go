@@ -80,25 +80,6 @@ func (s *Server) Metrics() MetricsSnapshot {
 	return snap
 }
 
-// statusModel is the template input for the status page.
-type statusModel struct {
-	Metrics   MetricsSnapshot
-	Campaigns []statusCampaign
-	Workers   []statusWorker
-}
-
-type statusCampaign struct {
-	CampaignStatus
-	MergeErr string
-}
-
-type statusWorker struct {
-	ID      string
-	AgoSecs float64
-	Leases  int
-	Results int
-}
-
 var statusTmpl = template.Must(template.New("status").Parse(`<!DOCTYPE html>
 <html><head><title>campaignd</title>
 <style>
@@ -109,15 +90,15 @@ th { background: #eee; }
 .done { color: #060; } .leased { color: #06c; } .pending { color: #666; }
 </style></head><body>
 <h2>campaignd — distributed campaign coordinator</h2>
-<p>{{.Metrics.Campaigns}} campaigns ({{.Metrics.CampaignsMerged}} merged) ·
-{{.Metrics.JobsDone}}/{{.Metrics.JobsTotal}} jobs ({{.Metrics.JobsFailed}} failed) ·
-{{printf "%.1f" .Metrics.JobsPerSecond}} jobs/sec ·
-{{.Metrics.LeasesActive}} active leases ({{.Metrics.LeasesIssued}} issued, {{.Metrics.Reissues}} re-issued, {{.Metrics.Duplicates}} duplicate results, {{.Metrics.Shed}} shed) ·
-{{.Metrics.Workers}} workers seen ·
-up {{printf "%.0f" .Metrics.UptimeSeconds}}s ·
-<a href="/debug/vars">expvar</a> · <a href="/debug/pprof/">pprof</a></p>
+{{with .MetricsSnapshot}}<p>{{.Campaigns}} campaigns ({{.CampaignsMerged}} merged) ·
+{{.JobsDone}}/{{.JobsTotal}} jobs ({{.JobsFailed}} failed) ·
+{{printf "%.1f" .JobsPerSecond}} jobs/sec ·
+{{.LeasesActive}} active leases ({{.LeasesIssued}} issued, {{.Reissues}} re-issued, {{.Duplicates}} duplicate results, {{.Shed}} shed) ·
+{{.Workers}} workers seen ·
+up {{printf "%.0f" .UptimeSeconds}}s ·
+<a href="/debug/vars">expvar</a> · <a href="/debug/pprof/">pprof</a></p>{{end}}
 {{range .Campaigns}}
-<h3>{{.ID}} — {{.Name}} [{{.State}}] {{.Done}}/{{.Jobs}} jobs{{if .Failed}}, {{.Failed}} failed{{end}}{{if .MergeErr}} — merge error: {{.MergeErr}}{{end}}</h3>
+<h3>{{.ID}} — {{.Name}} [{{.State}}] {{.Done}}/{{.Jobs}} jobs{{if .Failed}}, {{.Failed}} failed{{end}}{{if .MergeError}} — merge error: {{.MergeError}}{{end}}</h3>
 <table><tr><th>shard</th><th>jobs</th><th>state</th><th>worker</th><th>done</th><th>re-issues</th></tr>
 {{range .Shards}}<tr><td>{{.Shard}}</td><td>[{{.Start}},{{.End}})</td><td class="{{.State}}">{{.State}}</td><td>{{.Worker}}</td><td>{{.Done}}/{{.Len}}</td><td>{{.Reissues}}</td></tr>
 {{end}}</table>
@@ -125,44 +106,18 @@ up {{printf "%.0f" .Metrics.UptimeSeconds}}s ·
 {{end}}
 {{if .Workers}}<h3>workers</h3>
 <table><tr><th>worker</th><th>last seen</th><th>leases</th><th>results</th></tr>
-{{range .Workers}}<tr><td>{{.ID}}</td><td>{{printf "%.1f" .AgoSecs}}s ago</td><td>{{.Leases}}</td><td>{{.Results}}</td></tr>
+{{range .Workers}}<tr><td>{{.ID}}</td><td>{{printf "%.1f" .LastSeenAgoSeconds}}s ago</td><td>{{.Leases}}</td><td>{{.Results}}</td></tr>
 {{end}}</table>{{end}}
 </body></html>
 `))
 
-// handleStatusPage renders the human-facing shard board.
+// handleStatusPage renders the human-facing shard board from the
+// same FleetStatus that /api/v1/status serves.
 func (s *Server) handleStatusPage(w http.ResponseWriter, r *http.Request) {
-	model := s.statusModel()
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	if err := statusTmpl.Execute(w, model); err != nil {
+	if err := statusTmpl.Execute(w, s.FleetStatus()); err != nil {
 		s.logf("status page: %v", err)
 	}
-}
-
-func (s *Server) statusModel() statusModel {
-	snap := s.Metrics()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	model := statusModel{Metrics: snap}
-	for _, id := range s.order {
-		c := s.campaigns[id]
-		model.Campaigns = append(model.Campaigns, statusCampaign{
-			CampaignStatus: s.statusLocked(c, true),
-			MergeErr:       c.mergeErr,
-		})
-	}
-	ids := sortedWorkerIDs(s.workers)
-	now := s.now()
-	for _, id := range ids {
-		wi := s.workers[id]
-		model.Workers = append(model.Workers, statusWorker{
-			ID:      id,
-			AgoSecs: now.Sub(wi.lastSeen).Seconds(),
-			Leases:  wi.leases,
-			Results: wi.results,
-		})
-	}
-	return model
 }
 
 // sortedWorkerIDs lists the worker directory's keys in sorted order.

@@ -26,17 +26,16 @@ type meter struct {
 	batches    *metrics.Counter
 	shardsDone *metrics.Counter
 	shardsLost *metrics.Counter
-	leaseTries *metrics.Counter
 	wallMS     *metrics.Histogram
 
 	// Resilience telemetry: coordinator round-trip retries by call
-	// class (fed by the client's OnRetry hook), worker-level flush
-	// retry rounds, and total backoff wall time. All ship in the same
-	// cumulative deltas as the job counters, so the coordinator's
-	// /api/v1/status can surface fleet retry health.
-	retriesBy    map[string]*metrics.Counter
-	flushRetries *metrics.Counter
-	backoffMS    *metrics.Counter
+	// class and total backoff wall time, both fed by the client's
+	// OnRetry hook — the client is the worker's only retry loop, so
+	// they count every retry. They ship in the same cumulative deltas
+	// as the job counters, so the coordinator's /api/v1/status can
+	// surface fleet retry health.
+	retriesBy map[string]*metrics.Counter
+	backoffMS *metrics.Counter
 
 	mu sync.Mutex
 }
@@ -66,8 +65,6 @@ func newMeter() *meter {
 			"Result batches reported to the coordinator."),
 		shardsDone: outcome("completed"),
 		shardsLost: outcome("lost"),
-		leaseTries: r.Counter("campaignw_lease_retries_total",
-			"Failed lease round-trips (coordinator unreachable)."),
 		wallMS: r.WallHistogram("campaignw_job_wall_ms",
 			"Per-job wall duration on this worker, milliseconds.", metrics.DurationMSBuckets),
 		retriesBy: map[string]*metrics.Counter{
@@ -78,8 +75,6 @@ func newMeter() *meter {
 			campaignd.ClassComplete:  retry(campaignd.ClassComplete),
 			campaignd.ClassQuery:     retry(campaignd.ClassQuery),
 		},
-		flushRetries: r.Counter("campaignw_flush_retries_total",
-			"Report-flush rounds re-attempted after the per-call retry budget was exhausted."),
 		backoffMS: r.Counter("campaignw_backoff_ms_total",
 			"Total wall time this worker spent backing off before retries, milliseconds."),
 	}
@@ -92,12 +87,6 @@ func (m *meter) retry(class string, wait time.Duration) {
 	} else {
 		m.retriesBy[campaignd.ClassQuery].Inc()
 	}
-	m.backoffMS.Add(uint64(wait / time.Millisecond))
-}
-
-// flushRetry accounts one worker-level flush round re-attempt.
-func (m *meter) flushRetry(wait time.Duration) {
-	m.flushRetries.Inc()
 	m.backoffMS.Add(uint64(wait / time.Millisecond))
 }
 
@@ -126,7 +115,7 @@ func (m *meter) delta() *metrics.Delta {
 
 // summary condenses the counters for the drain log line.
 type summary struct {
-	Jobs, Failed, Shards, Lost, LeaseRetries, Retries, BackoffMS uint64
+	Jobs, Failed, Shards, Lost, Retries, BackoffMS uint64
 }
 
 func (m *meter) summary() summary {
@@ -135,12 +124,11 @@ func (m *meter) summary() summary {
 		retries += ctr.Value()
 	}
 	return summary{
-		Jobs:         m.jobsDone.Value() + m.jobsFailed.Value(),
-		Failed:       m.jobsFailed.Value(),
-		Shards:       m.shardsDone.Value(),
-		Lost:         m.shardsLost.Value(),
-		LeaseRetries: m.leaseTries.Value(),
-		Retries:      retries + m.flushRetries.Value(),
-		BackoffMS:    m.backoffMS.Value(),
+		Jobs:      m.jobsDone.Value() + m.jobsFailed.Value(),
+		Failed:    m.jobsFailed.Value(),
+		Shards:    m.shardsDone.Value(),
+		Lost:      m.shardsLost.Value(),
+		Retries:   retries,
+		BackoffMS: m.backoffMS.Value(),
 	}
 }

@@ -7,6 +7,14 @@
 // stalls the job slots only when it outlasts a whole batch. The last
 // partial batch is reported before the shard's Complete.
 //
+// The worker has no retry loop of its own: every coordinator call is
+// one campaignd.Client call, whose per-class RetryPolicy budget is the
+// fleet's only retry loop. Mid-shard reports and heartbeats run under
+// the shard's context, so a revoked lease or a stopped shard aborts
+// them on the wire; the final batch and Complete run under the
+// worker's context. A report or lease that outlives its budget ends
+// the shard or the run.
+//
 // Determinism is inherited, not re-implemented: the worker expands its
 // shard's range of the canonical job grid from the spec in its lease
 // (campaign.Spec.JobsRange, a pure function of the spec), skips the
@@ -53,26 +61,14 @@ type Config struct {
 	// reports every campaign merged. Otherwise the worker keeps
 	// polling for future submissions.
 	Drain bool
-	// ConnectRetries bounds consecutive failed lease round-trips
-	// (coordinator down or not yet listening) before giving up (0:
-	// DefaultConnectRetries). Each failure sleeps one Poll. The client
-	// layer's own per-call retries run inside each round-trip, so the
-	// effective outage budget is ConnectRetries × the lease class's
-	// backoff ceiling.
-	ConnectRetries int
-	// FlushRetries bounds worker-level report-flush rounds: each round
-	// is a full client call (with its own per-call retry budget), and
-	// between rounds the worker backs off — so a coordinator restart
-	// longer than one call's budget degrades into waiting, not into an
-	// abandoned shard (0: DefaultFlushRetries).
-	FlushRetries int
 	// Transport, when set, replaces the HTTP transport — the chaos
 	// drill hook (cmd/campaignw -chaos wires a chaos.Transport here).
 	// Ignored when client is overridden.
 	Transport http.RoundTripper
 	// Retry overrides the client retry policy (nil: defaults with a
 	// jitter seed derived from ID, so a fleet's backoff schedules are
-	// decorrelated but per-worker replayable).
+	// decorrelated but per-worker replayable). Its Lease and Report
+	// budgets set how long an outage the worker rides out.
 	Retry *campaignd.RetryPolicy
 	// Logf receives operator log lines; nil discards them.
 	Logf func(format string, args ...any)
@@ -83,13 +79,8 @@ type Config struct {
 
 // Defaults.
 const (
-	DefaultBatch          = 16
-	DefaultPoll           = 250 * time.Millisecond
-	DefaultConnectRetries = 40
-	DefaultFlushRetries   = 5
-	// flushBackoffBase/Max shape the between-round flush backoff.
-	flushBackoffBase = 250 * time.Millisecond
-	flushBackoffMax  = 4 * time.Second
+	DefaultBatch = 16
+	DefaultPoll  = 250 * time.Millisecond
 	// minHeartbeatInterval floors the heartbeat ticker: a lease TTL of
 	// a few milliseconds must clamp, not panic time.NewTicker.
 	minHeartbeatInterval = time.Millisecond
@@ -103,8 +94,8 @@ func idSeed(id string) uint64 {
 }
 
 // Run executes the pull loop until ctx is cancelled, the coordinator
-// drains (Config.Drain), or repeated connection failures exhaust the
-// retry budget. A cancelled context is a clean shutdown: the current
+// drains (Config.Drain), or a lease call exhausts the client's lease
+// budget. A cancelled context is a clean shutdown: the current
 // shard is abandoned un-completed and its lease left to expire (the
 // coordinator keeps every result already reported).
 func Run(ctx context.Context, cfg Config) error {
@@ -119,12 +110,6 @@ func Run(ctx context.Context, cfg Config) error {
 	}
 	if cfg.Poll <= 0 {
 		cfg.Poll = DefaultPoll
-	}
-	if cfg.ConnectRetries <= 0 {
-		cfg.ConnectRetries = DefaultConnectRetries
-	}
-	if cfg.FlushRetries <= 0 {
-		cfg.FlushRetries = DefaultFlushRetries
 	}
 	logf := cfg.Logf
 	if logf == nil {
@@ -153,30 +138,22 @@ func Run(ctx context.Context, cfg Config) error {
 	}
 	start := time.Now() //grinchvet:ignore wallclock drain-summary telemetry, never reaches result bytes
 
-	failures := 0
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		resp, err := client.Lease(cfg.ID)
+		resp, err := client.Lease(ctx, cfg.ID)
 		if err != nil {
-			failures++
-			m.leaseTries.Inc()
-			if failures >= cfg.ConnectRetries {
-				return fmt.Errorf("worker %s: leasing: %w (after %d attempts)", cfg.ID, err, failures)
-			}
-			logf("worker %s: leasing: %v (retrying)", cfg.ID, err)
-			if !sleepCtx(ctx, cfg.Poll) {
+			if ctx.Err() != nil {
 				return ctx.Err()
 			}
-			continue
+			return fmt.Errorf("worker %s: leasing: %w", cfg.ID, err)
 		}
-		failures = 0
 		if resp.Lease == nil {
 			if cfg.Drain && resp.AllDone {
 				sum := m.summary()
-				logf("worker %s: coordinator drained; exiting — %d jobs (%d failed) in %d shards (%d lost), %d lease retries, %d call retries (%dms backoff), %.1fs wall",
-					cfg.ID, sum.Jobs, sum.Failed, sum.Shards, sum.Lost, sum.LeaseRetries, sum.Retries, sum.BackoffMS,
+				logf("worker %s: coordinator drained; exiting — %d jobs (%d failed) in %d shards (%d lost), %d call retries (%dms backoff), %.1fs wall",
+					cfg.ID, sum.Jobs, sum.Failed, sum.Shards, sum.Lost, sum.Retries, sum.BackoffMS,
 					time.Since(start).Seconds()) //grinchvet:ignore wallclock drain-summary telemetry
 				return nil
 			}
@@ -270,9 +247,12 @@ func runShard(ctx context.Context, cfg Config, client *campaignd.Client, m *mete
 			case <-shardCtx.Done():
 				return
 			case <-tick.C:
-				if err := client.HeartbeatDelta(l.ID, cfg.ID, m.delta()); err != nil {
+				if err := client.Heartbeat(shardCtx, l.ID, cfg.ID, m.delta()); err != nil {
 					if errors.Is(err, campaignd.ErrLeaseGone) {
 						stopShard(campaignd.ErrLeaseGone)
+						return
+					}
+					if shardCtx.Err() != nil {
 						return
 					}
 					logf("worker %s: heartbeat: %v", cfg.ID, err)
@@ -281,44 +261,22 @@ func runShard(ctx context.Context, cfg Config, client *campaignd.Client, m *mete
 		}
 	}()
 
-	// flush reports one batch, persistently: each round is a full
-	// client call (which retries transient failures internally); if a
-	// round still fails, the worker backs off and tries again up to
-	// FlushRetries rounds instead of abandoning a shard whose results
-	// it already computed. The server dedupes by job index, so a
-	// response lost after the commit costs one duplicate round-trip,
-	// never a double-count. A revoked lease or a done ctx stops the
-	// persistence immediately — those failures cannot heal. Batches
-	// reported mid-shard run under shardCtx; the final batch runs under
-	// the worker's ctx, since shardCtx is stopped by then.
+	// flush reports one batch in one client call, whose report budget
+	// retries transient failures. The server dedupes by job index, so a
+	// response lost after the commit costs one duplicate round trip,
+	// never a double-count. Batches reported mid-shard run under
+	// shardCtx, so a revoked lease or a stopped shard aborts them; the
+	// final batch runs under the worker's ctx, since shardCtx is stopped
+	// by then.
 	flush := func(ctx context.Context, batch []campaign.Result) error {
 		if len(batch) == 0 {
 			return nil
 		}
-		var err error
-		for round := 1; ; round++ {
-			err = client.ReportDelta(l.ID, batch, cfg.ID, m.delta())
-			if err == nil {
-				m.batches.Inc()
-				return nil
-			}
-			if errors.Is(err, campaignd.ErrLeaseGone) || ctx.Err() != nil {
-				return err
-			}
-			if round >= cfg.FlushRetries {
-				return fmt.Errorf("worker %s: lease %s: flush failed after %d rounds: %w", cfg.ID, l.ID, round, err)
-			}
-			wait := flushBackoffBase << uint(round-1)
-			if wait > flushBackoffMax {
-				wait = flushBackoffMax
-			}
-			m.flushRetry(wait)
-			logf("worker %s: lease %s: flush round %d failed (%v); holding %d results and retrying in %s",
-				cfg.ID, l.ID, round, err, len(batch), wait)
-			if !sleepCtx(ctx, wait) {
-				return context.Cause(ctx)
-			}
+		if err := client.Report(ctx, l.ID, batch, cfg.ID, m.delta()); err != nil {
+			return fmt.Errorf("worker %s: lease %s: flush failed: %w", cfg.ID, l.ID, err)
 		}
+		m.batches.Inc()
+		return nil
 	}
 	// inflight carries the outcome of the report on the wire (nil: none
 	// is). A failed report cancels the shard at once, as a synchronous
@@ -374,7 +332,7 @@ func runShard(ctx context.Context, cfg Config, client *campaignd.Client, m *mete
 	// round-trip is the worker's last word on this shard, and it may be
 	// the last round-trip of the whole run.
 	m.shardsDone.Inc()
-	if err := client.CompleteDelta(l.ID, cfg.ID, m.delta()); err != nil {
+	if err := client.Complete(ctx, l.ID, cfg.ID, m.delta()); err != nil {
 		return err
 	}
 	logf("worker %s: lease %s complete", cfg.ID, l.ID)

@@ -2,6 +2,7 @@ package worker
 
 import (
 	"context"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -102,11 +103,10 @@ func TestOneReportInFlight(t *testing.T) {
 }
 
 // TestFinalFlushRetries: the last partial batch of a shard gets the
-// full FlushRetries budget with backoff, like every earlier batch. The
-// shard context is already stopped when that batch goes out, so the
-// final flush must not read it as a cancellation: two refused reports
-// (one client attempt each) must end in a merged campaign, not in
-// Run returning the 503.
+// full report budget with backoff, like every earlier batch. The shard
+// context is already stopped when that batch goes out, so the final
+// flush must run under the worker's context: two refused reports must
+// end in a merged campaign, not in Run returning the 503.
 func TestFinalFlushRetries(t *testing.T) {
 	srv, err := campaignd.NewServer(campaignd.Options{})
 	if err != nil {
@@ -132,8 +132,8 @@ func TestFinalFlushRetries(t *testing.T) {
 	}
 	// Batch exceeds the shard, so the only report is the final flush.
 	err = Run(context.Background(), Config{Server: ts.URL, ID: "w", Exec: exec, Workers: 1, Batch: 64,
-		Poll: 5 * time.Millisecond, Drain: true, FlushRetries: 5,
-		Retry: &campaignd.RetryPolicy{Report: -1}})
+		Poll: 5 * time.Millisecond, Drain: true,
+		Retry: &campaignd.RetryPolicy{Report: 3}})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -165,15 +165,15 @@ func (c *reportCounter) RoundTrip(r *http.Request) (*http.Response, error) {
 }
 
 // TestMeterRetryAccounting pins the retry telemetry: per-class
-// counters, the unknown-class fallback, flush rounds, and the backoff
-// total that the drain summary and fleet status read.
+// counters, the unknown-class fallback, and the backoff total that the
+// drain summary and fleet status read.
 func TestMeterRetryAccounting(t *testing.T) {
 	m := newMeter()
 	m.retry(campaignd.ClassReport, 10*time.Millisecond)
 	m.retry(campaignd.ClassReport, 15*time.Millisecond)
 	m.retry(campaignd.ClassHeartbeat, 5*time.Millisecond)
 	m.retry("no-such-class", 2*time.Millisecond) // falls back to query
-	m.flushRetry(100 * time.Millisecond)
+	m.retry(campaignd.ClassLease, 100*time.Millisecond)
 
 	if got := m.retriesBy[campaignd.ClassReport].Value(); got != 2 {
 		t.Errorf("report retries = %d, want 2", got)
@@ -181,8 +181,8 @@ func TestMeterRetryAccounting(t *testing.T) {
 	if got := m.retriesBy[campaignd.ClassQuery].Value(); got != 1 {
 		t.Errorf("unknown-class fallback: query retries = %d, want 1", got)
 	}
-	if got := m.flushRetries.Value(); got != 1 {
-		t.Errorf("flush retries = %d, want 1", got)
+	if got := m.retriesBy[campaignd.ClassLease].Value(); got != 1 {
+		t.Errorf("lease retries = %d, want 1", got)
 	}
 	if got := m.backoffMS.Value(); got != 132 {
 		t.Errorf("backoff total = %dms, want 132", got)
@@ -190,6 +190,39 @@ func TestMeterRetryAccounting(t *testing.T) {
 	sum := m.summary()
 	if sum.Retries != 5 || sum.BackoffMS != 132 {
 		t.Errorf("summary retries=%d backoff=%d, want 5 and 132", sum.Retries, sum.BackoffMS)
+	}
+}
+
+// TestRunHonorsCancelDuringLease: a worker cancelled while its lease
+// call hangs on a coordinator that never answers returns at once. The
+// client's attempts run under the caller's context, so the cancel
+// aborts the call on the wire instead of waiting out the per-attempt
+// timeout of every attempt.
+func TestRunHonorsCancelDuringLease(t *testing.T) {
+	release := make(chan struct{})
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == campaignd.PathLease {
+			<-release // a hung coordinator
+		}
+	}))
+	defer ts.Close()
+	defer close(release) // unblock the handler before ts.Close waits on it
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	time.AfterFunc(50*time.Millisecond, cancel)
+	exec := func(j campaign.Job, _ obs.Tracer) (campaign.Measurement, error) {
+		return campaign.Measurement{}, nil
+	}
+	start := time.Now()
+	err := Run(ctx, Config{Server: ts.URL, ID: "w", Exec: exec,
+		Retry: &campaignd.RetryPolicy{Lease: 2, CallTimeout: 2 * time.Second}})
+	elapsed := time.Since(start)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run = %v, want context.Canceled", err)
+	}
+	if elapsed > 500*time.Millisecond {
+		t.Fatalf("Run returned %s after start, want within 500ms of the 50ms cancel", elapsed)
 	}
 }
 
