@@ -27,6 +27,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"strconv"
@@ -137,7 +138,9 @@ func parseResult(line string) (Benchmark, bool) {
 	b.Runs = runs
 	for i := 2; i+1 < len(fields); i += 2 {
 		v, err := strconv.ParseFloat(fields[i], 64)
-		if err != nil {
+		if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
+			// JSON cannot encode a non-finite value (go test prints a
+			// non-finite ReportMetric as NaN or +Inf).
 			return Benchmark{}, false
 		}
 		b.Metrics[fields[i+1]] = v
