@@ -1,9 +1,9 @@
 // Command campaignd is the distributed campaign coordinator: a
 // long-running HTTP service that accepts campaign specs, partitions
 // each job grid into contiguous shards, leases shards to cmd/campaignw
-// workers, journals ingested results per shard, and merges completed
-// campaigns into the same byte-deterministic JSONL/CSV output
-// cmd/campaign writes.
+// workers, journals ingested results to one journal per campaign, and
+// merges completed campaigns into the same byte-deterministic JSONL/CSV
+// output cmd/campaign writes.
 //
 // Usage:
 //
@@ -25,10 +25,11 @@
 // the job index and only canonical (timing-free) results are
 // journaled and merged. CI asserts this end to end.
 //
-// Fault tolerance: with -data, every ingested result is journaled
-// per shard; killed workers' shards re-issue after -lease-ttl with
-// their ingested prefix intact, and a restarted coordinator recovers
-// every campaign from its journals.
+// Fault tolerance: with -data, every ingested result is journaled to
+// <data>/<id>/campaign.journal, cmd/campaign's -journal format; killed
+// workers' shards re-issue after -lease-ttl with their ingested prefix
+// intact, and a restarted coordinator recovers every campaign from its
+// journal, under any -shard-size.
 //
 // The status page at /status shows shard states, jobs/sec and workers
 // seen; /metrics serves the Prometheus text exposition (coordinator
@@ -59,7 +60,7 @@ import (
 func main() {
 	var (
 		addr         = flag.String("addr", ":8844", "listen address")
-		dataDir      = flag.String("data", "", "persistence directory (shard journals + recovery); empty = memory-only")
+		dataDir      = flag.String("data", "", "persistence directory (one journal per campaign + recovery); empty = memory-only")
 		leaseTTL     = flag.Duration("lease-ttl", campaignd.DefaultLeaseTTL, "shard lease time-to-live without a heartbeat")
 		shardSize    = flag.Int("shard-size", campaignd.DefaultShardSize, "default max jobs per shard")
 		specPath     = flag.String("spec", "", "campaign spec JSON file to submit at boot (alternative to a preset name)")

@@ -21,14 +21,15 @@ type journalHeader struct {
 }
 
 // Journal is an append-only, header-pinned checkpoint log of Results:
-// the campaign journal of a Run and, in campaignd, the journal of one
-// shard. The first line is the header; every completed job is recorded
-// as its canonical line (CanonicalLine, the bytes the untimed JSONL
-// sink writes). On resume the log is read back and the recorded jobs
-// are not re-executed. Each append — one record or one batch — is a
-// single write, so an interrupted run loses at most the in-flight
-// jobs; a torn final line from a hard kill is detected, ignored and
-// cut off on load.
+// the checkpoint of a Run and of a campaignd campaign, one file per
+// campaign in either case, so a Run can resume a coordinator's journal.
+// The first line is the header; every completed job is recorded as its
+// canonical line (CanonicalLine, the bytes the untimed JSONL sink
+// writes). Records are keyed by job index alone. On resume the log is
+// read back and the recorded jobs are not re-executed. Each append —
+// one record or one batch — is a single write, so an interrupted run
+// loses at most the in-flight jobs; a torn final line from a hard kill
+// is detected, ignored and cut off on load.
 type Journal struct {
 	mu sync.Mutex
 	f  *os.File
@@ -36,22 +37,21 @@ type Journal struct {
 
 // OpenJournal opens (or creates) the journal at path for the given
 // spec and returns the results it already holds, keyed by job index.
-// An existing journal must carry the spec's fingerprint.
-func OpenJournal(path string, spec Spec) (*Journal, map[int]Result, error) {
-	return OpenLog(path, journalHeader{Campaign: spec.Name, Fingerprint: spec.Fingerprint(), Jobs: spec.NumJobs()})
-}
-
-// OpenLog opens (or creates) the journal at path pinned to hdr and
-// returns the results it already holds, keyed by job index. An existing
-// journal whose header line is not equal to hdr is refused.
+// An existing journal whose header line does not carry the spec's
+// name, fingerprint and grid size is refused.
 //
 // A record is committed only with its newline. A final line without
 // one is a torn append: its job re-runs, and the fragment is cut off
 // before anything is appended, or the next record would be glued onto
 // it and lost on the following resume. A journal with no complete line
 // at all was torn inside its header — no record can precede the
-// header — so it is started afresh.
-func OpenLog[H comparable](path string, hdr H) (_ *Journal, _ map[int]Result, err error) {
+// header — so it is started afresh. A complete line that does not
+// decode is not a crash artifact but corruption, and is an error.
+func OpenJournal(path string, spec Spec) (*Journal, map[int]Result, error) {
+	return openJournal(path, journalHeader{Campaign: spec.Name, Fingerprint: spec.Fingerprint(), Jobs: spec.NumJobs()})
+}
+
+func openJournal(path string, hdr journalHeader) (_ *Journal, _ map[int]Result, err error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, nil, fmt.Errorf("campaign: opening journal: %w", err)
@@ -69,7 +69,7 @@ func OpenLog[H comparable](path string, hdr H) (_ *Journal, _ map[int]Result, er
 	lines := splitLines(data[:complete])
 	prior := make(map[int]Result)
 	if len(lines) > 0 {
-		var got H
+		var got journalHeader
 		if err := json.Unmarshal(lines[0], &got); err != nil {
 			return nil, nil, fmt.Errorf("campaign: journal %s has a corrupt header: %w", path, err)
 		}
@@ -77,11 +77,10 @@ func OpenLog[H comparable](path string, hdr H) (_ *Journal, _ map[int]Result, er
 			return nil, nil, fmt.Errorf("campaign: journal %s is pinned to %+v, want %+v; refusing to resume a different grid",
 				path, got, hdr)
 		}
-		for _, line := range lines[1:] {
+		for i, line := range lines[1:] {
 			var r Result
 			if err := json.Unmarshal(line, &r); err != nil {
-				// A corrupt complete line: its job re-runs.
-				continue
+				return nil, nil, fmt.Errorf("campaign: journal %s line %d is corrupt: %w", path, i+2, err)
 			}
 			prior[r.Job] = r
 		}

@@ -8,10 +8,10 @@
 //   - The server (this package, served by cmd/campaignd) accepts
 //     campaign specs over a small JSON/HTTP API, partitions each
 //     spec's canonical job grid into contiguous shards, leases shards
-//     to pull-based workers, ingests their results into per-shard
-//     journals, and — once every shard is complete — merges the
-//     journals in shard order into the same JSONL/CSV sinks
-//     cmd/campaign writes.
+//     to pull-based workers, ingests their results into one journal
+//     per campaign (cmd/campaign's checkpoint format), and — once
+//     every shard is complete — merges them in shard order into the
+//     same JSONL/CSV bytes cmd/campaign writes.
 //   - Workers (internal/campaignd/worker, served by cmd/campaignw)
 //     lease one shard at a time, execute its jobs on a local pool via
 //     campaign.ExecuteJobs, and stream result batches back.
@@ -29,10 +29,11 @@
 //
 // Fault tolerance. Leases carry a TTL and workers heartbeat; a lease
 // that expires (node loss) is revoked and its shard re-issued. Results
-// ingested before the loss are kept — journaled per shard — so the
-// re-issued lease tells the new worker which job indices are already
-// done and only the unreported remainder re-executes (the same
-// checkpoint idea as cmd/campaign's journal, applied per shard).
+// ingested before the loss are kept — journaled by job index in the
+// campaign's journal — so the re-issued lease tells the new worker
+// which job indices are already done and only the unreported remainder
+// re-executes (the same checkpoint as cmd/campaign's journal, in the
+// same format).
 // Ingestion and completion are fenced by lease ID: a zombie worker
 // whose lease was re-issued gets 410 Gone and abandons the shard.
 package campaignd

@@ -3,7 +3,6 @@ package campaignd_test
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -32,10 +31,10 @@ func execute(spec campaign.Spec) []campaign.Result {
 	return out
 }
 
-// shardJournal is the on-disk path of one shard's journal (layout in
-// store.go).
-func shardJournal(dataDir, campaignID string, shard int) string {
-	return filepath.Join(dataDir, campaignID, fmt.Sprintf("shard-%d.journal", shard))
+// campaignJournal is the on-disk path of a campaign's journal (layout
+// in store.go).
+func campaignJournal(dataDir, campaignID string) string {
+	return filepath.Join(dataDir, campaignID, "campaign.journal")
 }
 
 func readFile(t *testing.T, path string) []byte {
@@ -67,7 +66,7 @@ func TestIngestRejectedBatchCommitsNothing(t *testing.T) {
 		t.Fatalf("lease = %+v, want shard [0,4)", l)
 	}
 	res := execute(spec)
-	path := shardJournal(dir, resp.ID, 0)
+	path := campaignJournal(dir, resp.ID)
 	before := readFile(t, path)
 
 	if err := srv.Ingest(l.ID, []campaign.Result{res[0], res[1], res[6]}); err == nil {
@@ -89,7 +88,7 @@ func TestIngestRejectedBatchCommitsNothing(t *testing.T) {
 	}
 }
 
-// TestTornBatchWriteAtEveryOffset cuts a shard journal at every byte
+// TestTornBatchWriteAtEveryOffset cuts a campaign journal at every byte
 // offset inside one 64-record report — a single AppendBatch write —
 // and restarts the coordinator on it. Recovery must keep exactly the
 // records whose newline landed, the re-issued lease must list exactly
@@ -117,7 +116,7 @@ func TestTornBatchWriteAtEveryOffset(t *testing.T) {
 	if err := srv.Ingest(l.ID, res[:first]); err != nil {
 		t.Fatal(err)
 	}
-	path := shardJournal(dir, resp.ID, 0)
+	path := campaignJournal(dir, resp.ID)
 	batchStart := len(readFile(t, path))
 	if err := srv.Ingest(l.ID, res[first:]); err != nil {
 		t.Fatal(err)
@@ -202,7 +201,7 @@ func FuzzReportBody(f *testing.F) {
 		if err := srv.Ingest(l.ID, res[:1]); err != nil {
 			t.Fatal(err)
 		}
-		path := shardJournal(dir, resp.ID, 0)
+		path := campaignJournal(dir, resp.ID)
 		before := readFile(t, path)
 		stBefore, _ := srv.Status(resp.ID)
 

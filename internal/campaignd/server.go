@@ -18,10 +18,11 @@ import (
 
 // Options configure a coordinator.
 type Options struct {
-	// DataDir is the persistence root (campaign.json + shard journals
-	// + merged output per campaign). Empty runs memory-only: journals
-	// and restart recovery are disabled, merged output still lands at
-	// the submit's Out/CSV paths.
+	// DataDir is the persistence root (campaign.json, the campaign
+	// journal and merged output per campaign; layout in store.go).
+	// Empty runs memory-only: journals and restart recovery are
+	// disabled, merged output still lands at the submit's Out/CSV
+	// paths.
 	DataDir string
 	// LeaseTTL is how long a shard lease lives without a heartbeat;
 	// 0 means DefaultLeaseTTL.
@@ -111,7 +112,8 @@ type campaignState struct {
 	// output endpoint.
 	mergedJSONL []byte
 	mergeErr    string
-	dir         string // persistence dir, "" when memory-only
+	dir         string            // persistence dir, "" when memory-only
+	journal     *campaign.Journal // nil when memory-only
 }
 
 type shardState struct {
@@ -125,9 +127,8 @@ type shardState struct {
 	// (campaign.CanonicalLine), indexed by job − rng.Start; nil means
 	// not ingested yet. done counts the non-nil entries. The lines are
 	// the shard's whole result state: the merge concatenates them.
-	lines   [][]byte
-	done    int
-	journal *campaign.Journal // nil when memory-only
+	lines [][]byte
+	done  int
 	// encs sums the victim encryptions of ingested (and
 	// journal-replayed) results; latMS observes each live-ingested
 	// result's wall duration, which its canonical line does not carry.
@@ -151,8 +152,8 @@ type workerSeen struct {
 
 // NewServer builds a coordinator and, when opts.DataDir is set,
 // recovers every campaign found there (completed shards stay
-// completed; mid-shard progress resumes from the shard journals; fully
-// complete campaigns re-merge idempotently).
+// completed; mid-shard progress resumes from the campaign journals;
+// fully complete campaigns re-merge idempotently).
 func NewServer(opts Options) (*Server, error) {
 	if opts.LeaseTTL <= 0 {
 		opts.LeaseTTL = DefaultLeaseTTL
@@ -202,24 +203,15 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
-// Close releases the shard journal file handles.
+// Close releases the campaign journal file handles.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var errs []error
 	for _, id := range s.order {
-		errs = append(errs, s.campaigns[id].closeJournals())
-	}
-	return errors.Join(errs...)
-}
-
-// closeJournals closes the campaign's open shard journals.
-func (c *campaignState) closeJournals() error {
-	var errs []error
-	for _, sh := range c.shards {
-		if sh.journal != nil {
-			errs = append(errs, sh.journal.Close())
-			sh.journal = nil
+		if c := s.campaigns[id]; c.journal != nil {
+			errs = append(errs, c.journal.Close())
+			c.journal = nil
 		}
 	}
 	return errors.Join(errs...)
@@ -277,9 +269,11 @@ func campaignSeq(id string) int {
 	return n
 }
 
-// buildCampaign expands and shards a submit request, opening (and
-// replaying) shard journals when persistence is on. A shard whose
-// journal already covers its whole range comes back done.
+// buildCampaign expands and shards a submit request and, when
+// persistence is on, opens the campaign journal and routes each record
+// it holds to the shard containing its job index. Records carry no
+// shard, so any shard size recovers them; a shard whose range the
+// journal covers whole comes back done.
 func (s *Server) buildCampaign(id string, req SubmitRequest, dir string) (*campaignState, error) {
 	if err := req.Spec.Validate(); err != nil {
 		return nil, err
@@ -296,6 +290,14 @@ func (s *Server) buildCampaign(id string, req SubmitRequest, dir string) (*campa
 		jobs: jobs,
 		dir:  dir,
 	}
+	var prior map[int]campaign.Result // nil when memory-only
+	if dir != "" {
+		j, recs, err := campaign.OpenJournal(filepath.Join(dir, journalFile), req.Spec)
+		if err != nil {
+			return nil, err
+		}
+		c.journal, prior = j, recs
+	}
 	for _, rng := range Partition(jobs, shardSize) {
 		sh := &shardState{rng: rng, state: ShardPending, lines: make([][]byte, rng.Len())}
 		sh.latMS = s.reg.WallHistogram("campaignd_shard_job_ms",
@@ -303,20 +305,8 @@ func (s *Server) buildCampaign(id string, req SubmitRequest, dir string) (*campa
 			metrics.DurationMSBuckets,
 			metrics.L("campaign", id), metrics.L("shard", fmt.Sprint(rng.Shard)))
 		c.shards = append(c.shards, sh)
-		if dir == "" {
-			continue
-		}
-		j, prior, err := campaign.OpenLog(shardJournalPath(dir, rng.Shard), shardJournalHeader{
-			Campaign: id, Fingerprint: c.fp, Shard: rng.Shard, Start: rng.Start, End: rng.End,
-		})
-		if err != nil {
-			c.closeJournals()
-			return nil, err
-		}
-		sh.journal = j
-		// Keep the in-range records, re-encoded through the one line
-		// encoder, count failures and detect completion by walking the
-		// range in index order (deterministic, and validates coverage).
+		// Walk the range in index order, so replay is deterministic,
+		// re-encoding each record through the one line encoder.
 		for i := rng.Start; i < rng.End; i++ {
 			r, ok := prior[i]
 			if !ok {
@@ -324,8 +314,7 @@ func (s *Server) buildCampaign(id string, req SubmitRequest, dir string) (*campa
 			}
 			line, err := campaign.CanonicalLine(r)
 			if err != nil {
-				c.closeJournals()
-				return nil, err
+				return nil, errors.Join(err, c.journal.Close())
 			}
 			sh.commit(i, line, r)
 		}
@@ -538,7 +527,7 @@ func (s *Server) Ingest(leaseID string, results []campaign.Result) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	// The lease may have expired or been superseded while unlocked.
-	l, _, sh, err := s.validLocked(leaseID)
+	l, c, sh, err := s.validLocked(leaseID)
 	if err != nil {
 		return err
 	}
@@ -553,8 +542,8 @@ func (s *Server) Ingest(leaseID string, results []campaign.Result) error {
 		fresh = append(fresh, i)
 		batch = append(batch, lines[i])
 	}
-	if sh.journal != nil && len(batch) > 0 {
-		if err := sh.journal.AppendBatch(batch); err != nil {
+	if c.journal != nil && len(batch) > 0 {
+		if err := c.journal.AppendBatch(batch); err != nil {
 			return err
 		}
 	}

@@ -10,16 +10,18 @@ import (
 
 // The on-disk layout under the server's data directory:
 //
-//	<data>/<campaign-id>/campaign.json     — the SubmitRequest, replayable
-//	<data>/<campaign-id>/shard-<n>.journal — one shard's result journal
-//	<data>/<campaign-id>/<out>, <csv>      — merged output (paths from the submit)
+//	<data>/<campaign-id>/campaign.json    — the SubmitRequest, replayable
+//	<data>/<campaign-id>/campaign.journal — the campaign's result journal
+//	<data>/<campaign-id>/<out>, <csv>     — merged output (paths from the submit)
 //
-// A shard journal is a campaign.Journal — the same code as
-// cmd/campaign's checkpoint journal — whose header line pins (campaign,
-// fingerprint, shard range), followed by one canonical campaign.Result
-// JSON line per ingested job. Because results are pure functions of
-// (spec, index), journal lines never need rewriting: re-ingestion after
-// a lease re-issue is dropped as a duplicate, and a torn trailing line
+// The journal is a campaign.Journal opened with campaign.OpenJournal:
+// the same code, header line (campaign name, fingerprint, grid size)
+// and canonical result lines as cmd/campaign's checkpoint, so
+// cmd/campaign -journal can resume a coordinator's journal. One file
+// holds every shard's results; each record is keyed by its job
+// index, not by shard. Because results are pure functions of (spec,
+// index), journal lines never need rewriting: re-ingestion after a
+// lease re-issue is dropped as a duplicate, and a torn trailing line
 // from a server kill is cut off on reload.
 //
 // campaign.json is written to a temporary file and renamed into place,
@@ -27,24 +29,15 @@ import (
 // A directory without one belongs to a Submit that never returned an
 // ID, and recovery skips it.
 //
-// Restart recovery: recover replays campaign.json + the shard journals
-// of every campaign directory, so a coordinator restart resumes every
-// campaign mid-shard with nothing lost but unreported in-flight work on
-// the workers (which re-executes — deterministically — under fresh
-// leases).
+// Restart recovery: recover replays campaign.json and the journal of
+// every campaign directory, routing each record to the shard that
+// contains its job index, so a coordinator restart resumes every
+// campaign mid-shard — under any shard size — with nothing lost but
+// unreported in-flight work on the workers (which re-executes —
+// deterministically — under fresh leases).
 
-// shardJournalHeader pins a journal file to one (campaign, shard).
-type shardJournalHeader struct {
-	Campaign    string `json:"campaign"`
-	Fingerprint string `json:"fingerprint"`
-	Shard       int    `json:"shard"`
-	Start       int    `json:"start"`
-	End         int    `json:"end"`
-}
-
-func shardJournalPath(dir string, shard int) string {
-	return filepath.Join(dir, fmt.Sprintf("shard-%d.journal", shard))
-}
+// journalFile is the name of a campaign's journal in its directory.
+const journalFile = "campaign.journal"
 
 // saveSubmit persists the campaign's submit request so a restarted
 // server can rebuild the shard table (a pure function of the spec).
