@@ -46,12 +46,18 @@ type Journal struct {
 // it and lost on the following resume. A journal with no complete line
 // at all was torn inside its header — no record can precede the
 // header — so it is started afresh. A complete line that does not
-// decode is not a crash artifact but corruption, and is an error.
+// decode is not a crash artifact but corruption, and is an error; so
+// is one that decodes to no job of the grid: a job index outside
+// [0, jobs), or a seed other than that job's derived seed (`null` and
+// `{}` decode to job 0 with seed 0).
 func OpenJournal(path string, spec Spec) (*Journal, map[int]Result, error) {
-	return openJournal(path, journalHeader{Campaign: spec.Name, Fingerprint: spec.Fingerprint(), Jobs: spec.NumJobs()})
+	hdr := journalHeader{Campaign: spec.Name, Fingerprint: spec.Fingerprint(), Jobs: spec.NumJobs()}
+	return openJournal(path, hdr, func(job int) uint64 { return DeriveSeed(spec.Seed, job) })
 }
 
-func openJournal(path string, hdr journalHeader) (_ *Journal, _ map[int]Result, err error) {
+// openJournal is OpenJournal for a header and the grid's seed of each
+// job index in [0, hdr.Jobs).
+func openJournal(path string, hdr journalHeader, seed func(job int) uint64) (_ *Journal, _ map[int]Result, err error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, nil, fmt.Errorf("campaign: opening journal: %w", err)
@@ -81,6 +87,12 @@ func openJournal(path string, hdr journalHeader) (_ *Journal, _ map[int]Result, 
 			var r Result
 			if err := json.Unmarshal(line, &r); err != nil {
 				return nil, nil, fmt.Errorf("campaign: journal %s line %d is corrupt: %w", path, i+2, err)
+			}
+			if r.Job < 0 || r.Job >= hdr.Jobs {
+				return nil, nil, fmt.Errorf("campaign: journal %s line %d is corrupt: job %d is outside the grid's %d jobs", path, i+2, r.Job, hdr.Jobs)
+			}
+			if want := seed(r.Job); r.Seed != want {
+				return nil, nil, fmt.Errorf("campaign: journal %s line %d is corrupt: job %d has seed %d, the grid's is %d", path, i+2, r.Job, r.Seed, want)
 			}
 			prior[r.Job] = r
 		}

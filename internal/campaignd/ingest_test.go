@@ -88,12 +88,48 @@ func TestIngestRejectedBatchCommitsNothing(t *testing.T) {
 	}
 }
 
+// TestIngestRejectsForeignSeed: a report whose result carries a seed
+// other than its job's derived seed is refused whole and commits
+// nothing, so the journal never holds a record that
+// campaign.OpenJournal would refuse on the next boot.
+func TestIngestRejectsForeignSeed(t *testing.T) {
+	spec := campaign.Spec{Name: "seed", Kind: "toy", Seed: 3, Trials: 8}
+	dir := t.TempDir()
+	srv, err := campaignd.NewServer(campaignd.Options{DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	resp, err := srv.Submit(campaignd.SubmitRequest{Spec: spec, ShardSize: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := srv.Acquire("w").Lease
+	res := execute(spec)
+	foreign := res[1]
+	foreign.Seed++
+	path := campaignJournal(dir, resp.ID)
+	before := readFile(t, path)
+	if err := srv.Ingest(l.ID, []campaign.Result{res[0], foreign}); err == nil {
+		t.Fatal("a report with a foreign seed was accepted")
+	}
+	if st, _ := srv.Status(resp.ID); st.Done != 0 {
+		t.Fatalf("rejected report committed %d results", st.Done)
+	}
+	if after := readFile(t, path); !bytes.Equal(after, before) {
+		t.Fatalf("rejected report changed the journal:\n%s", after[len(before):])
+	}
+}
+
 // TestTornBatchWriteAtEveryOffset cuts a campaign journal at every byte
-// offset inside one 64-record report — a single AppendBatch write —
-// and restarts the coordinator on it. Recovery must keep exactly the
-// records whose newline landed, the re-issued lease must list exactly
-// those as done, and finishing the shard must restore the uncut
-// journal and merge to the bytes of a single-process run.
+// offset inside one 64-record report — a single AppendBatch write. At
+// every offset, campaign.OpenJournal must recover exactly the records
+// whose newline landed and cut the torn tail off. At each record
+// boundary, one byte either side of it and the end of the file, the
+// whole coordinator restarts on the cut journal: the re-issued lease
+// must list exactly the recovered records as done, and finishing the
+// shard must restore the uncut journal and merge to the bytes of a
+// single-process run.
 func TestTornBatchWriteAtEveryOffset(t *testing.T) {
 	spec := campaign.Spec{Name: "torn", Kind: "toy", Seed: 5, Trials: 36, LineWords: []int{1, 2}}
 	const first = 8 // records committed before the torn batch
@@ -126,10 +162,40 @@ func TestTornBatchWriteAtEveryOffset(t *testing.T) {
 	}
 	full := readFile(t, path)
 
-	for k := batchStart; k <= len(full); k++ {
-		if err := os.WriteFile(path, full[:k], 0o644); err != nil {
-			t.Fatal(err)
+	boots := map[int]bool{batchStart: true, batchStart + 1: true, len(full): true}
+	for k := batchStart; k < len(full); k++ {
+		if full[k] == '\n' {
+			boots[k] = true // one byte short of the boundary
+			boots[k+1] = true
+			boots[k+2] = true
 		}
+	}
+
+	// open checks what campaign.OpenJournal alone recovers from the
+	// journal cut at k.
+	open := func(k int) {
+		committed := bytes.LastIndexByte(full[:k], '\n') + 1
+		done := first + bytes.Count(full[batchStart:k], []byte{'\n'})
+		j, prior, err := campaign.OpenJournal(path, spec)
+		if err != nil {
+			t.Fatalf("offset %d: opening the journal: %v", k, err)
+		}
+		j.Close()
+		want := make(map[int]campaign.Result, done)
+		for _, r := range res[:done] {
+			want[r.Job] = r
+		}
+		if !reflect.DeepEqual(prior, want) {
+			t.Fatalf("offset %d: recovered %d records, want jobs [0,%d)", k, len(prior), done)
+		}
+		if j := readFile(t, path); !bytes.Equal(j, full[:committed]) {
+			t.Fatalf("offset %d: the torn tail was not cut: %d bytes left, want %d", k, len(j), committed)
+		}
+	}
+
+	// boot restarts the coordinator on the journal cut at k and
+	// finishes the campaign.
+	boot := func(k int) {
 		srv, err := campaignd.NewServer(campaignd.Options{DataDir: dir})
 		if err != nil {
 			t.Fatalf("offset %d: recovering: %v", k, err)
@@ -173,16 +239,31 @@ func TestTornBatchWriteAtEveryOffset(t *testing.T) {
 			t.Fatalf("offset %d: finished journal differs from the uncut one", k)
 		}
 	}
+
+	for k := batchStart; k <= len(full); k++ {
+		write := func() {
+			if err := os.WriteFile(path, full[:k], 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		write()
+		open(k)
+		if boots[k] {
+			write()
+			boot(k)
+		}
+	}
 }
 
 // FuzzReportBody posts arbitrary bytes to the results endpoint against
 // a live lease on shard [0,4) whose job 0 is already ingested. The
 // handler must not panic; a refused report leaves the journal and the
 // done count untouched (all or nothing), and an accepted one appends
-// exactly the canonical lines of its first copies of not-yet-done jobs.
-// The seed corpus in testdata/fuzz/FuzzReportBody holds valid,
-// duplicate, fenced, out-of-range and malformed bodies for lease
-// l000000, the first lease a fresh coordinator grants.
+// exactly the canonical lines of its first copies of not-yet-done jobs,
+// leaving a journal that campaign.OpenJournal reopens. The seed corpus
+// in testdata/fuzz/FuzzReportBody holds valid, duplicate, fenced,
+// out-of-range, foreign-seed and malformed bodies for lease l000000,
+// the first lease a fresh coordinator grants.
 func FuzzReportBody(f *testing.F) {
 	spec := campaign.Spec{Name: "fuzz", Kind: "toy", Seed: 11, Trials: 8}
 	res := execute(spec)
@@ -239,5 +320,10 @@ func FuzzReportBody(f *testing.F) {
 		if st.Done != len(seen) {
 			t.Fatalf("accepted report: done = %d, want %d", st.Done, len(seen))
 		}
+		j, _, err := campaign.OpenJournal(path, spec)
+		if err != nil {
+			t.Fatalf("accepted report left a journal that does not reopen: %v", err)
+		}
+		j.Close()
 	})
 }

@@ -502,19 +502,24 @@ func (s *Server) Heartbeat(leaseID string) error {
 // any.
 //
 // The batch is validated whole first (a live lease, every job in its
-// shard's range), then encoded outside the server mutex; under it the
-// fresh lines are deduped and committed with one journal write.
+// shard's range with its seed in the grid, so the journal holds only
+// records that campaign.OpenJournal accepts), then encoded outside the
+// server mutex; under it the fresh lines are deduped and committed
+// with one journal write.
 func (s *Server) Ingest(leaseID string, results []campaign.Result) error {
 	s.mu.Lock()
-	_, _, sh, err := s.validLocked(leaseID)
+	_, c, sh, err := s.validLocked(leaseID)
 	s.mu.Unlock()
 	if err != nil {
 		return err
 	}
-	rng := sh.rng // fixed for the shard's lifetime
+	rng, seed := sh.rng, c.req.Spec.Seed // fixed for the shard's lifetime
 	for _, r := range results {
 		if !rng.Contains(r.Job) {
 			return fmt.Errorf("campaignd: lease %s reported job %d outside %s", leaseID, r.Job, rng)
+		}
+		if want := campaign.DeriveSeed(seed, r.Job); r.Seed != want {
+			return fmt.Errorf("campaignd: lease %s reported job %d with seed %d, the grid's is %d", leaseID, r.Job, r.Seed, want)
 		}
 	}
 	lines := make([][]byte, len(results))

@@ -3,16 +3,15 @@ package gift
 import "grinch/internal/bitutil"
 
 // This file contains the block-parallel bitsliced GIFT-64 kernel behind
-// the batched attack pipeline. Where bitsliced.go slices one state into
-// its four bit planes (within-block bitslicing, 16-bit planes), the
-// Batch64 kernel slices 64 whole states across each other: word b of a
-// Batch64 carries state bit b of all 64 blocks, so one boolean
-// instruction advances all 64 encryptions by one gate. The S-box layer
-// is the same published circuit as sboxPlanes, the permutation is a
-// free plane reindexing, and AddRoundKey broadcasts each key-mask bit
-// branchlessly — like the within-block variant, no secret-indexed
-// access or secret branch exists anywhere in the kernel, which the
-// grinchvet leakage pass verifies.
+// the batched attack pipeline. Where bitsliced.go runs the S-box circuit
+// nibble-sliced inside one packed state, the Batch64 kernel slices 64
+// whole states across each other: word b of a Batch64 carries state bit
+// b of all 64 blocks, so one boolean instruction advances all 64
+// encryptions by one gate. The S-box layer calls the same sboxPlanes,
+// the permutation is a free plane reindexing, and AddRoundKey
+// broadcasts each key-mask bit branchlessly — like the within-block
+// variant, no secret-indexed access or secret branch exists anywhere in
+// the kernel, which the grinchvet leakage pass verifies.
 
 // Batch64 holds 64 GIFT-64 states bitsliced across blocks: bit j of
 // word b is state bit b of block j. Load/Store pivot between this
@@ -36,41 +35,24 @@ func (b *Batch64) Store(blocks *[64]uint64) {
 	bitutil.Transpose64(blocks)
 }
 
-// SubCells applies the GIFT S-box to every segment of every block: the
-// published circuit of sboxPlanes, evaluated once per segment at
-// 64-lane width. Planes 4i..4i+3 are the four index bits of segment i
-// across all blocks.
+// SubCells applies the GIFT S-box to every segment of every block:
+// sboxPlanes evaluated once per segment at 64-lane width. Planes
+// 4i..4i+3 are the four index bits of segment i across all blocks.
 //
 //grinch:secret
 func (b *Batch64) SubCells() {
 	for i := 0; i < 64; i += 4 {
-		s0, s1, s2, s3 := b[i], b[i+1], b[i+2], b[i+3]
-		s1 ^= s0 & s2
-		s0 ^= s1 & s3
-		s2 ^= s0 | s1
-		s3 ^= s2
-		s1 ^= s3
-		s3 = ^s3
-		s2 ^= s0 & s1
-		b[i], b[i+1], b[i+2], b[i+3] = s3, s1, s2, s0 // swap(S0, S3)
+		b[i], b[i+1], b[i+2], b[i+3] = sboxPlanes(b[i], b[i+1], b[i+2], b[i+3])
 	}
 }
 
 // InvSubCells applies the inverse S-box to every segment of every
-// block (the circuit of invSBoxPlanes at 64-lane width).
+// block (invSBoxPlanes at 64-lane width).
 //
 //grinch:secret
 func (b *Batch64) InvSubCells() {
 	for i := 0; i < 64; i += 4 {
-		s3, s1, s2, s0 := b[i], b[i+1], b[i+2], b[i+3] // undo swap(S0, S3)
-		s2 ^= s0 & s1
-		s3 = ^s3
-		s1 ^= s3
-		s3 ^= s2
-		s2 ^= s0 | s1
-		s0 ^= s1 & s3
-		s1 ^= s0 & s2
-		b[i], b[i+1], b[i+2], b[i+3] = s0, s1, s2, s3
+		b[i], b[i+1], b[i+2], b[i+3] = invSBoxPlanes(b[i], b[i+1], b[i+2], b[i+3])
 	}
 }
 
@@ -137,19 +119,12 @@ func (b *Batch64) Round(rk RoundKey64) {
 //grinch:secret m
 func (b *Batch64) subCellsPermKeyInto(out *Batch64, m uint64) {
 	for i := 0; i < 64; i += 4 {
-		s0, s1, s2, s3 := b[i], b[i+1], b[i+2], b[i+3]
-		s1 ^= s0 & s2
-		s0 ^= s1 & s3
-		s2 ^= s0 | s1
-		s3 ^= s2
-		s1 ^= s3
-		s3 = ^s3
-		s2 ^= s0 & s1
+		q0, q1, q2, q3 := sboxPlanes(b[i], b[i+1], b[i+2], b[i+3])
 		p0, p1, p2, p3 := Perm64[i], Perm64[i+1], Perm64[i+2], Perm64[i+3]
-		out[p0] = s3 ^ -(m >> p0 & 1) // swap(S0, S3)
-		out[p1] = s1 ^ -(m >> p1 & 1)
-		out[p2] = s2 ^ -(m >> p2 & 1)
-		out[p3] = s0 ^ -(m >> p3 & 1)
+		out[p0] = q0 ^ -(m >> p0 & 1)
+		out[p1] = q1 ^ -(m >> p1 & 1)
+		out[p2] = q2 ^ -(m >> p2 & 1)
+		out[p3] = q3 ^ -(m >> p3 & 1)
 	}
 }
 

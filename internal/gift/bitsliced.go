@@ -2,97 +2,87 @@ package gift
 
 import "grinch/internal/bitutil"
 
-// This file contains the bitsliced (lookup-free) GIFT implementation.
-// The S-box layer is computed with boolean operations on the four bit
-// planes of the state, so no data-dependent memory access ever occurs:
-// this is the constant-time software style the GRINCH paper's first
-// countermeasure discussion motivates, and it doubles as an independent
-// correctness cross-check for the table-based implementation.
+// This file contains the lookup-free GIFT S-box layer. The S-box is
+// computed with boolean operations on bit planes, so no data-dependent
+// memory access ever occurs: this is the constant-time software style
+// the GRINCH paper's first countermeasure discussion motivates. The
+// attacker and the ideal oracle, which only need S-box values, run
+// their scalar layers through it; the table-based layer of gift64.go
+// stays the paper's victim implementation.
 //
-// The plane decomposition: plane j collects bit 4i+j of every segment i,
-// so a GIFT-64 state yields four 16-bit planes and a GIFT-128 state four
-// 32-bit planes. The S-box circuit below is the one published with the
-// GIFT specification:
+// sboxPlanes is the one copy of the circuit published with the GIFT
+// specification:
 //
 //	S1 ^= S0 & S2;  S0 ^= S1 & S3;  S2 ^= S0 | S1;
 //	S3 ^= S2;       S1 ^= S3;       S3 = ~S3;
 //	S2 ^= S0 & S1;  swap(S0, S3)
 //
-// (verified exhaustively against the lookup table in bitsliced_test.go).
+// Batch64 evaluates it on 64-lane planes, one block per bit. The scalar
+// layers evaluate it nibble-sliced on the packed state: plane j is
+// s>>j, whose bit 4i is index bit j of segment i. Boolean operations
+// never move a bit between positions, so the other bits of a plane,
+// whatever they hold, never reach bit 4i; masking each output plane
+// to the bits 4i drops them, so the input planes need no mask. The
+// circuit and the 64-bit layers built on it fit the compiler's inlining
+// budget, so their callers pay no call; the unmasked inputs and the
+// folded complements below keep them within it. (Verified exhaustively
+// against the lookup table in bitsliced_test.go.)
 
-// planes64 splits a GIFT-64 state into its four 16-bit bit planes.
-//
-//grinch:secret s return
-func planes64(s uint64) (p0, p1, p2, p3 uint16) {
-	for i := uint(0); i < 16; i++ {
-		nib := s >> (4 * i)
-		p0 |= uint16(nib&1) << i
-		p1 |= uint16(nib>>1&1) << i
-		p2 |= uint16(nib>>2&1) << i
-		p3 |= uint16(nib>>3&1) << i
-	}
-	return
-}
-
-// unplanes64 reassembles a GIFT-64 state from its bit planes.
-func unplanes64(p0, p1, p2, p3 uint16) uint64 {
-	var s uint64
-	for i := uint(0); i < 16; i++ {
-		nib := uint64(p0>>i&1) | uint64(p1>>i&1)<<1 |
-			uint64(p2>>i&1)<<2 | uint64(p3>>i&1)<<3
-		s |= nib << (4 * i)
-	}
-	return s
-}
-
-// sboxPlanes applies the GIFT S-box circuit to generic-width planes.
+// sboxPlanes applies the GIFT S-box circuit to four bit planes. The
+// complement of S3 is taken on return: the final S2 step does not read
+// S3, so this computes the published order.
 //
 //grinch:secret
-func sboxPlanes(s0, s1, s2, s3 uint32) (uint32, uint32, uint32, uint32) {
+func sboxPlanes(s0, s1, s2, s3 uint64) (uint64, uint64, uint64, uint64) {
 	s1 ^= s0 & s2
 	s0 ^= s1 & s3
 	s2 ^= s0 | s1
 	s3 ^= s2
 	s1 ^= s3
-	s3 = ^s3
 	s2 ^= s0 & s1
-	return s3, s1, s2, s0 // swap(S0, S3)
+	return ^s3, s1, s2, s0 // swap(S0, S3)
 }
 
-// invSBoxPlanes inverts sboxPlanes (each step undone in reverse order).
+// invSBoxPlanes inverts sboxPlanes: it takes the planes in sboxPlanes'
+// output order (undoing the swap) and undoes each step in reverse
+// order, with the complement of S3 folded into the two steps that
+// read it.
 //
 //grinch:secret
-func invSBoxPlanes(s0, s1, s2, s3 uint32) (uint32, uint32, uint32, uint32) {
-	s0, s3 = s3, s0 // undo swap
+func invSBoxPlanes(s3, s1, s2, s0 uint64) (uint64, uint64, uint64, uint64) {
 	s2 ^= s0 & s1
-	s3 = ^s3
-	s1 ^= s3
-	s3 ^= s2
+	s1 ^= ^s3
+	s3 ^= ^s2
 	s2 ^= s0 | s1
 	s0 ^= s1 & s3
 	s1 ^= s0 & s2
 	return s0, s1, s2, s3
 }
 
+// nibblePlane selects bit 0 of every segment of a packed state.
+const nibblePlane = 0x1111111111111111
+
 // SubCells64Bitsliced applies the S-box layer to a GIFT-64 state without
 // any table lookup. The state is as secret as in SubCells64; grinchvet
 // verifies that, unlike the table path, no secret-indexed access or
-// secret branch exists here.
+// secret branch exists here. It runs the circuit nibble-sliced on the
+// packed word: bit 4i of s>>j is index bit j of segment i, and only
+// those bits of the outputs are kept.
 //
 //grinch:secret s
 func SubCells64Bitsliced(s uint64) uint64 {
-	p0, p1, p2, p3 := planes64(s)
-	q0, q1, q2, q3 := sboxPlanes(uint32(p0), uint32(p1), uint32(p2), uint32(p3))
-	return unplanes64(uint16(q0), uint16(q1), uint16(q2), uint16(q3))
+	const m = nibblePlane
+	q0, q1, q2, q3 := sboxPlanes(s, s>>1, s>>2, s>>3)
+	return q0&m | (q1&m)<<1 | (q2&m)<<2 | (q3&m)<<3
 }
 
 // InvSubCells64Bitsliced applies the inverse S-box layer without lookups.
 //
 //grinch:secret s
 func InvSubCells64Bitsliced(s uint64) uint64 {
-	p0, p1, p2, p3 := planes64(s)
-	q0, q1, q2, q3 := invSBoxPlanes(uint32(p0), uint32(p1), uint32(p2), uint32(p3))
-	return unplanes64(uint16(q0), uint16(q1), uint16(q2), uint16(q3))
+	const m = nibblePlane
+	q0, q1, q2, q3 := invSBoxPlanes(s, s>>1, s>>2, s>>3)
+	return q0&m | (q1&m)<<1 | (q2&m)<<2 | (q3&m)<<3
 }
 
 // EncryptBlockBitsliced encrypts one GIFT-64 block using the lookup-free
@@ -100,7 +90,7 @@ func InvSubCells64Bitsliced(s uint64) uint64 {
 func (c *Cipher64) EncryptBlockBitsliced(pt uint64) uint64 {
 	s := pt
 	for r := 0; r < Rounds64; r++ {
-		s = AddRoundKey64(PermBits64(SubCells64Bitsliced(s)), c.rk[r])
+		s = PermBits64(SubCells64Bitsliced(s)) ^ c.rkm[r]
 	}
 	return s
 }
@@ -109,27 +99,9 @@ func (c *Cipher64) EncryptBlockBitsliced(pt uint64) uint64 {
 func (c *Cipher64) DecryptBlockBitsliced(ct uint64) uint64 {
 	s := ct
 	for r := Rounds64 - 1; r >= 0; r-- {
-		s = InvSubCells64Bitsliced(InvPermBits64(AddRoundKey64(s, c.rk[r])))
+		s = InvSubCells64Bitsliced(InvPermBits64(s ^ c.rkm[r]))
 	}
 	return s
-}
-
-// planes128 splits a GIFT-128 state into four 32-bit planes.
-//
-//grinch:secret s return
-func planes128(s bitutil.Word128) (p0, p1, p2, p3 uint32) {
-	l0, l1, l2, l3 := planes64(s.Lo)
-	h0, h1, h2, h3 := planes64(s.Hi)
-	return uint32(h0)<<16 | uint32(l0), uint32(h1)<<16 | uint32(l1),
-		uint32(h2)<<16 | uint32(l2), uint32(h3)<<16 | uint32(l3)
-}
-
-// unplanes128 reassembles a GIFT-128 state from its planes.
-func unplanes128(p0, p1, p2, p3 uint32) bitutil.Word128 {
-	return bitutil.Word128{
-		Lo: unplanes64(uint16(p0), uint16(p1), uint16(p2), uint16(p3)),
-		Hi: unplanes64(uint16(p0>>16), uint16(p1>>16), uint16(p2>>16), uint16(p3>>16)),
-	}
 }
 
 // SubCells128Bitsliced applies the S-box layer to a GIFT-128 state
@@ -137,8 +109,7 @@ func unplanes128(p0, p1, p2, p3 uint32) bitutil.Word128 {
 //
 //grinch:secret s
 func SubCells128Bitsliced(s bitutil.Word128) bitutil.Word128 {
-	p0, p1, p2, p3 := planes128(s)
-	return unplanes128(sboxPlanes(p0, p1, p2, p3))
+	return bitutil.Word128{Lo: SubCells64Bitsliced(s.Lo), Hi: SubCells64Bitsliced(s.Hi)}
 }
 
 // InvSubCells128Bitsliced applies the inverse S-box layer without
@@ -146,8 +117,7 @@ func SubCells128Bitsliced(s bitutil.Word128) bitutil.Word128 {
 //
 //grinch:secret s
 func InvSubCells128Bitsliced(s bitutil.Word128) bitutil.Word128 {
-	p0, p1, p2, p3 := planes128(s)
-	return unplanes128(invSBoxPlanes(p0, p1, p2, p3))
+	return bitutil.Word128{Lo: InvSubCells64Bitsliced(s.Lo), Hi: InvSubCells64Bitsliced(s.Hi)}
 }
 
 // EncryptBlockBitsliced encrypts one GIFT-128 block using the lookup-free
@@ -155,7 +125,7 @@ func InvSubCells128Bitsliced(s bitutil.Word128) bitutil.Word128 {
 func (c *Cipher128) EncryptBlockBitsliced(pt bitutil.Word128) bitutil.Word128 {
 	s := pt
 	for r := 0; r < Rounds128; r++ {
-		s = AddRoundKey128(PermBits128(SubCells128Bitsliced(s)), c.rk[r])
+		s = PermBits128(SubCells128Bitsliced(s)).Xor(c.rkm[r])
 	}
 	return s
 }
@@ -164,7 +134,7 @@ func (c *Cipher128) EncryptBlockBitsliced(pt bitutil.Word128) bitutil.Word128 {
 func (c *Cipher128) DecryptBlockBitsliced(ct bitutil.Word128) bitutil.Word128 {
 	s := ct
 	for r := Rounds128 - 1; r >= 0; r-- {
-		s = InvSubCells128Bitsliced(InvPermBits128(AddRoundKey128(s, c.rk[r])))
+		s = InvSubCells128Bitsliced(InvPermBits128(s.Xor(c.rkm[r])))
 	}
 	return s
 }

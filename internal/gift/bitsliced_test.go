@@ -43,27 +43,6 @@ func TestSubCells128BitslicedQuick(t *testing.T) {
 	}
 }
 
-func TestPlanesRoundTripQuick(t *testing.T) {
-	f := func(s uint64) bool {
-		p0, p1, p2, p3 := planes64(s)
-		return unplanes64(p0, p1, p2, p3) == s
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPlanes128RoundTripQuick(t *testing.T) {
-	f := func(lo, hi uint64) bool {
-		s := bitutil.Word128{Lo: lo, Hi: hi}
-		p0, p1, p2, p3 := planes128(s)
-		return unplanes128(p0, p1, p2, p3) == s
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestBitslicedKnownAnswers(t *testing.T) {
 	for _, kat := range gift64KATs {
 		c := NewCipher64(mustKey(t, kat.key))

@@ -241,6 +241,7 @@ func (c *Cipher128) SBoxInputs(pt bitutil.Word128) []bitutil.Word128 {
 // round count. The trace oracle reuses one buffer across encryptions,
 // so its hot loop allocates nothing per encryption. n states take n−1
 // rounds: the round after the last reported state is never computed.
+// Like Cipher64.SBoxInputsAppend it runs the lookup-free S-box layer.
 func (c *Cipher128) SBoxInputsAppend(dst []bitutil.Word128, pt bitutil.Word128, n int) []bitutil.Word128 {
 	if n > Rounds128 {
 		n = Rounds128
@@ -251,13 +252,14 @@ func (c *Cipher128) SBoxInputsAppend(dst []bitutil.Word128, pt bitutil.Word128, 
 	s := pt
 	dst = append(dst, s)
 	for r := 1; r < n; r++ {
-		s = PermBits128(SubCells128(s)).Xor(c.rkm[r-1])
+		s = PermBits128(SubCells128Bitsliced(s)).Xor(c.rkm[r-1])
 		dst = append(dst, s)
 	}
 	return dst
 }
 
-// PartialEncrypt128 applies rounds 1..n of the cipher.
+// PartialEncrypt128 applies rounds 1..n of the cipher with the
+// lookup-free S-box layer, as PartialEncrypt64 does.
 //
 //grinch:secret rks
 func PartialEncrypt128(pt bitutil.Word128, rks []RoundKey128, n int) bitutil.Word128 {
@@ -266,7 +268,7 @@ func PartialEncrypt128(pt bitutil.Word128, rks []RoundKey128, n int) bitutil.Wor
 	}
 	s := pt
 	for r := 0; r < n; r++ {
-		s = Round128(s, rks[r])
+		s = AddRoundKey128(PermBits128(SubCells128Bitsliced(s)), rks[r])
 	}
 	return s
 }
@@ -280,7 +282,7 @@ func PartialDecrypt128(ct bitutil.Word128, rks []RoundKey128, n int) bitutil.Wor
 	}
 	s := ct
 	for r := n - 1; r >= 0; r-- {
-		s = InvRound128(s, rks[r])
+		s = InvSubCells128Bitsliced(InvPermBits128(AddRoundKey128(s, rks[r])))
 	}
 	return s
 }

@@ -281,6 +281,8 @@ func (c *Cipher64) SBoxInputs(pt uint64) []uint64 {
 // round count. The trace oracle reuses one buffer across encryptions,
 // so its hot loop allocates nothing per encryption. n states take n−1
 // rounds: the round after the last reported state is never computed.
+// The oracle needs only the index values, so the rounds run the
+// lookup-free S-box layer; EncryptTraced is the table path.
 func (c *Cipher64) SBoxInputsAppend(dst []uint64, pt uint64, n int) []uint64 {
 	if n > Rounds64 {
 		n = Rounds64
@@ -291,7 +293,7 @@ func (c *Cipher64) SBoxInputsAppend(dst []uint64, pt uint64, n int) []uint64 {
 	s := pt
 	dst = append(dst, s)
 	for r := 1; r < n; r++ {
-		s = PermBits64(SubCells64(s)) ^ c.rkm[r-1]
+		s = PermBits64(SubCells64Bitsliced(s)) ^ c.rkm[r-1]
 		dst = append(dst, s)
 	}
 	return dst
@@ -299,7 +301,8 @@ func (c *Cipher64) SBoxInputsAppend(dst []uint64, pt uint64, n int) []uint64 {
 
 // PartialEncrypt64 applies rounds 1..n of the cipher (n=0 returns pt
 // unchanged). The attack uses it to compute intermediate states from
-// already-recovered round keys.
+// already-recovered round keys, so it runs the lookup-free S-box layer:
+// the attacker's own computation is not the victim's table.
 //
 //grinch:secret rks
 func PartialEncrypt64(pt uint64, rks []RoundKey64, n int) uint64 {
@@ -308,7 +311,7 @@ func PartialEncrypt64(pt uint64, rks []RoundKey64, n int) uint64 {
 	}
 	s := pt
 	for r := 0; r < n; r++ {
-		s = Round64(s, rks[r])
+		s = AddRoundKey64(PermBits64(SubCells64Bitsliced(s)), rks[r])
 	}
 	return s
 }
@@ -322,7 +325,7 @@ func PartialDecrypt64(ct uint64, rks []RoundKey64, n int) uint64 {
 	}
 	s := ct
 	for r := n - 1; r >= 0; r-- {
-		s = InvRound64(s, rks[r])
+		s = InvSubCells64Bitsliced(InvPermBits64(AddRoundKey64(s, rks[r])))
 	}
 	return s
 }
