@@ -6,11 +6,15 @@ GO ?= go
 
 check: vet lint lint-quant build race bench-guard
 
+# perfbench is a nested module that the root ./... skips; build and vet
+# it too, so a change that breaks it fails here and not in a benchmark run.
 vet:
 	$(GO) vet ./...
+	cd perfbench && $(GO) build ./... && $(GO) vet ./...
 
 # grinchvet: the repo's own static analyzer (secret-dependent accesses,
-# determinism). Fails on any finding not in grinchvet.baseline.
+# determinism, dead exports). Fails on any finding not in
+# grinchvet.baseline.
 lint:
 	$(GO) run ./cmd/grinchvet ./...
 

@@ -1,7 +1,8 @@
 // Command grinchvet is the repository's static analyzer: it proves
 // which cipher implementations perform secret-dependent memory accesses
-// (the property the GRINCH attack exploits) and polices the
-// determinism contract of the campaign/simulation core.
+// (the property the GRINCH attack exploits), polices the determinism
+// contract of the campaign/simulation core, and flags exported
+// internal/ symbols that no non-test code uses.
 //
 // Usage:
 //

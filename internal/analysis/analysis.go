@@ -1,6 +1,6 @@
 // Package analysis is grinchvet's analyzer framework: a small,
 // stdlib-only (go/parser + go/ast + go/types) multi-pass static checker
-// that turns two properties of this repository into machine-enforced
+// that turns three properties of this repository into machine-enforced
 // invariants:
 //
 //   - Leakage. The GRINCH attack exists because table-based GIFT
@@ -16,6 +16,10 @@
 //     mathrand, maporder) forbids wall-clock reads, stdlib RNGs and
 //     map-iteration ordering inside the deterministic core, so the
 //     promise cannot rot silently.
+//
+//   - No dead code. internal/ is importable only from inside the module,
+//     so an exported symbol there that no non-test file uses is code
+//     nothing runs; the dead-export pass (deadexport) flags it.
 //
 // Findings carry file:line positions, a severity, and a stable key used
 // by the committed baseline (grinchvet.baseline): known, accepted
@@ -120,6 +124,7 @@ func Registry() []*Analyzer {
 	return []*Analyzer{
 		LeakageAnalyzer(),
 		DeterminismAnalyzer(),
+		DeadExportAnalyzer(),
 	}
 }
 

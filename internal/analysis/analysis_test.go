@@ -25,7 +25,16 @@ type wantMark struct {
 	hit  bool
 }
 
-func collectWants(t *testing.T, pkg *Package) []*wantMark {
+func collectWants(t *testing.T, pkgs []*Package) []*wantMark {
+	t.Helper()
+	var wants []*wantMark
+	for _, pkg := range pkgs {
+		wants = append(wants, pkgWants(t, pkg)...)
+	}
+	return wants
+}
+
+func pkgWants(t *testing.T, pkg *Package) []*wantMark {
 	t.Helper()
 	var wants []*wantMark
 	for _, f := range pkg.Files {
@@ -50,12 +59,30 @@ func collectWants(t *testing.T, pkg *Package) []*wantMark {
 
 func runFixture(t *testing.T, name string, cfg Config) {
 	t.Helper()
-	dir := filepath.Join("testdata", "src", name)
-	w, pkg, err := LoadPackageDir(dir, name)
+	w, _, err := LoadPackageDir(filepath.Join("testdata", "src", name), name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wants := collectWants(t, pkg)
+	checkWants(t, w, cfg)
+}
+
+// runModuleFixture is runFixture for a fixture that is a module of its
+// own (a go.mod under testdata/src/name), for rules that look across
+// packages.
+func runModuleFixture(t *testing.T, name string, cfg Config) {
+	t.Helper()
+	w, err := LoadModule(filepath.Join("testdata", "src", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkWants(t, w, cfg)
+}
+
+// checkWants analyzes every package of w and matches the findings
+// against the want markers.
+func checkWants(t *testing.T, w *World, cfg Config) {
+	t.Helper()
+	wants := collectWants(t, w.Pkgs)
 	findings := Analyze(w, w.Pkgs, cfg)
 	for _, f := range findings {
 		matched := false
@@ -104,6 +131,12 @@ func TestDeterminismFixture(t *testing.T) {
 func TestGenericReceiverFixture(t *testing.T) {
 	runFixture(t, "generic", Config{DeterministicPkgs: []string{"generic"}})
 }
+
+// TestDeadExportFixture: unused and test-only exports under internal/
+// are flagged; cross-package uses, methods that satisfy a named, an
+// anonymous or an allowlisted std interface, exports outside internal/
+// and //grinchvet:ignore sites are not.
+func TestDeadExportFixture(t *testing.T) { runModuleFixture(t, "deadexport", Config{}) }
 
 // TestDeterminismScopedToCore: the same fixture outside the configured
 // deterministic core produces nothing.

@@ -33,6 +33,12 @@ import (
 // The quant column is NOT part of the identity: matching still uses
 // the first four fields only, so a model recalibration never
 // invalidates the ledger, and v1 files keep parsing unchanged.
+//
+// The header block runs to the first blank line. After it, a run of
+// "#" lines is the note of the entries that follow it, up to the next
+// blank line. A deadexport entry must carry a note — the reason the
+// unused export stays — and WriteBaseline keeps every note with its
+// entries.
 
 // BaselineKey is the stable identity of a finding.
 func BaselineKey(root string, f Finding) string {
@@ -56,46 +62,97 @@ func ReadBaseline(path string) (map[string]int, error) {
 }
 
 func parseBaseline(r io.Reader) (map[string]int, error) {
-	set := map[string]int{}
+	set, notes, err := scanBaseline(r)
+	if err != nil {
+		return nil, err
+	}
+	for k := range set {
+		if strings.HasPrefix(k, "deadexport\t") && notes[k] == "" {
+			return nil, fmt.Errorf("analysis: baseline entry %q needs a # justification line above it", k)
+		}
+	}
+	return set, nil
+}
+
+// scanBaseline reads the entries as a key -> count multiset and the
+// note, if any, above each key.
+func scanBaseline(r io.Reader) (set map[string]int, notes map[string]string, err error) {
+	set, notes = map[string]int{}, map[string]string{}
+	header, note, afterEntry := true, "", false
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		line := strings.TrimRight(sc.Text(), "\r")
-		if line == "" || strings.HasPrefix(line, "#") {
+		switch {
+		case line == "":
+			header, note, afterEntry = false, "", false
+			continue
+		case strings.HasPrefix(line, "#"):
+			if !header {
+				if afterEntry {
+					note, afterEntry = "", false
+				}
+				note += line + "\n"
+			}
 			continue
 		}
+		key := line
 		switch strings.Count(line, "\t") {
 		case 3: // v1: rule, file, func, detail
-			set[line]++
 		case 4: // v2: + informational quant column, dropped from the key
-			key := line[:strings.LastIndex(line, "\t")]
-			set[key]++
+			key = line[:strings.LastIndex(line, "\t")]
 		default:
-			return nil, fmt.Errorf("analysis: malformed baseline line %q (want rule\\tfile\\tfunc\\tdetail[\\tquant])", line)
+			return nil, nil, fmt.Errorf("analysis: malformed baseline line %q (want rule\\tfile\\tfunc\\tdetail[\\tquant])", line)
 		}
+		set[key]++
+		if note != "" {
+			notes[key] = note
+		}
+		afterEntry = true
 	}
-	return set, sc.Err()
+	return set, notes, sc.Err()
 }
 
 // WriteBaseline writes the findings' keys as a sorted baseline file.
 // Findings carrying quant estimates (a -quant run) are written in the
-// v2 format with the informational fifth column.
+// v2 format with the informational fifth column. Notes of the file it
+// replaces stay with their entries: unnoted entries follow the header,
+// noted ones come after it in blocks under their notes.
 func WriteBaseline(path, root string, findings []Finding) error {
-	lines := make([]string, 0, len(findings))
+	var notes map[string]string
+	if f, err := os.Open(path); err == nil {
+		_, notes, _ = scanBaseline(f)
+		f.Close()
+	}
+	type entry struct{ key, line string }
+	entries := make([]entry, 0, len(findings))
 	for _, f := range findings {
-		line := BaselineKey(root, f)
+		key := BaselineKey(root, f)
+		line := key
 		if f.Quant != nil {
 			line += "\t" + f.Quant.BaselineColumn()
 		}
-		lines = append(lines, line)
+		entries = append(entries, entry{key, line})
 	}
-	sort.Strings(lines)
+	sort.Slice(entries, func(i, j int) bool { return entries[i].line < entries[j].line })
 	var b strings.Builder
 	b.WriteString("# grinchvet baseline — accepted findings, one per line:\n")
 	b.WriteString("# rule\tfile\tfunc\tdetail[\tquant]\n")
 	b.WriteString("# Regenerate with: go run ./cmd/grinchvet -quant -write-baseline ./...\n")
-	for _, l := range lines {
-		b.WriteString(l)
-		b.WriteByte('\n')
+	var noted []entry
+	for _, e := range entries {
+		if notes[e.key] != "" {
+			noted = append(noted, e)
+			continue
+		}
+		b.WriteString(e.line + "\n")
+	}
+	prev := ""
+	for _, e := range noted {
+		if n := notes[e.key]; n != prev {
+			b.WriteString("\n" + n)
+			prev = n
+		}
+		b.WriteString(e.line + "\n")
 	}
 	return os.WriteFile(path, []byte(b.String()), 0o644)
 }

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -69,5 +70,49 @@ func TestBaselineKeyRelativizesInsideRoot(t *testing.T) {
 	outside := fnd("secret-index", "/elsewhere/x.go", "F", "d")
 	if got := BaselineKey(root, outside); !strings.Contains(got, "/elsewhere/x.go") {
 		t.Fatalf("file outside root must stay absolute, got %q", got)
+	}
+}
+
+// TestBaselineDeadExportNeedsNote: a deadexport entry is accepted only
+// under a # note past the header block, and rewriting the baseline
+// keeps each note with its entry.
+func TestBaselineDeadExportNeedsNote(t *testing.T) {
+	for _, bad := range []string{
+		"# header\n\ndeadexport\tinternal/x.go\t\tfunc F\n",
+		"# header\ndeadexport\tinternal/x.go\t\tfunc F\n",
+		"# header\n\n# why\ndeadexport\tinternal/x.go\t\tfunc F\n\ndeadexport\tinternal/x.go\t\tfunc G\n",
+	} {
+		if _, err := parseBaseline(strings.NewReader(bad)); err == nil {
+			t.Errorf("unjustified deadexport entry accepted:\n%s", bad)
+		}
+	}
+
+	root := t.TempDir()
+	path := filepath.Join(root, "grinchvet.baseline")
+	note := "# kept: the fixture needs it\n"
+	if err := os.WriteFile(path, []byte("# header\n\n"+note+"deadexport\tinternal/x.go\t\tfunc F\ndeadexport\tinternal/x.go\t\tfunc G\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	findings := []Finding{
+		fnd("deadexport", filepath.Join(root, "internal/x.go"), "", "func F"),
+		fnd("deadexport", filepath.Join(root, "internal/x.go"), "", "func G"),
+		fnd("secret-index", filepath.Join(root, "a.go"), "F", "sbox"),
+	}
+	if err := WriteBaseline(path, root, findings); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "\n" + note + "deadexport\tinternal/x.go\t\tfunc F\ndeadexport\tinternal/x.go\t\tfunc G\n"; !strings.HasSuffix(string(b), want) {
+		t.Fatalf("rewritten baseline lost the note:\n%s", b)
+	}
+	base, err := ReadBaseline(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh, stale := Diff(findings, base, root); len(fresh) != 0 || len(stale) != 0 {
+		t.Fatalf("round trip not clean: fresh=%v stale=%v", fresh, stale)
 	}
 }

@@ -41,7 +41,6 @@ type World struct {
 	// Pkgs holds every loaded package in deterministic (path) order.
 	Pkgs []*Package
 
-	byPath map[string]*Package
 	// secrets is the module-wide annotation table (annotate.go).
 	secrets *secretTable
 	// ignores maps file name -> line -> ignored rules (ignore.go).
@@ -49,10 +48,10 @@ type World struct {
 	// geoms is the container-geometry table for the quant model
 	// (quant.go): declaration-inferred and annotated sizes.
 	geoms map[types.Object]Geometry
+	// live is the dead-export pass's use index, built on first use
+	// (deadexport.go).
+	live *liveness
 }
-
-// PackageByPath returns a loaded package, or nil.
-func (w *World) PackageByPath(path string) *Package { return w.byPath[path] }
 
 // stubImporter satisfies go/types for imports outside the module by
 // returning empty, complete packages. Selections into them fail to
@@ -99,7 +98,6 @@ func LoadModule(dir string) (*World, error) {
 		ModulePath: modulePath,
 		Root:       root,
 		Fset:       token.NewFileSet(),
-		byPath:     map[string]*Package{},
 		ignores:    map[string]map[int][]string{},
 	}
 
@@ -182,7 +180,6 @@ func LoadModule(dir string) (*World, error) {
 		p.pkg.Info = info
 		si.known[path] = tp
 		state[path] = 2
-		w.byPath[path] = p.pkg
 		w.Pkgs = append(w.Pkgs, p.pkg)
 		return nil
 	}
@@ -203,7 +200,6 @@ func LoadPackageDir(dir, importPath string) (*World, *Package, error) {
 		ModulePath: "",
 		Root:       dir,
 		Fset:       token.NewFileSet(),
-		byPath:     map[string]*Package{},
 		ignores:    map[string]map[int][]string{},
 	}
 	files, err := parseDir(w.Fset, dir)
@@ -227,7 +223,6 @@ func LoadPackageDir(dir, importPath string) (*World, *Package, error) {
 	tp, _ := conf.Check(importPath, w.Fset, files, info)
 	pkg := &Package{Path: importPath, Dir: dir, Fset: w.Fset, Files: files, Types: tp, Info: info}
 	w.Pkgs = []*Package{pkg}
-	w.byPath[importPath] = pkg
 	w.finish()
 	return w, pkg, nil
 }

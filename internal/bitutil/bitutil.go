@@ -10,8 +10,6 @@
 //   - "Segment i" is the 4-bit nibble occupying bits 4i..4i+3.
 package bitutil
 
-import "math/bits"
-
 // Bit returns bit i (0 = least significant) of x as 0 or 1.
 func Bit(x uint64, i uint) uint64 {
 	return (x >> i) & 1
@@ -20,11 +18,6 @@ func Bit(x uint64, i uint) uint64 {
 // SetBit returns x with bit i forced to the low bit of v.
 func SetBit(x uint64, i uint, v uint64) uint64 {
 	return (x &^ (1 << i)) | ((v & 1) << i)
-}
-
-// FlipBit returns x with bit i inverted.
-func FlipBit(x uint64, i uint) uint64 {
-	return x ^ (1 << i)
 }
 
 // Nibble returns the 4-bit segment i (bits 4i..4i+3) of x.
@@ -45,21 +38,6 @@ func RotR16(x uint16, n uint) uint16 {
 		return x
 	}
 	return x>>n | x<<(16-n)
-}
-
-// RotL16 rotates a 16-bit word left by n positions.
-func RotL16(x uint16, n uint) uint16 {
-	return RotR16(x, 16-n%16)
-}
-
-// RotR32 rotates a 32-bit word right by n positions.
-func RotR32(x uint32, n uint) uint32 {
-	return bits.RotateLeft32(x, -int(n%32))
-}
-
-// Parity returns the XOR of all bits of x (0 or 1).
-func Parity(x uint64) uint64 {
-	return uint64(bits.OnesCount64(x) & 1)
 }
 
 // Word128 is a 128-bit little-endian word: W[0] holds bits 0..63 and W[1]

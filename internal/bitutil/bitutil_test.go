@@ -20,16 +20,6 @@ func TestBitSetBit(t *testing.T) {
 	}
 }
 
-func TestFlipBit(t *testing.T) {
-	f := func(x uint64, i uint8) bool {
-		pos := uint(i) % 64
-		return FlipBit(FlipBit(x, pos), pos) == x && Bit(FlipBit(x, pos), pos) == Bit(x, pos)^1
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestNibbleSetNibble(t *testing.T) {
 	f := func(x uint64, i uint8, v uint64) bool {
 		pos := uint(i) % 16
@@ -61,25 +51,6 @@ func TestRot16(t *testing.T) {
 		if got := RotR16(c.x, c.n); got != c.want {
 			t.Errorf("RotR16(%#x, %d) = %#x, want %#x", c.x, c.n, got, c.want)
 		}
-	}
-	f := func(x uint16, n uint8) bool {
-		k := uint(n) % 16
-		return RotL16(RotR16(x, k), k) == x
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestParity(t *testing.T) {
-	if Parity(0) != 0 || Parity(1) != 1 || Parity(3) != 0 || Parity(7) != 1 {
-		t.Fatal("parity of small values wrong")
-	}
-	f := func(x uint64, i uint8) bool {
-		return Parity(FlipBit(x, uint(i)%64)) == Parity(x)^1
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

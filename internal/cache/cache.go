@@ -14,7 +14,6 @@
 package cache
 
 import (
-	"errors"
 	"fmt"
 	"math/bits"
 )
@@ -109,8 +108,8 @@ type Result struct {
 //
 //   - Evictions counts capacity evictions in Access (a full set
 //     displacing a valid victim line);
-//   - Flushes counts flush operations issued (one per FlushLine call,
-//     one per FlushAll), whether or not they found a resident line;
+//   - Flushes counts flush operations issued (one per FlushLine call),
+//     whether or not they found a resident line;
 //   - FlushedLines counts lines actually invalidated by those
 //     operations — the attacker-visible flush work.
 type Stats struct {
@@ -314,41 +313,5 @@ func (c *Cache) FlushRange(addr, size uint64) uint64 {
 	return total
 }
 
-// FlushAll invalidates the entire cache (the paper's optional "flush the
-// cache" attacker capability).
-func (c *Cache) FlushAll() {
-	for i := range c.lines {
-		if c.lines[i].valid {
-			c.stats.FlushedLines++
-		}
-		c.lines[i] = line{}
-	}
-	c.policy.Reset(c.cfg.Sets, c.cfg.Ways)
-	c.stats.Flushes++
-	c.stats.Cycles += c.cfg.FlushLatency
-}
-
-// ResidentLines returns the base addresses of all currently resident
-// lines, in unspecified order. Used by experiment plumbing and tests.
-func (c *Cache) ResidentLines() []uint64 {
-	var out []uint64
-	for set := 0; set < c.cfg.Sets; set++ {
-		base := set * c.cfg.Ways
-		for w := 0; w < c.cfg.Ways; w++ {
-			if c.lines[base+w].valid {
-				out = append(out, c.rebuildAddr(set, c.lines[base+w].tag))
-			}
-		}
-	}
-	return out
-}
-
 // Stats returns a copy of the accumulated counters.
 func (c *Cache) Stats() Stats { return c.stats }
-
-// ResetStats zeroes the counters without touching cache contents.
-func (c *Cache) ResetStats() { c.stats = Stats{} }
-
-// ErrBadGeometry is wrapped by New for invalid configurations. Retained
-// as a sentinel so callers can distinguish configuration errors.
-var ErrBadGeometry = errors.New("cache: bad geometry")

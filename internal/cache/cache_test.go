@@ -204,17 +204,6 @@ func TestFlushRangeCoversPartialLines(t *testing.T) {
 	}
 }
 
-func TestFlushAll(t *testing.T) {
-	c := MustNew(smallConfig())
-	for a := uint64(0); a < 64; a += 4 {
-		c.Access(a)
-	}
-	c.FlushAll()
-	if n := len(c.ResidentLines()); n != 0 {
-		t.Fatalf("%d lines resident after FlushAll", n)
-	}
-}
-
 func TestStatsAccounting(t *testing.T) {
 	c := MustNew(smallConfig())
 	c.Access(0)  // miss
@@ -232,10 +221,6 @@ func TestStatsAccounting(t *testing.T) {
 	}
 	if got := s.HitRate(); got != 0.25 {
 		t.Fatalf("hit rate = %v, want 0.25", got)
-	}
-	c.ResetStats()
-	if c.Stats() != (Stats{}) {
-		t.Fatal("ResetStats did not zero counters")
 	}
 }
 
@@ -280,28 +265,6 @@ func TestFlushCountersDistinguishOpsFromWork(t *testing.T) {
 	}
 }
 
-func TestFlushAllCountsResidentLines(t *testing.T) {
-	c := MustNew(smallConfig())
-	// Fill three distinct lines (sets 0 and 1).
-	c.Access(0)
-	c.Access(4)
-	c.Access(64)
-	before := c.Stats()
-	c.FlushAll()
-	s := c.Stats()
-	if got := s.FlushedLines - before.FlushedLines; got != 3 {
-		t.Fatalf("FlushAll invalidated %d lines, want 3", got)
-	}
-	if got := s.Flushes - before.Flushes; got != 1 {
-		t.Fatalf("FlushAll counted %d ops, want 1", got)
-	}
-	// Flushing the now-empty cache does no line work.
-	c.FlushAll()
-	if c.Stats().FlushedLines != s.FlushedLines {
-		t.Fatal("FlushAll of an empty cache reported flushed lines")
-	}
-}
-
 // TestEvictionCounterMatchesResults cross-checks the Evictions counter
 // against the per-access Result.Eviction reports.
 func TestEvictionCounterMatchesResults(t *testing.T) {
@@ -318,6 +281,17 @@ func TestEvictionCounterMatchesResults(t *testing.T) {
 	}
 }
 
+// residentLines returns the base addresses of all resident lines.
+func residentLines(c *Cache) []uint64 {
+	var out []uint64
+	for i, l := range c.lines {
+		if l.valid {
+			out = append(out, c.rebuildAddr(i/c.cfg.Ways, l.tag))
+		}
+	}
+	return out
+}
+
 func TestResidencyNeverExceedsWays(t *testing.T) {
 	cfg := smallConfig()
 	c := MustNew(cfg)
@@ -325,7 +299,7 @@ func TestResidencyNeverExceedsWays(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		c.Access(uint64(src.Intn(1 << 12)))
 		perSet := map[int]int{}
-		for _, a := range c.ResidentLines() {
+		for _, a := range residentLines(c) {
 			perSet[c.setOf(a)]++
 		}
 		for set, n := range perSet {
@@ -347,7 +321,6 @@ func TestWorkingSetFitsNoEvictions(t *testing.T) {
 		for _, a := range addrs {
 			c.Access(a)
 		}
-		c.ResetStats()
 		for round := 0; round < 10; round++ {
 			for _, a := range addrs {
 				if r := c.Access(a); !r.Hit {

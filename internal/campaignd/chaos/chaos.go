@@ -201,19 +201,6 @@ type Plan struct {
 	Faults []Fault `json:"faults"`
 }
 
-// Validate checks every fault.
-func (p Plan) Validate() error {
-	for i, f := range p.Faults {
-		if err := f.Validate(); err != nil {
-			return fmt.Errorf("fault %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// Empty reports a plan with no faults.
-func (p Plan) Empty() bool { return len(p.Faults) == 0 }
-
 // String renders the plan in the compact flag syntax.
 func (p Plan) String() string {
 	parts := make([]string, len(p.Faults))

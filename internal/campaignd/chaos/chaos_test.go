@@ -76,7 +76,7 @@ func TestParsePlanRoundTrip(t *testing.T) {
 	}
 
 	empty, err := ParsePlan("  ", 7)
-	if err != nil || !empty.Empty() {
+	if err != nil || len(empty.Faults) != 0 {
 		t.Errorf("blank spec: plan %+v, err %v; want empty", empty, err)
 	}
 }
@@ -113,8 +113,10 @@ func FuzzParsePlan(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if err := p.Validate(); err != nil {
-			t.Fatalf("ParsePlan(%q) accepted a plan that does not validate: %v", spec, err)
+		for i, f := range p.Faults {
+			if err := f.Validate(); err != nil {
+				t.Fatalf("ParsePlan(%q) accepted a plan whose fault %d does not validate: %v", spec, i, err)
+			}
 		}
 		again, err := ParsePlan(p.String(), seed)
 		if err != nil {
@@ -154,7 +156,7 @@ func TestTransportDeterminism(t *testing.T) {
 	plan := Plan{Seed: 99, Faults: []Fault{
 		{Kind: KindDropRequest, Path: "/a", Probability: 0.5},
 	}}
-	if err := plan.Validate(); err != nil {
+	if err := plan.Faults[0].Validate(); err != nil {
 		t.Fatal(err)
 	}
 	faultOrdinals := func(interleave bool) []uint64 {

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -9,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"grinch/internal/campaignd"
 	"grinch/internal/rng"
 )
 
@@ -34,8 +36,9 @@ type Transport struct {
 	inner http.RoundTripper
 	// Logf receives one line per injected fault; nil discards.
 	Logf func(format string, args ...any)
-	// Sleep implements delay faults; nil uses time.Sleep. Tests inject
-	// a recorder so delay plans run instantly.
+	// Sleep implements delay faults; nil waits on the request's
+	// context (campaignd.Sleep). Tests inject a recorder so delay plans
+	// run instantly.
 	Sleep func(d time.Duration)
 
 	mu     sync.Mutex
@@ -45,7 +48,8 @@ type Transport struct {
 }
 
 // NewTransport builds a fault-injecting transport around inner (nil:
-// http.DefaultTransport). The plan must be valid (Plan.Validate).
+// http.DefaultTransport). Every fault of the plan must validate
+// (Fault.Validate), as ParsePlan's are.
 func NewTransport(plan Plan, inner http.RoundTripper) *Transport {
 	return &Transport{
 		plan:   plan,
@@ -69,12 +73,17 @@ func (t *Transport) logf(format string, args ...any) {
 	}
 }
 
-func (t *Transport) sleep(d time.Duration) {
+// sleep holds a delayed request for d, or until ctx ends, whose error
+// it then returns.
+func (t *Transport) sleep(ctx context.Context, d time.Duration) error {
 	if t.Sleep != nil {
 		t.Sleep(d)
-		return
+		return nil
 	}
-	time.Sleep(d)
+	if !campaignd.Sleep(ctx, d) {
+		return ctx.Err()
+	}
+	return nil
 }
 
 // decide numbers the request within its path stream and returns the
@@ -188,7 +197,9 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		}, nil
 
 	case KindDelay:
-		t.sleep(time.Duration(f.DelayMS) * time.Millisecond)
+		if err := t.sleep(req.Context(), time.Duration(f.DelayMS)*time.Millisecond); err != nil {
+			return nil, err
+		}
 		return t.next().RoundTrip(req)
 
 	case KindDropResponse:

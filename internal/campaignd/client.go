@@ -93,16 +93,6 @@ func DefaultRetryPolicy() RetryPolicy {
 	}
 }
 
-// NoRetryPolicy reproduces the pre-chaos client semantics — exactly
-// one attempt per call, fail on the first dropped response — kept so
-// tests can demonstrate the behavior this layer exists to fix.
-func NoRetryPolicy() RetryPolicy {
-	return RetryPolicy{
-		Submit: -1, Lease: -1, Report: -1, Heartbeat: -1, Complete: -1, Query: -1,
-		Base: time.Millisecond, Max: time.Millisecond,
-	}
-}
-
 // attempts resolves the class's total attempt budget.
 func (p RetryPolicy) attempts(class string) int {
 	pick := func(v, def int) int {
@@ -267,15 +257,16 @@ func (c *Client) do(ctx context.Context, class, method, path string, body []byte
 		if c.OnRetry != nil {
 			c.OnRetry(class, attempt, wait, err)
 		}
-		if !sleepCtx(ctx, wait) {
+		if !Sleep(ctx, wait) {
 			return ctx.Err()
 		}
 	}
 }
 
-// sleepCtx sleeps d or until ctx is done, reporting whether the sleep
-// completed.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
+// Sleep waits d or until ctx is done, reporting whether the full wait
+// elapsed. It is the fleet's one cancellable wait: client backoff,
+// worker polling and chaos delay faults all end with their context.
+func Sleep(ctx context.Context, d time.Duration) bool {
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
@@ -384,18 +375,6 @@ func (c *Client) post(ctx context.Context, class, path string, in, out any) erro
 	return c.do(ctx, class, http.MethodPost, path, body, out, nil)
 }
 
-// get round-trips one GET.
-func (c *Client) get(ctx context.Context, path string, out any) error {
-	return c.do(ctx, ClassQuery, http.MethodGet, path, nil, out, nil)
-}
-
-// Submit registers a campaign.
-func (c *Client) Submit(ctx context.Context, req SubmitRequest) (SubmitResponse, error) {
-	var resp SubmitResponse
-	err := c.post(ctx, ClassSubmit, PathCampaigns, req, &resp)
-	return resp, err
-}
-
 // Lease asks for a shard; a nil Lease with AllDone reports a drained
 // coordinator.
 func (c *Client) Lease(ctx context.Context, worker string) (LeaseResponse, error) {
@@ -422,32 +401,4 @@ func (c *Client) Heartbeat(ctx context.Context, leaseID, worker string, d *metri
 // acknowledges instead of 410ing.
 func (c *Client) Complete(ctx context.Context, leaseID, worker string, d *metrics.Delta) error {
 	return c.post(ctx, ClassComplete, PathComplete, CompleteRequest{Lease: leaseID, Worker: worker, Metrics: d}, nil)
-}
-
-// FleetStatus fetches the machine-readable coordinator status.
-func (c *Client) FleetStatus(ctx context.Context) (FleetStatus, error) {
-	var out FleetStatus
-	err := c.get(ctx, PathStatusJSON, &out)
-	return out, err
-}
-
-// Statuses lists every campaign.
-func (c *Client) Statuses(ctx context.Context) ([]CampaignStatus, error) {
-	var out []CampaignStatus
-	err := c.get(ctx, PathCampaigns, &out)
-	return out, err
-}
-
-// Status fetches one campaign with shard detail.
-func (c *Client) Status(ctx context.Context, id string) (CampaignStatus, error) {
-	var out CampaignStatus
-	err := c.get(ctx, PathCampaigns+"/"+id, &out)
-	return out, err
-}
-
-// Output fetches a merged campaign's canonical JSONL bytes.
-func (c *Client) Output(ctx context.Context, id string) ([]byte, error) {
-	var raw []byte
-	err := c.do(ctx, ClassQuery, http.MethodGet, PathCampaigns+"/"+id+"/output", nil, nil, &raw)
-	return raw, err
 }

@@ -578,14 +578,6 @@ func (sh *shardState) commit(job int, line []byte, r campaign.Result) {
 	sh.encs += r.Encryptions
 }
 
-// ApplyTelemetry installs a worker's cumulative metrics delta. Stale
-// deltas (sequence number not beyond the last applied) are ignored, so
-// retried batches and journal replays never double-count. Exposed for
-// the HTTP handlers and tests.
-func (s *Server) ApplyTelemetry(worker string, d metrics.Delta) bool {
-	return s.telemetry.Apply(worker, d)
-}
-
 // admitIngest reserves one in-flight ingest slot, returning a release
 // func and whether the request was admitted. A refused request was
 // shed: the caller answers 429 + Retry-After and the client's backoff

@@ -181,9 +181,3 @@ func (s *Server) applyDelta(worker string, d *metrics.Delta) {
 	}
 	s.telemetry.Apply(worker, *d)
 }
-
-// WorkerTelemetry returns the latest series a worker shipped (nil if
-// the worker never sent a delta). Exposed for tests and embedders.
-func (s *Server) WorkerTelemetry(worker string) []metrics.Series {
-	return s.telemetry.Source(worker)
-}

@@ -157,7 +157,7 @@ func Run(ctx context.Context, cfg Config) error {
 					time.Since(start).Seconds()) //grinchvet:ignore wallclock drain-summary telemetry
 				return nil
 			}
-			if !sleepCtx(ctx, cfg.Poll) {
+			if !campaignd.Sleep(ctx, cfg.Poll) {
 				return ctx.Err()
 			}
 			continue
@@ -176,19 +176,6 @@ func Run(ctx context.Context, cfg Config) error {
 			}
 			return err
 		}
-	}
-}
-
-// sleepCtx sleeps d or until ctx is done, reporting whether the sleep
-// completed.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
 	}
 }
 

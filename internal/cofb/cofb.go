@@ -243,19 +243,6 @@ func (a *AEAD) Open(dst []byte, nonce [NonceSize]byte, ciphertext, ad []byte) ([
 	return append(dst, pt...), nil
 }
 
-// Overhead returns the tag size (crypto/cipher.AEAD-style accounting).
-func (a *AEAD) Overhead() int { return TagSize }
-
-// SBoxInputs exposes the per-round S-box input states of the mode's
-// first block-cipher call, Y₀ = E_K(N) — the memory-access stream a
-// co-resident attacker observes while Seal processes an
-// attacker-chosen nonce. With SBoxInputsAppend it makes the AEAD an
-// oracle.Victim, which is how the GRINCH extension attacks it: chosen
-// nonces are chosen block-cipher plaintexts (see examples/aead_attack).
-func (a *AEAD) SBoxInputs(nonce bitutil.Word128) []bitutil.Word128 {
-	return a.cipher.SBoxInputs(nonce)
-}
-
 // SBoxInputsAppend appends the first n states of SBoxInputs to dst, the
 // buffer-reusing, truncated form the trace oracle reads.
 func (a *AEAD) SBoxInputsAppend(dst []bitutil.Word128, nonce bitutil.Word128, n int) []bitutil.Word128 {

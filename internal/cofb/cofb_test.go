@@ -206,9 +206,3 @@ func TestSealAppendsToDst(t *testing.T) {
 		t.Fatal("Seal clobbered dst prefix")
 	}
 }
-
-func TestOverhead(t *testing.T) {
-	if New(testKey).Overhead() != 16 {
-		t.Fatal("overhead != tag size")
-	}
-}

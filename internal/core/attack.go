@@ -16,12 +16,6 @@ import (
 
 // Config tunes the attack.
 type Config struct {
-	// MaxObservationsPerTarget caps the encryptions spent on one
-	// (segment, hypothesis) elimination before giving up. Default 1<<20
-	// — high enough that TotalBudget, not this cap, normally decides
-	// when a saturated channel is abandoned (an 8-word line needs ~33k
-	// observations per segment at the cleanest probing round).
-	MaxObservationsPerTarget uint64
 	// MinObservations is the floor before convergence is accepted;
 	// guards against an early accidental single candidate under
 	// non-strict thresholds. Default 4.
@@ -67,16 +61,11 @@ type Config struct {
 	// MaxRestarts is how many times a direct (hypothesis-free) target
 	// elimination may restart after exhausting its candidate set under
 	// noise. Each restart discards the poisoned statistics and relaxes
-	// the survival threshold by RestartRelax (tolerating more false
+	// the survival threshold by restartRelax (tolerating more false
 	// absences). Restarts never apply to hypothesis-testing
 	// eliminations, where exhaustion is the signal of a wrong parent
 	// hypothesis. 0 disables restarts.
 	MaxRestarts int
-	// RestartRelax is the multiplicative threshold relaxation per
-	// restart (default 0.9, floored at 0.5). A relaxed threshold below
-	// 1 also raises the observation floor to relaxedMinObservations so
-	// ratio decisions have statistical backing.
-	RestartRelax float64
 	// Batch selects the batched attack pipeline (BatchAuto, the
 	// default, engages it whenever the channel implements
 	// probe.BatchChannel; BatchOff forces the scalar reference path).
@@ -131,20 +120,23 @@ func isTransient(err error) bool {
 // (cmd/grinch applies the same floor for -threshold < 1).
 const relaxedMinObservations = 48
 
-// restartRelax returns the configured per-restart threshold
-// relaxation factor.
-func (c Config) restartRelax() float64 {
-	if c.RestartRelax == 0 {
-		return 0.9
-	}
-	return c.RestartRelax
-}
+// maxObservationsPerTarget caps the encryptions spent on one (segment,
+// hypothesis) elimination before giving up. It is high enough that
+// TotalBudget, not this cap, normally decides when a saturated channel
+// is abandoned (an 8-word line needs ~33k observations per segment at
+// the cleanest probing round).
+const maxObservationsPerTarget = 1 << 20
+
+// restartRelax is the multiplicative threshold relaxation per restart.
+// A relaxed threshold below 1 also raises the observation floor to
+// relaxedMinObservations so ratio decisions have statistical backing.
+const restartRelax = 0.9
 
 // relaxThreshold applies one restart's relaxation, floored at 0.5 —
 // below that a line present in half the observations would survive,
 // and the elimination no longer distinguishes signal from coin flips.
-func relaxThreshold(t, relax float64) float64 {
-	t *= relax
+func relaxThreshold(t float64) float64 {
+	t *= restartRelax
 	if t < 0.5 {
 		t = 0.5
 	}
@@ -185,9 +177,6 @@ func runnerUp(elim *Eliminator, line, lines int) float64 {
 type ProgressFunc func(cipher string, round, segment int, converged bool, line int, observations uint64)
 
 func (c Config) withDefaults() Config {
-	if c.MaxObservationsPerTarget == 0 {
-		c.MaxObservationsPerTarget = 1 << 20
-	}
 	if c.MinObservations == 0 {
 		c.MinObservations = 4
 	}
@@ -486,7 +475,7 @@ func (e *engine[W, RK]) attackTarget(spec target[W, RK], t, g int, rks []RK, con
 	out := e.eliminate(spec, t, g, rks, confirm, threshold, minObs)
 	for out.Exhausted && !confirm && out.ChannelErr == nil &&
 		out.Restarts < e.cfg.MaxRestarts && !e.overBudget() && !e.overDeadline() {
-		threshold = relaxThreshold(threshold, e.cfg.restartRelax())
+		threshold = relaxThreshold(threshold)
 		if threshold < 1 && minObs < relaxedMinObservations {
 			minObs = relaxedMinObservations
 		}
@@ -548,7 +537,7 @@ func (e *engine[W, RK]) eliminate(spec target[W, RK], t, g int, rks []RK, confir
 	// tries bounds loop iterations rather than eliminator observations:
 	// quarantined observations consume budget (the victim encrypted)
 	// without advancing the eliminator, and must not loop forever.
-	for tries := uint64(0); tries < e.cfg.MaxObservationsPerTarget &&
+	for tries := uint64(0); tries < maxObservationsPerTarget &&
 		(budget == 0 || encUpper < budget || !e.overBudget()); tries++ {
 		if e.overDeadline() {
 			out.ChannelErr = ErrSimDeadline
@@ -670,7 +659,7 @@ func (e *engine[W, RK]) confirmSpan(elim *Eliminator, line int) uint64 {
 	deathRate := (1 - e.desc.pinShare) * (1 - pMax)
 	const fpRate = 1e-4
 	k := uint64(math.Log(fpRate)/math.Log(1-deathRate)) + 1
-	return min(k, e.cfg.MaxObservationsPerTarget)
+	return min(k, maxObservationsPerTarget)
 }
 
 // RoundOutcome is the result of attacking every segment of one round

@@ -46,12 +46,6 @@ func (t TargetSpecP) ExpectedIndex(val uint8) uint8 {
 	return pinnedValue ^ val&0xf
 }
 
-// KeyNibble reverse-engineers the round-key nibble from an observed
-// index.
-func (t TargetSpecP) KeyNibble(index uint8) uint8 {
-	return index ^ pinnedValue
-}
-
 // FeasibleLines returns the lines the pinned target can land on: all
 // sixteen nibble values are possible keys, so every line is.
 func (t TargetSpecP) FeasibleLines(lineWords int) probe.LineSet {
@@ -82,12 +76,6 @@ func (t TargetSpecP) CraftState(r *rng.Source) uint64 {
 		}
 	}
 	return state
-}
-
-// CraftPlaintext inverts rounds Round-1..1 with the known (or
-// hypothesized) round keys.
-func (t TargetSpecP) CraftPlaintext(r *rng.Source, rks []uint64) uint64 {
-	return t.craft(r, rks)
 }
 
 // craft is the engine's name for CraftPlaintext (see target).

@@ -54,8 +54,8 @@ func TestPresentTargetCrafting(t *testing.T) {
 func TestPresentKeyNibbleRoundTrip(t *testing.T) {
 	spec := NewTargetP(1, 5)
 	for v := uint8(0); v < 16; v++ {
-		if got := spec.KeyNibble(spec.ExpectedIndex(v)); got != v {
-			t.Fatalf("nibble %d round-trips to %d", v, got)
+		if got := spec.CandidatesForLine(int(spec.ExpectedIndex(v)), 1); len(got) != 1 || got[0] != v {
+			t.Fatalf("nibble %d round-trips to %v", v, got)
 		}
 	}
 }

@@ -65,16 +65,9 @@ func buildLaneSpread() [256]uint32 {
 	return t
 }
 
-// NewEliminator creates an eliminator over the given number of table
-// lines. threshold must be in (0, 1]; 1 means strict intersection.
-func NewEliminator(lines int, threshold float64) *Eliminator {
-	e := new(Eliminator)
-	e.Reset(lines, threshold)
-	return e
-}
-
-// Reset reinitialises the eliminator in place, validating like
-// NewEliminator. The attack loops keep one Eliminator value per target
+// Reset (re)initialises the eliminator in place over the given number
+// of table lines. threshold must be in (0, 1]; 1 means strict
+// intersection. The attack loops keep one Eliminator value per target
 // and Reset it between restarts instead of reallocating.
 func (e *Eliminator) Reset(lines int, threshold float64) {
 	if lines < 1 || lines > 64 {
@@ -91,20 +84,6 @@ func (e *Eliminator) Reset(lines int, threshold float64) {
 	e.lanes = EliminatorLanes{
 		active:    threshold == 1,
 		survivors: e.full,
-	}
-}
-
-// Observe folds one fully-probed line set into the statistics.
-func (e *Eliminator) Observe(set probe.LineSet) {
-	e.ObserveMasked(set, e.full)
-}
-
-// ObserveBatch folds a run of fully-probed observations — the commit
-// half of the batched attack pipeline. Equivalent to calling Observe on
-// each set in order.
-func (e *Eliminator) ObserveBatch(sets []probe.LineSet) {
-	for _, s := range sets {
-		e.ObserveMasked(s, e.full)
 	}
 }
 
@@ -251,16 +230,6 @@ func (e *Eliminator) Exhausted() bool {
 
 func (e *Eliminator) exhaustedExact() bool {
 	return e.n > 0 && e.Candidates().Count() == 0
-}
-
-// Recovered reports whether line l is the sole surviving candidate.
-// Out-of-range indices (negative or ≥ lines) are never recovered.
-func (e *Eliminator) Recovered(l int) bool {
-	if l < 0 || l >= e.lines || e.n == 0 {
-		return false
-	}
-	c := e.Candidates()
-	return c.Count() == 1 && c.Sole() == l
 }
 
 // PresenceRatio returns line l's appearance ratio over the observations

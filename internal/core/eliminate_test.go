@@ -94,7 +94,7 @@ func TestEliminatorAdversarialExhaustThenRestart(t *testing.T) {
 	// observations of the same distribution. One relaxation (0.9) is
 	// still above the true line's 7/8 ratio; the second restart's 0.81
 	// tolerates the loss.
-	relaxed := NewEliminator(8, relaxThreshold(relaxThreshold(1, 0.9), 0.9))
+	relaxed := NewEliminator(8, relaxThreshold(relaxThreshold(1)))
 	for i := 0; i < 6; i++ {
 		for _, s := range stream {
 			relaxed.Observe(s)
@@ -343,27 +343,6 @@ func TestEliminatorLanesLeaveOnPartialMask(t *testing.T) {
 		}
 		if e.Observations() != ref.n {
 			t.Fatalf("pre=%d: n = %d, naive %d", pre, e.Observations(), ref.n)
-		}
-	}
-}
-
-// TestObserveBatchMatchesSequential pins ObserveBatch as pure sugar for
-// a sequence of full-mask Observe calls.
-func TestObserveBatchMatchesSequential(t *testing.T) {
-	stream := elimStream(77, 130, 16)
-	one := NewEliminator(16, 1)
-	bulk := NewEliminator(16, 1)
-	for _, s := range stream {
-		one.Observe(s)
-	}
-	bulk.ObserveBatch(stream)
-	if one.Candidates() != bulk.Candidates() || one.Observations() != bulk.Observations() {
-		t.Fatalf("ObserveBatch diverged: %v/%d vs %v/%d",
-			bulk.Candidates(), bulk.Observations(), one.Candidates(), one.Observations())
-	}
-	for l := 0; l < 16; l++ {
-		if one.PresenceRatio(l) != bulk.PresenceRatio(l) {
-			t.Fatalf("PresenceRatio(%d) diverged", l)
 		}
 	}
 }

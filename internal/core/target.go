@@ -232,6 +232,8 @@ func (t giftPinned) ExpectedIndex(v, u uint8) uint8 {
 // (paper Step 4: Key[i] ← ¬Index[a], adjusted for the round constant).
 // v is the bit of the round key's V word at this segment, u the bit of
 // U.
+//
+//grinchvet:ignore deadexport step 4 of the README walkthrough and of the package Example
 func (t giftPinned) KeyBits(index uint8) (v, u uint8) {
 	d := (index ^ pinnedValue ^ t.ConstXor) >> t.keyShift
 	return d & 1, d >> 1 & 1
@@ -305,7 +307,7 @@ func (t *TargetSpec) CraftState(r *rng.Source) uint64 {
 // segments segments, for source lists of any length: each source draws
 // Intn(len(Inputs)) in source order, then every other segment draws a
 // nibble in ascending order. Compiled plans reproduce it draw for draw;
-// targets built by NewTarget64 and NewTarget128 never take it (the GIFT
+// targets built by NewTarget64 and target128 never take it (the GIFT
 // S-box is balanced), but CraftState's contract does not require
 // 8-entry lists.
 func (t *giftPinned) craftStateGeneral(r *rng.Source, segments uint) bitutil.Word128 {

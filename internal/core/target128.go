@@ -40,10 +40,6 @@ func buildTarget128Specs() *[gift.Rounds128][gift.Segments128]TargetSpec128 {
 	return specs
 }
 
-// NewTarget128 builds the target specification for round key t and
-// segment g (0..31) of GIFT-128.
-func NewTarget128(t, g int) TargetSpec128 { return *target128(t, g) }
-
 // target128 returns the cached specification itself; the engine's
 // targets point into the cache instead of copying it.
 func target128(t, g int) *TargetSpec128 {
@@ -84,12 +80,6 @@ func (t *TargetSpec128) CraftState(r *rng.Source) bitutil.Word128 {
 	}
 	*r = st
 	return bitutil.Word128{Lo: lo, Hi: hi}
-}
-
-// CraftPlaintext draws a crafted state and inverts rounds Round-1..1 to
-// turn it into a plaintext.
-func (t TargetSpec128) CraftPlaintext(r *rng.Source, rks []gift.RoundKey128) bitutil.Word128 {
-	return t.craft(r, rks)
 }
 
 // craft is CraftPlaintext on the engine's pointer into the target

@@ -17,7 +17,6 @@ package countermeasure
 import (
 	"grinch/internal/bitutil"
 	"grinch/internal/gift"
-	"grinch/internal/probe"
 )
 
 // ReshapedTable is the paper's first countermeasure: entries 2i and
@@ -36,7 +35,7 @@ func NewReshapedTable() ReshapedTable {
 // Lookup substitutes one segment through the packed table, selecting
 // the right nibble of the fetched byte (the paper's noted overhead).
 func (t ReshapedTable) Lookup(x uint8) uint8 {
-	b := t[x>>1]
+	b := t[t.Row(x)]
 	if x&1 == 1 {
 		return b >> 4
 	}
@@ -46,13 +45,6 @@ func (t ReshapedTable) Lookup(x uint8) uint8 {
 // Row returns which table row (= byte address offset) the lookup for x
 // touches; with an 8-byte cache line every row shares line 0.
 func (t ReshapedTable) Row(x uint8) int { return int(x >> 1) }
-
-// Layout returns the memory layout of the reshaped table: 8 one-byte
-// rows. Placed line-aligned on a platform with 8-byte cache lines, it
-// spans exactly one line.
-func Layout(base uint64) probe.TableLayout {
-	return probe.TableLayout{Base: base, EntryBytes: 1, Entries: 8}
-}
 
 // HardenedCipher64 is GIFT-64 implemented over the reshaped table. Its
 // ciphertexts are identical to the reference cipher; only the memory
@@ -77,23 +69,6 @@ func (c *HardenedCipher64) EncryptBlock(pt uint64) uint64 {
 		var sub uint64
 		for i := uint(0); i < gift.Segments64; i++ {
 			sub |= uint64(c.table.Lookup(uint8(s>>(4*i)&0xf))) << (4 * i)
-		}
-		s = gift.AddRoundKey64(gift.PermBits64(sub), rk)
-	}
-	return s
-}
-
-// EncryptTracedRows encrypts while reporting the table ROW of every
-// lookup — the most an attacker can resolve. With the whole table in
-// one cache line, even these rows collapse to a single observable line.
-func (c *HardenedCipher64) EncryptTracedRows(pt uint64, observe func(round, segment, row int)) uint64 {
-	s := pt
-	for r, rk := range c.inner.RoundKeys() {
-		var sub uint64
-		for i := uint(0); i < gift.Segments64; i++ {
-			x := uint8(s >> (4 * i) & 0xf)
-			observe(r+1, int(i), c.table.Row(x))
-			sub |= uint64(c.table.Lookup(x)) << (4 * i)
 		}
 		s = gift.AddRoundKey64(gift.PermBits64(sub), rk)
 	}
@@ -152,26 +127,12 @@ func (c *WhitenedCipher64) EncryptBlock(pt uint64) uint64 {
 	return s
 }
 
-// DecryptBlock decrypts one block.
-func (c *WhitenedCipher64) DecryptBlock(ct uint64) uint64 {
-	s := ct
-	for r := len(c.rks) - 1; r >= 0; r-- {
-		s = gift.InvRound64(s, c.rks[r])
-	}
-	return s
-}
-
 // RoundKeys exposes the whitened schedule (tests and the demonstration
 // oracle need it).
 func (c *WhitenedCipher64) RoundKeys() []gift.RoundKey64 {
 	out := make([]gift.RoundKey64, len(c.rks))
 	copy(out, c.rks)
 	return out
-}
-
-// SBoxInputs mirrors gift.Cipher64.SBoxInputs for the whitened cipher.
-func (c *WhitenedCipher64) SBoxInputs(pt uint64) []uint64 {
-	return c.SBoxInputsAppend(make([]uint64, 0, len(c.rks)), pt, len(c.rks))
 }
 
 // SBoxInputsAppend mirrors gift.Cipher64.SBoxInputsAppend: it appends

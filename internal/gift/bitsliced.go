@@ -131,6 +131,8 @@ func (c *Cipher128) EncryptBlockBitsliced(pt bitutil.Word128) bitutil.Word128 {
 }
 
 // DecryptBlockBitsliced decrypts one GIFT-128 block without lookups.
+//
+//grinchvet:ignore deadexport the constant-time inverse TestGift128BitslicedAgreesQuick checks against the table cipher
 func (c *Cipher128) DecryptBlockBitsliced(ct bitutil.Word128) bitutil.Word128 {
 	s := ct
 	for r := Rounds128 - 1; r >= 0; r-- {

@@ -96,9 +96,6 @@ func MustNew(k *sim.Kernel, clock sim.Clock, cfg Config) *Mesh {
 	return m
 }
 
-// Config returns the mesh configuration.
-func (m *Mesh) Config() Config { return m.cfg }
-
 func (m *Mesh) index(c Coord) int { return c.Y*m.cfg.Width + c.X }
 
 func (m *Mesh) contains(c Coord) bool {
@@ -215,6 +212,3 @@ func (m *Mesh) RoundTrip(p *sim.Proc, src, dst Coord, reqBytes, respBytes int, p
 	m.Send(p, dst, src, respBytes)
 	return p.Now() - start
 }
-
-// Stats returns a copy of the counters.
-func (m *Mesh) Stats() Stats { return m.stats }

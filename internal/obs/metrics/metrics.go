@@ -122,18 +122,6 @@ func (h *Histogram) Observe(v uint64) {
 	h.sum.Add(v)
 }
 
-// Count returns the total number of observations (0 on nil).
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	var n uint64
-	for i := range h.counts {
-		n += h.counts[i].Load()
-	}
-	return n
-}
-
 // ExpBuckets returns n exponentially spaced integer bounds
 // {start, start·factor, start·factor², …}.
 func ExpBuckets(start, factor uint64, n int) []uint64 {

@@ -228,9 +228,6 @@ func (w *Writer) WriteEvents(events []Event) error {
 // Count returns how many events have been written.
 func (w *Writer) Count() int { return w.n }
 
-// Err returns the sticky error, if any.
-func (w *Writer) Err() error { return w.err }
-
 // Flush drains the buffer and returns the sticky error or the flush
 // error.
 func (w *Writer) Flush() error {

@@ -108,7 +108,7 @@ func TestWriterStickyError(t *testing.T) {
 		t.Fatal("flush on a failing writer returned nil")
 	}
 	w.Emit(Event{Kind: KindSimTime})
-	if w.Err() == nil {
+	if w.err == nil {
 		t.Fatal("error not sticky")
 	}
 }

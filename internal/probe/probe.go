@@ -16,7 +16,6 @@ import (
 
 	"grinch/internal/cache"
 	"grinch/internal/obs"
-	"grinch/internal/sim"
 )
 
 // LineSet is a bitmask over the cache lines backing the S-box table.
@@ -172,12 +171,6 @@ func (t TableLayout) LinesIn(lineBytes int) int {
 		n = 1
 	}
 	return n
-}
-
-// LineOf returns which table line (0-based) entry i falls in for the
-// given cache line size.
-func (t TableLayout) LineOf(i, lineBytes int) int {
-	return int(t.EntryAddr(i)-t.Base) / lineBytes
 }
 
 // FlushReload implements the Flush+Reload primitive against a cache
@@ -345,10 +338,3 @@ func (pp *PrimeProbe) Probe() (LineSet, uint64) {
 	}
 	return set, cycles
 }
-
-// Timing knobs shared by platform probes.
-const (
-	// DefaultProbeGap is the attacker's back-off between consecutive
-	// platform probes when polling.
-	DefaultProbeGap = 100 * sim.Microsecond
-)

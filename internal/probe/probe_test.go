@@ -68,9 +68,6 @@ func TestTableLayout(t *testing.T) {
 			t.Errorf("LinesIn(%d) = %d, want %d", c.lineBytes, got, c.lines)
 		}
 	}
-	if tab.LineOf(7, 4) != 1 {
-		t.Fatalf("LineOf(7,4) = %d", tab.LineOf(7, 4))
-	}
 }
 
 func paperCache(t *testing.T, lineBytes int) *cache.Cache {

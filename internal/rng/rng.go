@@ -65,11 +65,6 @@ func (r *Source) Uint64() uint64 {
 	return bits.RotateLeft64(t*5, 7) * 9
 }
 
-// Uint32 returns the next 32 pseudo-random bits.
-func (r *Source) Uint32() uint32 {
-	return uint32(r.Uint64() >> 32)
-}
-
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
 func (r *Source) Intn(n int) int {
 	if n <= 0 {
@@ -125,27 +120,9 @@ func (r *Source) Nibble() uint64 {
 	return r.Uint64() & 0xf
 }
 
-// Bool returns a uniform boolean.
-func (r *Source) Bool() bool {
-	return r.Uint64()&1 == 1
-}
-
 // Float64 returns a uniform float in [0, 1).
 func (r *Source) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
-}
-
-// Perm returns a uniform permutation of 0..n-1 (Fisher–Yates).
-func (r *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
 }
 
 // Snapshot returns a copy of the generator's current state. Restoring

@@ -116,23 +116,6 @@ func TestFloat64Range(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	r := New(13)
-	for _, n := range []int{0, 1, 2, 5, 64} {
-		p := r.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) has length %d", n, len(p))
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) = %v is not a permutation", n, p)
-			}
-			seen[v] = true
-		}
-	}
-}
-
 func TestSplitIndependence(t *testing.T) {
 	r := New(17)
 	a := r.Split()
@@ -145,21 +128,6 @@ func TestSplitIndependence(t *testing.T) {
 	}
 	if same > 0 {
 		t.Fatalf("split streams collide (%d/100)", same)
-	}
-}
-
-func TestBoolBalance(t *testing.T) {
-	r := New(23)
-	trues := 0
-	const n = 100000
-	for i := 0; i < n; i++ {
-		if r.Bool() {
-			trues++
-		}
-	}
-	ratio := float64(trues) / n
-	if ratio < 0.49 || ratio > 0.51 {
-		t.Fatalf("Bool() true ratio = %.4f", ratio)
 	}
 }
 

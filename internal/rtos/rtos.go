@@ -45,12 +45,6 @@ func New(k *sim.Kernel, clock sim.Clock, cfg Config) *Scheduler {
 	return &Scheduler{k: k, clock: clock, cfg: cfg}
 }
 
-// Clock returns the core's clock.
-func (s *Scheduler) Clock() sim.Clock { return s.clock }
-
-// Switches returns the number of context switches performed.
-func (s *Scheduler) Switches() uint64 { return s.switches }
-
 // Task is a schedulable thread of execution. Tasks must consume CPU only
 // through Exec/Sleep/YieldSlice; parking the underlying process directly
 // would hold the core without the scheduler knowing.
@@ -80,21 +74,8 @@ func (s *Scheduler) Spawn(name string, body func(t *Task)) *Task {
 	return t
 }
 
-// Name returns the task name.
-func (t *Task) Name() string { return t.name }
-
-// Runtime returns the CPU time the task has consumed.
-func (t *Task) Runtime() sim.Time { return t.runtime }
-
-// Preemptions returns how many times the task lost the CPU to quantum
-// expiry.
-func (t *Task) Preemptions() uint64 { return t.preempted }
-
 // Now returns the current virtual time.
 func (t *Task) Now() sim.Time { return t.proc.Now() }
-
-// Proc exposes the underlying simulation process (for use with queues).
-func (t *Task) Proc() *sim.Proc { return t.proc }
 
 // enqueue marks t ready.
 func (t *Task) enqueue() {

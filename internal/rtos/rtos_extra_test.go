@@ -12,16 +12,16 @@ func TestTaskAccessors(t *testing.T) {
 	s := newSched(k, sim.Millisecond, 0)
 	var task *Task
 	task = s.Spawn("worker", func(tt *Task) {
-		if tt.Name() != "worker" {
-			t.Errorf("Name = %q", tt.Name())
+		if tt.name != "worker" {
+			t.Errorf("Name = %q", tt.name)
 		}
-		if tt.Proc() == nil {
+		if tt.proc == nil {
 			t.Error("Proc nil")
 		}
 		tt.Exec(10)
 	})
 	k.Run()
-	if task.Runtime() == 0 {
+	if task.runtime == 0 {
 		t.Error("Runtime not accounted")
 	}
 }
@@ -44,7 +44,7 @@ func TestSchedulerString(t *testing.T) {
 func TestSchedulerClock(t *testing.T) {
 	k := sim.NewKernel()
 	s := newSched(k, sim.Millisecond, 0)
-	if s.Clock().Period != sim.ClockMHz(10).Period {
+	if s.clock.Period != sim.ClockMHz(10).Period {
 		t.Fatal("Clock() mismatch")
 	}
 }
@@ -56,12 +56,12 @@ func TestRecvFastPathKeepsCPU(t *testing.T) {
 	q.Send(42)
 	switchesBefore := uint64(0)
 	s.Spawn("recv", func(task *Task) {
-		switchesBefore = s.Switches()
+		switchesBefore = s.switches
 		if v := Recv(task, q); v != 42 {
 			t.Errorf("Recv = %d", v)
 		}
 		// A buffered value must not trigger a reschedule.
-		if s.Switches() != switchesBefore {
+		if s.switches != switchesBefore {
 			t.Error("Recv fast path rescheduled")
 		}
 		task.Exec(1)
@@ -102,8 +102,8 @@ func TestManyTasksRoundRobinFairness(t *testing.T) {
 	}
 	k.Run()
 	for i, task := range runtimes {
-		if task.Runtime() != 5*sim.Millisecond {
-			t.Fatalf("task %d runtime %v", i, task.Runtime())
+		if task.runtime != 5*sim.Millisecond {
+			t.Fatalf("task %d runtime %v", i, task.runtime)
 		}
 	}
 	// Total wall time ≈ 25 ms + switch overhead; fairness means nobody

@@ -40,8 +40,8 @@ func TestLoneTaskCrossesQuantumWithoutSwitching(t *testing.T) {
 	if want := 5*sim.Millisecond + 10*sim.Microsecond; end != want {
 		t.Fatalf("lone task finished at %v, want %v", end, want)
 	}
-	if s.Switches() != 1 {
-		t.Fatalf("switches = %d, want 1", s.Switches())
+	if s.switches != 1 {
+		t.Fatalf("switches = %d, want 1", s.switches)
 	}
 }
 
@@ -111,11 +111,11 @@ func TestRuntimeAccounting(t *testing.T) {
 	ta = s.Spawn("a", func(task *Task) { task.Exec(30000) })
 	tb = s.Spawn("b", func(task *Task) { task.Exec(10000) })
 	k.Run()
-	if ta.Runtime() != 3*sim.Millisecond {
-		t.Fatalf("a runtime %v, want 3ms", ta.Runtime())
+	if ta.runtime != 3*sim.Millisecond {
+		t.Fatalf("a runtime %v, want 3ms", ta.runtime)
 	}
-	if tb.Runtime() != 1*sim.Millisecond {
-		t.Fatalf("b runtime %v, want 1ms", tb.Runtime())
+	if tb.runtime != 1*sim.Millisecond {
+		t.Fatalf("b runtime %v, want 1ms", tb.runtime)
 	}
 }
 
@@ -126,8 +126,8 @@ func TestPreemptionCount(t *testing.T) {
 	ta = s.Spawn("a", func(task *Task) { task.Exec(30000) }) // 3 quanta
 	s.Spawn("b", func(task *Task) { task.Exec(30000) })
 	k.Run()
-	if ta.Preemptions() < 2 {
-		t.Fatalf("a preempted %d times, want ≥ 2", ta.Preemptions())
+	if ta.preempted < 2 {
+		t.Fatalf("a preempted %d times, want ≥ 2", ta.preempted)
 	}
 }
 

@@ -37,7 +37,6 @@ type Time uint64
 
 // Common time units.
 const (
-	Picosecond  Time = 1
 	Nanosecond  Time = 1000
 	Microsecond Time = 1000 * Nanosecond
 	Millisecond Time = 1000 * Microsecond
@@ -316,12 +315,6 @@ func (p *Proc) kill() {
 	}
 	close(p.killed)
 }
-
-// Name returns the process name (for traces).
-func (p *Proc) Name() string { return p.name }
-
-// Kernel returns the owning kernel.
-func (p *Proc) Kernel() *Kernel { return p.k }
 
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.k.now }

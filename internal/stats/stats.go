@@ -93,69 +93,3 @@ func (s Summary) String() string {
 	return fmt.Sprintf("n=%d median=%.0f mean=%.1f±%.1f min=%.0f max=%.0f",
 		s.N, s.Median, s.Mean, s.CI95(), s.Min, s.Max)
 }
-
-// Accum accumulates running statistics one sample at a time using
-// Welford's algorithm, for streams that are observed incrementally and
-// not retained (per-job durations in a long campaign, for example).
-// The zero value is an empty accumulator. Unlike Summarize it cannot
-// produce a median, which needs the full sample.
-type Accum struct {
-	n          int
-	mean, m2   float64
-	minV, maxV float64
-}
-
-// Add folds one sample into the accumulator.
-func (a *Accum) Add(x float64) {
-	a.n++
-	if a.n == 1 {
-		a.minV, a.maxV = x, x
-	} else {
-		if x < a.minV {
-			a.minV = x
-		}
-		if x > a.maxV {
-			a.maxV = x
-		}
-	}
-	d := x - a.mean
-	a.mean += d / float64(a.n)
-	a.m2 += d * (x - a.mean)
-}
-
-// N returns the number of samples folded in.
-func (a *Accum) N() int { return a.n }
-
-// Mean returns the running mean (0 when empty).
-func (a *Accum) Mean() float64 { return a.mean }
-
-// Min returns the smallest sample (0 when empty).
-func (a *Accum) Min() float64 { return a.minV }
-
-// Max returns the largest sample (0 when empty).
-func (a *Accum) Max() float64 { return a.maxV }
-
-// StdDev returns the running sample standard deviation (0 for fewer
-// than two samples).
-func (a *Accum) StdDev() float64 {
-	if a.n < 2 {
-		return 0
-	}
-	return math.Sqrt(a.m2 / float64(a.n-1))
-}
-
-// GeoMean returns the geometric mean of positive samples (0 if any
-// sample is non-positive or the slice is empty).
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var logSum float64
-	for _, x := range xs {
-		if x <= 0 {
-			return 0
-		}
-		logSum += math.Log(x)
-	}
-	return math.Exp(logSum / float64(len(xs)))
-}

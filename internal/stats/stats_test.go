@@ -95,18 +95,6 @@ func TestMedianEvenOdd(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	if g := GeoMean([]float64{1, 100}); !almost(g, 10) {
-		t.Fatalf("geomean = %v", g)
-	}
-	if GeoMean([]float64{1, 0}) != 0 {
-		t.Fatal("non-positive sample not rejected")
-	}
-	if GeoMean(nil) != 0 {
-		t.Fatal("empty geomean not 0")
-	}
-}
-
 func TestCI95ShrinksWithN(t *testing.T) {
 	small := Summarize([]float64{1, 2, 3, 4})
 	var big []float64

@@ -67,9 +67,6 @@ func New(cipher *gift.Cipher64, table probe.TableLayout, timing Timing) *Victim 
 	return &Victim{cipher: cipher, table: table, timing: timing}
 }
 
-// Table returns the S-box table layout.
-func (v *Victim) Table() probe.TableLayout { return v.table }
-
 // Encryptions returns how many encryptions have completed.
 func (v *Victim) Encryptions() uint64 { return v.encryptions }
 
