@@ -55,31 +55,41 @@ func target128(t, g int) *TargetSpec128 {
 // CraftState builds the round-Round S-box input state with the four
 // source segments pinned and all others random. Like TargetSpec's, the
 // fast path draws exactly what the general loop draws, in the same
-// order: IntnPow2(3) is Intn(8), and the unpinned segments stream off
-// the compiled shift list, the low word's first.
+// order: IntnPow2(3) is Intn(8), and the 28 free nibbles, drawn packed
+// 16 low and 12 high, spread by openGap; a low-word gap carries the low
+// word's top nibble into the high word.
 func (t *TargetSpec128) CraftState(r *rng.Source) bitutil.Word128 {
 	p := &t.plan
 	if !p.fast {
 		return t.craftStateGeneral(r, gift.Segments128)
 	}
 	st := *r
-	var lo, hi uint64
+	var src bitutil.Word128
 	for i := 0; i < 4; i++ {
 		x := uint64(p.inputs[i] >> (4 * uint(st.IntnPow2(3))) & 0xf)
 		if s := p.srcShift[i]; s < 64 {
-			lo |= x << s
+			src.Lo |= x << s
 		} else {
-			hi |= x << (s - 64)
+			src.Hi |= x << (s - 64)
 		}
 	}
-	for _, s := range p.unpinned[:p.loUnpinned] {
-		lo |= st.Nibble() << s
-	}
-	for _, s := range p.unpinned[p.loUnpinned:] {
-		hi |= st.Nibble() << (s - 64)
+	lo := st.Nibble() | st.Nibble()<<4 | st.Nibble()<<8 | st.Nibble()<<12 |
+		st.Nibble()<<16 | st.Nibble()<<20 | st.Nibble()<<24 | st.Nibble()<<28 |
+		st.Nibble()<<32 | st.Nibble()<<36 | st.Nibble()<<40 | st.Nibble()<<44 |
+		st.Nibble()<<48 | st.Nibble()<<52 | st.Nibble()<<56 | st.Nibble()<<60
+	hi := st.Nibble() | st.Nibble()<<4 | st.Nibble()<<8 | st.Nibble()<<12 |
+		st.Nibble()<<16 | st.Nibble()<<20 | st.Nibble()<<24 | st.Nibble()<<28 |
+		st.Nibble()<<32 | st.Nibble()<<36 | st.Nibble()<<40 | st.Nibble()<<44
+	for _, g := range p.gaps {
+		if g < 64 {
+			hi = hi<<4 | lo>>60
+			lo = openGap(lo, g)
+		} else {
+			hi = openGap(hi, g-64)
+		}
 	}
 	*r = st
-	return bitutil.Word128{Lo: lo, Hi: hi}
+	return bitutil.Word128{Lo: src.Lo | lo, Hi: src.Hi | hi}
 }
 
 // craft is CraftPlaintext on the engine's pointer into the target
