@@ -1,6 +1,6 @@
 // Package sim is a small deterministic discrete-event simulation kernel.
-// It drives every platform model in this repository (bus, NoC, RTOS,
-// SoC): components schedule callbacks on a virtual clock, and concurrent
+// It drives every platform model in this repository (NoC, RTOS, SoC):
+// components schedule callbacks on a virtual clock, and concurrent
 // actors (victim, attacker, routers) are written as coroutine-style
 // processes that block on virtual time and message queues.
 //

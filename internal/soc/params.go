@@ -2,7 +2,8 @@
 // (§IV-A) from the simulation substrates:
 //
 //   - SingleSoC: one RISC-class processor, a shared L1 cache behind a
-//     bus, and an RTOS-style round-robin scheduler with a 10 ms quantum.
+//     bus (a flat per-access cycle charge, no arbitration), and an
+//     RTOS-style round-robin scheduler with a 10 ms quantum.
 //     Victim and attacker are tasks on the same core, so the attacker
 //     only observes the cache when the victim is preempted.
 //
@@ -71,7 +72,8 @@ type Params struct {
 	// Prime+Probe (must not overlap the victim's data).
 	EvictionBase uint64
 	// BusCyclesPerAccess is the bus transfer cost of one memory access
-	// on the single SoC.
+	// on the single SoC, charged flat: the bus has no arbitration, as
+	// only one task runs at a time on the single core.
 	BusCyclesPerAccess uint64
 
 	// Mesh configures the MPSoC NoC; VictimTile, CacheTile and

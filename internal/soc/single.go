@@ -2,7 +2,6 @@ package soc
 
 import (
 	"grinch/internal/bitutil"
-	"grinch/internal/bus"
 	"grinch/internal/cache"
 	"grinch/internal/gift"
 	"grinch/internal/obs/metrics"
@@ -47,10 +46,10 @@ func (s *SingleSoC) SetMetrics(r *metrics.Registry) {
 func (s *SingleSoC) Sessions() uint64 { return s.sessions }
 
 // rtosExecutor charges victim/attacker work to an RTOS task, with
-// memory accesses travelling over the shared bus into the shared cache.
+// each memory access charged a flat bus transfer cost plus the shared
+// cache's latency.
 type rtosExecutor struct {
 	task      *rtos.Task
-	bus       *bus.Bus
 	cache     *cache.Cache
 	busCycles uint64
 }
@@ -86,7 +85,6 @@ func (s *SingleSoC) runSession(pt uint64, probeUntilRound int) Session {
 	k := sim.NewKernel()
 	clock := sim.ClockMHz(s.params.ClockMHz)
 	cch := cache.MustNew(cache.PaperConfig(s.params.CacheLineBytes))
-	shared := bus.New(k, clock)
 	sched := rtos.New(k, clock, rtos.Config{
 		Quantum:         s.params.Quantum,
 		CtxSwitchCycles: s.params.CtxSwitchCycles,
@@ -101,7 +99,7 @@ func (s *SingleSoC) runSession(pt uint64, probeUntilRound int) Session {
 	// The attacker is spawned first so its first prepare (flush or
 	// prime) precedes the victim's first lookup.
 	sched.Spawn("attacker", func(t *rtos.Task) {
-		ex := &rtosExecutor{task: t, bus: shared, cache: cch, busCycles: s.params.BusCyclesPerAccess}
+		ex := &rtosExecutor{task: t, cache: cch, busCycles: s.params.BusCyclesPerAccess}
 		pr := s.newProber(cch)
 
 		prepareCharged(ex, pr)
@@ -128,7 +126,7 @@ func (s *SingleSoC) runSession(pt uint64, probeUntilRound int) Session {
 	})
 
 	sched.Spawn("victim", func(t *rtos.Task) {
-		ex := &rtosExecutor{task: t, bus: shared, cache: cch, busCycles: s.params.BusCyclesPerAccess}
+		ex := &rtosExecutor{task: t, cache: cch, busCycles: s.params.BusCyclesPerAccess}
 		p := rtos.Recv(t, ptq)
 		sess.Ciphertext = vic.Encrypt(&cutoverExecutor{
 			slow: ex, fast: &fastExecutor{cache: cch}, standDown: &standDown,
