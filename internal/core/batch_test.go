@@ -6,10 +6,14 @@ import (
 	"testing"
 
 	"grinch/internal/bitutil"
+	"grinch/internal/gift"
 	"grinch/internal/obs"
 	"grinch/internal/obs/metrics"
 	"grinch/internal/oracle"
 )
+
+// differentialKey is the victim key of every batch differential run.
+var differentialKey = bitutil.Word128{Lo: 0x0123456789abcdef, Hi: 0xfedcba9876543210}
 
 // attackRun captures every observable output of one attack execution:
 // the recovered key, the graceful partial result, the full trace event
@@ -25,10 +29,26 @@ type attackRun struct {
 	err     error
 }
 
+// runWithMode attacks an oracle.New victim in the given mode.
 func runWithMode(t *testing.T, mode BatchMode, ocfg oracle.Config, acfg Config, graceful bool) attackRun {
 	t.Helper()
-	key := bitutil.Word128{Lo: 0x0123456789abcdef, Hi: 0xfedcba9876543210}
-	ch, err := oracle.New(key, ocfg)
+	return runOnVictim(t, mode, nil, ocfg, acfg, graceful)
+}
+
+// runOnVictim attacks vic through an oracle.NewFromTracer channel, or
+// an oracle.New channel when vic is nil. A NewFromTracer oracle
+// implements probe.BatchChannel but refuses every prime, so BatchAuto
+// still installs the batch pipeline and meets the refusal at its first
+// batched refill.
+func runOnVictim(t *testing.T, mode BatchMode, vic oracle.Victim[uint64], ocfg oracle.Config, acfg Config, graceful bool) attackRun {
+	t.Helper()
+	var ch *oracle.Oracle
+	var err error
+	if vic == nil {
+		ch, err = oracle.New(differentialKey, ocfg)
+	} else {
+		ch, err = oracle.NewFromTracer(vic, ocfg)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,6 +193,31 @@ func TestBatchScalarDifferentialBudgetAbort(t *testing.T) {
 			t.Fatalf("budget %d did not abort", budget)
 		}
 		diffRuns(t, "budget", batch, scalar)
+	}
+}
+
+// TestBatchScalarDifferentialRefusedPrime attacks through a channel
+// that refuses every prime: the batch pipeline must rewind the refill
+// it crafted and serve it, and every later refill, on the scalar path.
+// The inputs cover a full recovery, a relaxed threshold with noise, and
+// budgets that cut the first batched refill.
+func TestBatchScalarDifferentialRefusedPrime(t *testing.T) {
+	for _, c := range []struct {
+		ocfg oracle.Config
+		acfg Config
+	}{
+		{oracle.Config{ProbeRound: 1, Flush: true, LineWords: 1, Seed: 11}, Config{Seed: 2021, TotalBudget: 600_000}},
+		{oracle.Config{ProbeRound: 2, Flush: true, LineWords: 2, Seed: 3}, Config{Seed: 17, TotalBudget: 5_000}},
+		{oracle.Config{ProbeRound: 1, Flush: true, LineWords: 2, Seed: 3}, Config{Seed: 17, TotalBudget: 30}},
+		{
+			oracle.Config{ProbeRound: 1, Flush: true, LineWords: 1, Seed: 23, FalsePresence: 0.05, FalseAbsence: 0.02},
+			Config{Seed: 7, Threshold: 0.8, MinObservations: 48, Quarantine: true, MaxRestarts: 2, TotalBudget: 200_000},
+		},
+	} {
+		vic := gift.NewCipher64FromWord(differentialKey)
+		batch := runOnVictim(t, BatchAuto, vic, c.ocfg, c.acfg, true)
+		scalar := runOnVictim(t, BatchOff, vic, c.ocfg, c.acfg, true)
+		diffRuns(t, "refused-prime", batch, scalar)
 	}
 }
 
