@@ -82,13 +82,10 @@ type batchState struct {
 	n, idx int
 	// nextSize is the adaptive size of the next refill.
 	nextSize int
-	// scalar marks a refill at or below batchScalarMax: nothing was
-	// crafted ahead, and each entry is crafted and collected on commit.
+	// scalar marks a refill at or below batchScalarMax, or one whose
+	// prime the channel refused: nothing is crafted ahead, and each
+	// entry is crafted and collected on commit.
 	scalar bool
-	// primed reports whether raw holds channel-primed sets; when the
-	// channel unexpectedly refuses a prime, the crafted plaintexts are
-	// committed through the scalar collect path instead.
-	primed bool
 	// p, spec and rks are the pass the state is bound to.
 	p    *batchPipeline
 	spec *TargetSpec
@@ -136,8 +133,11 @@ func (bs *batchState) refill() {
 		}
 		gift.PartialDecryptBatch64(&bs.pts, bs.rks, spec.Round-1, &bs.dec)
 	}
-	bs.primed = bs.p.ch.PrimeBatch(bs.pts[:size], spec.Round, bs.raw[:size])
-	bs.p.refused = !bs.primed
+	if !bs.p.ch.PrimeBatch(bs.pts[:size], spec.Round, bs.raw[:size]) {
+		// Rewind every craft and serve this refill on the scalar path.
+		e.rng.Restore(bs.snaps[0])
+		bs.p.refused, bs.scalar = true, true
+	}
 }
 
 // next produces the next observation from the batch pipeline,
@@ -151,15 +151,11 @@ func (bs *batchState) next() (set, mask probe.LineSet, retries uint64, err error
 	i := bs.idx
 	bs.idx++
 	e, spec := bs.p.e, bs.spec
-	switch {
-	case bs.scalar:
+	if bs.scalar {
 		return e.collect(spec.craft(e.rng, bs.rks), spec.Round, spec.Segment)
-	case bs.primed:
-		set, mask = bs.p.ch.CollectPrimed(bs.raw[i], spec.Round)
-		return set, mask, 0, nil
-	default:
-		return e.collect(bs.pts[i], spec.Round, spec.Segment)
 	}
+	set, mask = bs.p.ch.CollectPrimed(bs.raw[i], spec.Round)
+	return set, mask, 0, nil
 }
 
 // finish rewinds the plaintext rng over the crafted-but-uncommitted

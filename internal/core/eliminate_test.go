@@ -176,7 +176,7 @@ func TestEliminatorIgnoresOutOfRangeLines(t *testing.T) {
 func TestEliminatorPanicsOnBadArgs(t *testing.T) {
 	for _, fn := range []func(){
 		func() { NewEliminator(0, 1) },
-		func() { NewEliminator(65, 1) },
+		func() { NewEliminator(17, 1) },
 		func() { NewEliminator(4, 0) },
 		func() { NewEliminator(4, 1.5) },
 	} {
@@ -277,7 +277,7 @@ func elimStream(seed uint64, n, lines int) []probe.LineSet {
 // lane-accelerated strict eliminator must agree with the naive per-line
 // reference on every query after every observation.
 func TestEliminatorLanesMatchNaive(t *testing.T) {
-	for _, lines := range []int{1, 2, 4, 8, 16, 64} {
+	for _, lines := range []int{1, 2, 4, 8, 16} {
 		for _, n := range []int{1, 63, 64, 65, 130, 200} {
 			e := NewEliminator(lines, 1)
 			ref := &naiveEliminator{lines: lines, threshold: 1}
@@ -413,5 +413,41 @@ func TestEliminatorResetReuses(t *testing.T) {
 	e.Observe(0b0010)
 	if got := e.Candidates(); got != probe.LineSet(0b0010) {
 		t.Fatalf("post-Reset candidates = %v", got)
+	}
+}
+
+// BenchmarkEliminate is the eliminator layer: per op, one observation
+// of a fixed 16-line stream goes through ObserveMasked and then the
+// attack loop's Exhausted and Converged queries, under strict
+// intersection and at threshold 0.9. As in the attack loop, a finished
+// elimination resets the eliminator. It fails itself if an observation
+// allocates.
+func BenchmarkEliminate(b *testing.B) {
+	stream := elimStream(1, 1024, 16)
+	full := probe.FullSet(16)
+	for _, c := range []struct {
+		name      string
+		threshold float64
+	}{{"strict", 1}, {"threshold=0.9", 0.9}} {
+		b.Run(c.name, func(b *testing.B) {
+			var e Eliminator
+			e.Reset(16, c.threshold)
+			i := 0
+			step := func() {
+				e.ObserveMasked(stream[i%len(stream)], full)
+				i++
+				if _, ok := e.Converged(4); ok || e.Exhausted() {
+					e.Reset(16, c.threshold)
+				}
+			}
+			if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
+				b.Fatalf("%.1f allocs per observation, want 0", allocs)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				step()
+			}
+		})
 	}
 }

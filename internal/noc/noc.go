@@ -46,14 +46,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Stats accumulates network activity.
-type Stats struct {
-	Packets   uint64
-	Hops      uint64
-	TotalTime sim.Time
-	WaitTime  sim.Time // time lost to link contention
-}
-
 type link struct {
 	tail sim.Time // release time of the last packet on this link
 }
@@ -76,7 +68,6 @@ type Mesh struct {
 	// links[index(from)*ports+port] is the link leaving tile from by
 	// port; ports facing off the mesh edge are never used.
 	links []link
-	stats Stats
 }
 
 // New builds a mesh NoC.
@@ -182,18 +173,10 @@ func (m *Mesh) Send(p *sim.Proc, src, dst Coord, payloadBytes int) sim.Time {
 	for cur := src; cur != dst; {
 		nxt, port := next(cur, dst)
 		l := &m.links[m.index(cur)*ports+port]
-		grant := t
-		if l.tail > grant {
-			grant = l.tail
-		}
-		m.stats.WaitTime += grant - t
-		l.tail = grant + serial
+		l.tail = max(t, l.tail) + serial
 		t = l.tail + hop // downstream router traversal
-		m.stats.Hops++
 		cur = nxt
 	}
-	m.stats.Packets++
-	m.stats.TotalTime += t - start
 	p.WaitUntil(t)
 	return t - start
 }

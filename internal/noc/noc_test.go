@@ -171,9 +171,6 @@ func TestLinkContentionSerializes(t *testing.T) {
 	if second <= first {
 		t.Fatalf("contending packets not serialized: %v then %v", first, second)
 	}
-	if m.Stats().WaitTime == 0 {
-		t.Fatal("no contention wait recorded")
-	}
 }
 
 func TestOppositeLinksIndependent(t *testing.T) {
@@ -204,19 +201,6 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-func TestStatsAccumulate(t *testing.T) {
-	k, m := testMesh(t, 3, 1)
-	k.Spawn("s", func(p *sim.Proc) {
-		m.Send(p, Coord{0, 0}, Coord{2, 0}, 4)
-		m.Send(p, Coord{2, 0}, Coord{0, 0}, 4)
-	})
-	k.Run()
-	s := m.Stats()
-	if s.Packets != 2 || s.Hops != 4 {
-		t.Fatalf("stats = %+v", s)
-	}
-}
-
 // meshTiles lists every tile of m in row-major order.
 func meshTiles(m *Mesh) []Coord {
 	var tiles []Coord
@@ -235,9 +219,10 @@ func (m *Mesh) linkIndex(a, b Coord) int {
 }
 
 // TestSendWalksRoute: Send's in-place hop walk must cross exactly the
-// links of Route(src, dst), and under contention leave the same link
-// release times and Stats as store-and-forward arithmetic over Route's
-// materialised path — for every ordered tile pair on several meshes.
+// links of Route(src, dst), and under contention give the same
+// per-packet latencies and link release times as store-and-forward
+// arithmetic over Route's materialised path — for every ordered tile
+// pair on several meshes.
 func TestSendWalksRoute(t *testing.T) {
 	for _, dim := range [][2]int{{1, 1}, {3, 3}, {4, 2}} {
 		// One sender, packet after packet: the links each Send touches
@@ -270,7 +255,6 @@ func TestSendWalksRoute(t *testing.T) {
 		serial := m.clock.Cycles(m.flits(4) * m.cfg.LinkCycles)
 		hop := m.clock.Cycles(m.cfg.RouterCycles)
 		tails := map[[2]Coord]sim.Time{}
-		var want Stats
 		for _, src := range tiles {
 			k.Spawn(src.String(), func(p *sim.Proc) {
 				for _, dst := range tiles {
@@ -279,14 +263,9 @@ func TestSendWalksRoute(t *testing.T) {
 					at := start + hop
 					for i := 0; i+1 < len(path); i++ {
 						key := [2]Coord{path[i], path[i+1]}
-						grant := max(at, tails[key])
-						want.WaitTime += grant - at
-						tails[key] = grant + serial
+						tails[key] = max(at, tails[key]) + serial
 						at = tails[key] + hop
-						want.Hops++
 					}
-					want.Packets++
-					want.TotalTime += at - start
 					if lat := m.Send(p, src, dst, 4); lat != at-start {
 						t.Errorf("%dx%d %v→%v: latency %v, want %v", dim[0], dim[1], src, dst, lat, at-start)
 					}
@@ -294,9 +273,6 @@ func TestSendWalksRoute(t *testing.T) {
 			})
 		}
 		k.Run()
-		if got := m.Stats(); got != want {
-			t.Errorf("%dx%d: stats %+v, want %+v", dim[0], dim[1], got, want)
-		}
 		used := 0
 		for key, tail := range tails {
 			if got := m.links[m.linkIndex(key[0], key[1])].tail; got != tail {

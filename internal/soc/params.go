@@ -82,8 +82,8 @@ type Params struct {
 	VictimTile   noc.Coord
 	CacheTile    noc.Coord
 	AttackerTile noc.Coord
-	// AttackerPoll is the MPSoC attacker's probe period; 0 derives half
-	// a victim round time automatically.
+	// AttackerPoll is the MPSoC attacker's probe period; 0 derives a
+	// quarter of a victim round time automatically.
 	AttackerPoll sim.Time
 }
 
