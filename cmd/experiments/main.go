@@ -16,8 +16,9 @@
 //	-budget N   per-attack encryption cap (default 1000000, the paper's
 //	            practicality threshold)
 //	-seed N     reproducibility seed
-//	-workers N  campaign worker pool for the swept experiments
-//	            (default GOMAXPROCS; results identical for any value)
+//	-workers N  campaign worker pool for the swept experiments and the
+//	            comparison and platform-effort extensions (default
+//	            GOMAXPROCS; results identical for any value)
 //	-csv        emit CSV instead of aligned text (fig3/table1 only)
 //	-quick      small budgets for a fast smoke run
 //

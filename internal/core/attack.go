@@ -382,10 +382,9 @@ func (e *engine[W, RK]) progress(round, segment int, converged bool, line int, o
 }
 
 // traceObservation emits the per-encryption pair of events — the raw
-// probe observation and the candidate state it produced. Only called
-// with a non-nil tracer, so the Candidates recomputation is free on the
-// untraced path.
-func traceObservation(tr obs.Tracer, enc uint64, cipher string, round, segment int, set probe.LineSet, elim *Eliminator) {
+// probe observation set and the candidate set cands it left behind,
+// with the eliminator's observation count.
+func traceObservation(tr obs.Tracer, enc uint64, cipher string, round, segment int, set, cands probe.LineSet, observations uint64) {
 	tr.Emit(obs.Event{
 		Kind:    obs.KindProbeObservation,
 		Enc:     enc,
@@ -394,7 +393,6 @@ func traceObservation(tr obs.Tracer, enc uint64, cipher string, round, segment i
 		Segment: segment,
 		Lines:   uint64(set),
 	})
-	cands := elim.Candidates()
 	tr.Emit(obs.Event{
 		Kind:         obs.KindCandidateUpdate,
 		Enc:          enc,
@@ -404,7 +402,7 @@ func traceObservation(tr obs.Tracer, enc uint64, cipher string, round, segment i
 		Lines:        uint64(cands),
 		Survivors:    cands.Count(),
 		EntropyBits:  obs.EntropyBits(cands.Count()),
-		Observations: elim.Observations(),
+		Observations: observations,
 	})
 }
 
@@ -562,18 +560,22 @@ func (e *engine[W, RK]) eliminate(spec target[W, RK], t, g int, rks []RK, confir
 			continue
 		}
 		elim.ObserveMasked(set, mask)
+		// One candidate computation per observation serves the trace,
+		// the exhaustion check and the convergence check: below a
+		// threshold of 1 it is a loop over the lines.
+		cands := elim.Candidates()
 		if e.cfg.Tracer != nil {
-			traceObservation(e.cfg.Tracer, e.ch.Encryptions(), e.desc.name, t, g, set, &elim)
+			traceObservation(e.cfg.Tracer, e.ch.Encryptions(), e.desc.name, t, g, set, cands, elim.Observations())
 		}
 
 		// Under strict intersection an empty candidate set is
 		// definitive at any point; with a tolerant threshold it is only
 		// meaningful once enough observations have accumulated.
-		if elim.Exhausted() && (threshold == 1 || elim.Observations() >= minObs) {
+		if cands == 0 && (threshold == 1 || elim.Observations() >= minObs) {
 			out.Exhausted = true
 			break
 		}
-		line, ok := elim.Converged(minObs)
+		line, ok := elim.converged(cands, minObs)
 		if !ok {
 			confirming = false
 			continue

@@ -128,11 +128,11 @@ func (e *Eliminator) relaxed() probe.LineSet {
 	return set
 }
 
-// Converged reports the surviving line once exactly one candidate
-// remains, every line has been examined, and the survivor has at least
-// minObs examinations behind it.
-func (e *Eliminator) Converged(minObs uint64) (line int, ok bool) {
-	c := e.Candidates()
+// converged reports c's sole line once c, the eliminator's current
+// Candidates, holds exactly one line, every line has been examined, and
+// the survivor has at least minObs examinations behind it. The attack
+// loop computes the candidates once per observation and passes them in.
+func (e *Eliminator) converged(c probe.LineSet, minObs uint64) (line int, ok bool) {
 	if e.n < minObs || c.Count() != 1 {
 		return -1, false
 	}
@@ -142,11 +142,6 @@ func (e *Eliminator) Converged(minObs uint64) (line int, ok bool) {
 	}
 	return l, true
 }
-
-// Exhausted reports that no candidate survives — the signature of a
-// wrong crafting hypothesis (the "pinned" index was not actually pinned)
-// or of destructive noise. Before any observation every line survives.
-func (e *Eliminator) Exhausted() bool { return e.Candidates() == 0 }
 
 // PresenceRatio returns line l's appearance ratio over the observations
 // that examined it (0 when never examined or out of range).

@@ -417,11 +417,11 @@ func TestEliminatorResetReuses(t *testing.T) {
 }
 
 // BenchmarkEliminate is the eliminator layer: per op, one observation
-// of a fixed 16-line stream goes through ObserveMasked and then the
-// attack loop's Exhausted and Converged queries, under strict
-// intersection and at threshold 0.9. As in the attack loop, a finished
-// elimination resets the eliminator. It fails itself if an observation
-// allocates.
+// of a fixed 16-line stream goes through ObserveMasked and then, as in
+// the attack loop, one Candidates computation that both the exhaustion
+// and the convergence checks read, under strict intersection and at
+// threshold 0.9. As in the attack loop, a finished elimination resets
+// the eliminator. It fails itself if an observation allocates.
 func BenchmarkEliminate(b *testing.B) {
 	stream := elimStream(1, 1024, 16)
 	full := probe.FullSet(16)
@@ -436,7 +436,8 @@ func BenchmarkEliminate(b *testing.B) {
 			step := func() {
 				e.ObserveMasked(stream[i%len(stream)], full)
 				i++
-				if _, ok := e.Converged(4); ok || e.Exhausted() {
+				cands := e.Candidates()
+				if _, ok := e.converged(cands, 4); ok || cands == 0 {
 					e.Reset(16, c.threshold)
 				}
 			}

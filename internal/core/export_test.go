@@ -21,6 +21,18 @@ func NewEliminator(lines int, threshold float64) *Eliminator {
 // Observe folds one fully-probed line set into the statistics.
 func (e *Eliminator) Observe(set probe.LineSet) { e.ObserveMasked(set, e.full) }
 
+// Converged reports the surviving line once exactly one candidate
+// remains, every line has been examined, and the survivor has at least
+// minObs examinations behind it.
+func (e *Eliminator) Converged(minObs uint64) (line int, ok bool) {
+	return e.converged(e.Candidates(), minObs)
+}
+
+// Exhausted reports that no candidate survives — the signature of a
+// wrong crafting hypothesis (the "pinned" index was not actually pinned)
+// or of destructive noise. Before any observation every line survives.
+func (e *Eliminator) Exhausted() bool { return e.Candidates() == 0 }
+
 // Recovered reports whether line l is the sole surviving candidate.
 // Out-of-range indices (negative or ≥ lines) are never recovered.
 func (e *Eliminator) Recovered(l int) bool {

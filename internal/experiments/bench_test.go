@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"math"
+	"runtime"
 	"testing"
 )
 
@@ -30,6 +32,30 @@ func BenchmarkTable1Campaign(b *testing.B) {
 					b.Fatalf("got %d rows", len(rows))
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkCompareCiphers runs the cross-cipher comparison (3 ciphers ×
+// 4 trials = 12 key recoveries) serially and on GOMAXPROCS workers.
+// Both sub-benchmarks recover the same keys, so encryptions/op must
+// match; the recorded speedup lives in EXPERIMENTS.md ("Comparison
+// drivers on the campaign pool").
+func BenchmarkCompareCiphers(b *testing.B) {
+	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			opt := Options{Trials: 4, Budget: 100_000, Seed: 2021, Workers: workers}
+			var encs float64
+			for i := 0; i < b.N; i++ {
+				encs = 0
+				for _, row := range CompareCiphers(opt) {
+					if !row.AllCorrect {
+						b.Fatalf("%s: recovery failed", row.Cipher)
+					}
+					encs += math.Round(row.Encryptions.Mean * float64(row.Encryptions.N))
+				}
+			}
+			b.ReportMetric(encs, "encryptions/op")
 		})
 	}
 }

@@ -289,6 +289,35 @@ func runCampaign(spec campaign.Spec, workers int) []campaign.Result {
 	return col.Results
 }
 
+// runTrials runs trials on the campaign pool with the given number of
+// workers (0 means GOMAXPROCS) and returns their results in trial
+// order. Each trial must already hold every random input it needs, so
+// the results do not depend on the worker count or on scheduling. A
+// trial that panics stops dispatch; once the pool drains, runTrials
+// panics with that job's error.
+func runTrials[T any](workers int, trials []func() T) []T {
+	out := make([]T, len(trials))
+	jobs := make([]campaign.Job, len(trials))
+	for i := range jobs {
+		jobs[i].Index = i
+	}
+	err := campaign.ExecuteJobs(context.Background(), jobs,
+		func(j campaign.Job, _ obs.Tracer) (campaign.Measurement, error) {
+			out[j.Index] = trials[j.Index]()
+			return campaign.Measurement{}, nil
+		}, workers,
+		func(r campaign.Result) error {
+			if r.Failed {
+				return fmt.Errorf("experiments: trial %d: %s", r.Job, r.Err)
+			}
+			return nil
+		})
+	if err != nil {
+		panic(err)
+	}
+	return out
+}
+
 // cellFromResults folds one cell's trial results into the table Cell.
 // A failed (panicked) trial counts as a drop-out at the budget, so a
 // poisoned cell is visible in the table rather than silently thinner.

@@ -53,3 +53,20 @@ func TestCompareRenderers(t *testing.T) {
 		t.Errorf("RenderProbeMethods malformed:\n%s", s)
 	}
 }
+
+// TestRunTrialsRepanicsFailedTrial pins that a panicking trial is
+// never dropped: runTrials panics with the failed job's error.
+func TestRunTrialsRepanicsFailedTrial(t *testing.T) {
+	defer func() {
+		err, ok := recover().(error)
+		if !ok || !strings.Contains(err.Error(), "trial 1: panic: boom") {
+			t.Fatalf("recovered %v, want the error of trial 1", err)
+		}
+	}()
+	runTrials(2, []func() int{
+		func() int { return 0 },
+		func() int { panic("boom") },
+		func() int { return 2 },
+	})
+	t.Fatal("runTrials returned after a failed trial")
+}

@@ -38,9 +38,12 @@ type Options struct {
 	// Seed makes the whole run reproducible.
 	Seed uint64
 	// Workers bounds the campaign worker pool the swept experiments
-	// (Fig3, Table1, Table2, FullRecovery) run on; 0 means GOMAXPROCS.
-	// Results are identical for every value — each grid cell's RNG is
-	// derived from (Seed, job index), never from execution order.
+	// (Fig3, Table1, Table2, FullRecovery) and the comparison and
+	// platform-effort drivers (CompareCiphers, CompareProbeMethods,
+	// PlatformEffort) run on; 0 means GOMAXPROCS. Results are identical
+	// for every value — each grid cell's RNG is derived from (Seed, job
+	// index), and each driver trial's inputs are drawn before the pool
+	// starts, never in execution order.
 	Workers int
 }
 

@@ -28,43 +28,42 @@ type PlatformEffortRow struct {
 // effort tracks the Fig. 3 no-flush curve at probing round k, while the
 // MPSoC attacker's per-round windows keep the effort near the ideal
 // curve. The paper reports the race (Table II) but not the resulting
-// effort; this experiment measures it.
+// effort; this experiment measures it. Every frequency's two attacks
+// run on the campaign pool with opt.Workers workers, each from inputs
+// drawn before the pool starts.
 func PlatformEffort(opt Options, freqs []uint64) []PlatformEffortRow {
 	opt = opt.withDefaults()
 	if len(freqs) == 0 {
 		freqs = []uint64{10, 25, 50}
 	}
 	r := rng.New(opt.Seed ^ 0x50c)
-	var rows []PlatformEffortRow
+	var trials []func() PlatformEffortRow
 	for _, mhz := range freqs {
 		key := bitutil.Word128{Lo: r.Uint64(), Hi: r.Uint64()}
-
-		single := soc.NewSingleSoC(key, soc.DefaultParams(mhz))
-		rows = append(rows, measurePlatform("Single-processing SoC", mhz, single, key, core.Config{
-			Seed: r.Uint64(), TotalBudget: opt.Budget,
-		}))
-
-		multi := soc.NewMPSoC(key, soc.DefaultParams(mhz))
-		rows = append(rows, measurePlatform("Multi-processing SoC", mhz, multi, key, core.Config{
+		single := core.Config{Seed: r.Uint64(), TotalBudget: opt.Budget}
+		multi := core.Config{
 			Seed: r.Uint64(), TotalBudget: opt.Budget,
 			Threshold: 0.95, MinObservations: 48,
-		}))
+		}
+		trials = append(trials,
+			func() PlatformEffortRow {
+				return measurePlatform("Single-processing SoC", mhz, soc.NewSingleSoC(key, soc.DefaultParams(mhz)), single)
+			},
+			func() PlatformEffortRow {
+				return measurePlatform("Multi-processing SoC", mhz, soc.NewMPSoC(key, soc.DefaultParams(mhz)), multi)
+			})
 	}
-	return rows
+	return runTrials(opt.Workers, trials)
 }
 
-func measurePlatform(name string, mhz uint64, p soc.Platform, key bitutil.Word128, cfg core.Config) PlatformEffortRow {
+func measurePlatform(name string, mhz uint64, p soc.Platform, cfg core.Config) PlatformEffortRow {
 	row := PlatformEffortRow{
 		Platform:     name,
 		MHz:          mhz,
 		WindowRounds: p.EarliestProbeRound(),
 	}
 	ch := &soc.PlatformChannel{P: p, LineBytes: 1}
-	a, err := core.NewAttacker(ch, cfg)
-	if err != nil {
-		panic(err)
-	}
-	out, err := a.AttackRound(1, nil, nil)
+	out, err := must(core.NewAttacker(ch, cfg)).AttackRound(1, nil, nil)
 	if err != nil {
 		row.DroppedOut = true
 		row.Encryptions = ch.Encryptions()
