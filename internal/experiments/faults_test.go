@@ -140,3 +140,61 @@ func TestBurstIntensityRobustnessCurve(t *testing.T) {
 		}
 	}
 }
+
+// TestRetriesCountEveryRetryEvent pins Measurement.Retries to the
+// attack's retry total: on a traced campaign under transient faults,
+// each job's record must carry exactly as many retries as its trace
+// holds retry events, for first-round jobs and full recoveries alike,
+// converged or not.
+func TestRetriesCountEveryRetryEvent(t *testing.T) {
+	plan := faults.Plan{Name: "transient", Faults: []faults.Fault{
+		{Kind: faults.KindTransient, Probability: 0.05},
+	}}
+	for _, kind := range []string{KindFirstRound, KindRecovery} {
+		spec := campaign.Spec{
+			Name:       "retries-" + kind,
+			Kind:       kind,
+			Seed:       7,
+			Trials:     4,
+			Budget:     100_000,
+			FaultPlans: []faults.Plan{plan},
+			Retry:      &campaign.RetrySpec{Attempts: 3},
+		}
+		if kind == KindFirstRound {
+			spec.LineWords, spec.Flush, spec.ProbeRounds = []int{1}, []bool{true}, []int{1}
+		}
+		var tb bytes.Buffer
+		tw := obs.NewWriter(&tb)
+		col := &campaign.Collector{}
+		if _, err := campaign.Run(context.Background(), spec, Execute,
+			campaign.Options{Workers: 2, Sinks: []campaign.Sink{col}, Trace: tw}); err != nil {
+			t.Fatal(err)
+		}
+		if err := tw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		events, err := obs.ReadAll(bytes.NewReader(tb.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := map[int]uint64{}
+		for _, e := range events {
+			if e.Kind == obs.KindRetry {
+				want[e.Job]++
+			}
+		}
+		total := uint64(0)
+		for _, r := range col.Results {
+			if r.Failed {
+				t.Fatalf("%s job %d failed: %s", kind, r.Job, r.Err)
+			}
+			if r.Retries != want[r.Job] {
+				t.Errorf("%s job %d: retries = %d, trace holds %d retry events", kind, r.Job, r.Retries, want[r.Job])
+			}
+			total += want[r.Job]
+		}
+		if total == 0 {
+			t.Fatalf("%s: the faulted campaign retried nothing, so the test proves nothing", kind)
+		}
+	}
+}
