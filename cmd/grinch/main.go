@@ -221,6 +221,7 @@ func run() int {
 	if *firstOnly {
 		out, err := attacker.AttackRound(1, nil, nil)
 		record.DurationNS = time.Since(start).Nanoseconds() //grinchvet:ignore wallclock CLI wall-time reporting only
+		record.Retries = attacker.Retries()
 		if inj != nil {
 			record.Faults = inj.Stats().Total()
 			record.Reason = core.Reason(err)
@@ -276,6 +277,7 @@ func run() int {
 		res, err = attacker.RecoverKey()
 	}
 	record.DurationNS = time.Since(start).Nanoseconds() //grinchvet:ignore wallclock CLI wall-time reporting only
+	record.Retries = attacker.Retries()
 	if partial != nil {
 		record.Encryptions = partial.Encryptions
 		record.DroppedOut = true

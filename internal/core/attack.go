@@ -278,6 +278,8 @@ type engine[W, RK any] struct {
 	// backoffPS is the simulated time charged by transient-failure
 	// retries (RetryPolicy.BackoffPS accrual).
 	backoffPS uint64
+	// retries totals the transient-failure retries of every elimination.
+	retries uint64
 	// lastRound / lastStatuses record the most recent AttackRound pass's
 	// per-segment outcomes, feeding the graceful recoveries'
 	// PartialResult.
@@ -309,6 +311,9 @@ func (e *engine[W, RK]) init(desc *cipherDesc[W, RK], ch channel[W], cfg Config)
 
 // Encryptions returns the channel's total encryption count.
 func (e *engine[W, RK]) Encryptions() uint64 { return e.ch.Encryptions() }
+
+// Retries returns the transient-failure retries the attack has spent.
+func (e *engine[W, RK]) Retries() uint64 { return e.retries }
 
 // overBudget reports whether the total budget is exhausted.
 func (e *engine[W, RK]) overBudget() bool {
@@ -614,6 +619,7 @@ func (e *engine[W, RK]) eliminate(spec target[W, RK], t, g int, rks []RK, confir
 	// The observation counter is flushed per target like the retry and
 	// quarantine counters: one atomic add instead of one per probe.
 	e.meter.observations.Add(elim.Observations())
+	e.retries += out.Retries
 	e.meter.retries.Add(out.Retries)
 	e.meter.quarantined.Add(out.Quarantined)
 	e.meter.segmentDone(elim.Observations(), uint64(elim.Candidates().Count()),

@@ -201,7 +201,7 @@ func execFirstRound(job campaign.Job, tracer obs.Tracer) (campaign.Measurement, 
 		return campaign.Measurement{}, err
 	}
 	out, err := a.AttackRound(1, nil, nil)
-	m := campaign.Measurement{Faults: stats().Total()}
+	m := campaign.Measurement{Faults: stats().Total(), Retries: a.Retries()}
 	if err != nil {
 		m.DroppedOut = true
 		m.Reason = core.Reason(err)
@@ -231,7 +231,7 @@ func execRecovery(job campaign.Job, tracer obs.Tracer) (campaign.Measurement, er
 		return campaign.Measurement{}, err
 	}
 	out, partial := a.RecoverKeyGraceful()
-	m := campaign.Measurement{Faults: stats().Total()}
+	m := campaign.Measurement{Faults: stats().Total(), Retries: a.Retries()}
 	if partial != nil {
 		m.Encryptions = ch.Encryptions()
 		m.DroppedOut = true
@@ -240,9 +240,6 @@ func execRecovery(job campaign.Job, tracer obs.Tracer) (campaign.Measurement, er
 		m.ResolvedRounds = partial.ResolvedRounds
 		m.SegmentsConverged = partial.Converged()
 		m.Confidence = partial.Confidence()
-		for _, s := range partial.Segments {
-			m.Retries += s.Retries
-		}
 		return m, nil
 	}
 	m.Encryptions = out.Encryptions
