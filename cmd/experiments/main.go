@@ -22,6 +22,8 @@
 //	-csv        emit CSV instead of aligned text (fig3/table1 only)
 //	-quick      small budgets for a fast smoke run
 //
+// The tables go to stdout, which depends only on the flags; each
+// experiment's "(name finished in …)" wall-time line goes to stderr.
 // The swept experiments (fig3, table1, table2, recovery) run through
 // the internal/campaign orchestrator. For journaled, resumable sweeps
 // with streaming result files, use cmd/campaign instead.
@@ -30,11 +32,53 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
 	"grinch/internal/experiments"
 )
+
+// scale is what the flags select: the options every experiment shares,
+// the Fig. 3 and Table I grids, and the output format.
+type scale struct {
+	opt                           experiments.Options
+	fig3Rounds, t1Lines, t1Rounds []int
+	csv                           bool
+}
+
+// newScale applies -quick to the flag values.
+func newScale(opt experiments.Options, quick, csv bool) scale {
+	s := scale{
+		opt:        opt,
+		fig3Rounds: []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10},
+		t1Lines:    []int{1, 2, 4, 8},
+		t1Rounds:   []int{1, 2, 3, 4, 5},
+		csv:        csv,
+	}
+	if quick {
+		s.opt.Trials = 1
+		s.opt.Budget = 100_000
+		s.fig3Rounds = []int{1, 2, 3, 4, 5}
+		s.t1Lines = []int{1, 2, 4}
+		s.t1Rounds = []int{1, 2, 3}
+	}
+	return s
+}
+
+// drivers lists the experiments in the order "all" runs them.
+var drivers = []struct {
+	name string
+	run  func(io.Writer, scale)
+}{
+	{"fig3", fig3},
+	{"table1", table1},
+	{"table2", table2},
+	{"recovery", recovery},
+	{"counter", counter},
+	{"compare", compare},
+	{"platform", platformEffort},
+}
 
 func main() {
 	var (
@@ -48,102 +92,82 @@ func main() {
 	flag.Parse()
 
 	opt := experiments.Options{Trials: *trials, Budget: *budget, Seed: *seed, Workers: *workers}
-	fig3Rounds := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	t1Lines := []int{1, 2, 4, 8}
-	t1Rounds := []int{1, 2, 3, 4, 5}
-	if *quick {
-		opt.Trials = 1
-		opt.Budget = 100_000
-		fig3Rounds = []int{1, 2, 3, 4, 5}
-		t1Lines = []int{1, 2, 4}
-		t1Rounds = []int{1, 2, 3}
-	}
-
 	what := "all"
 	if flag.NArg() > 0 {
 		what = flag.Arg(0)
 	}
-
-	run := func(name string, fn func()) {
-		start := time.Now() //grinchvet:ignore wallclock progress display only
-		fn()
-		//grinchvet:ignore wallclock progress display only
-		fmt.Printf("(%s finished in %v)\n\n", name, time.Since(start).Round(time.Millisecond))
-	}
-
-	switch what {
-	case "fig3":
-		run("fig3", func() { fig3(opt, fig3Rounds, *csv) })
-	case "table1":
-		run("table1", func() { table1(opt, t1Lines, t1Rounds, *csv) })
-	case "table2":
-		run("table2", func() { table2(opt) })
-	case "recovery":
-		run("recovery", func() { recovery(opt) })
-	case "counter":
-		run("counter", func() { counter(opt) })
-	case "compare":
-		run("compare", func() { compare(opt) })
-	case "platform":
-		run("platform", func() { platformEffort(opt) })
-	case "all":
-		run("fig3", func() { fig3(opt, fig3Rounds, *csv) })
-		run("table1", func() { table1(opt, t1Lines, t1Rounds, *csv) })
-		run("table2", func() { table2(opt) })
-		run("recovery", func() { recovery(opt) })
-		run("counter", func() { counter(opt) })
-		run("compare", func() { compare(opt) })
-		run("platform", func() { platformEffort(opt) })
-	default:
-		fmt.Fprintf(os.Stderr, "experiments: unknown experiment %q (fig3, table1, table2, recovery, counter, compare, platform, all)\n", what)
+	if err := render(os.Stdout, os.Stderr, what, newScale(opt, *quick, *csv)); err != nil {
+		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		os.Exit(2)
 	}
 }
 
-func platformEffort(opt experiments.Options) {
+// render writes experiment what ("all" for every one) to w, each
+// followed by a blank line, and each one's wall time to progress.
+func render(w, progress io.Writer, what string, s scale) error {
+	ran := false
+	for _, d := range drivers {
+		if what != "all" && what != d.name {
+			continue
+		}
+		start := time.Now() //grinchvet:ignore wallclock progress display only
+		d.run(w, s)
+		fmt.Fprintln(w)
+		//grinchvet:ignore wallclock progress display only
+		fmt.Fprintf(progress, "(%s finished in %v)\n", d.name, time.Since(start).Round(time.Millisecond))
+		ran = true
+	}
+	if !ran {
+		return fmt.Errorf("unknown experiment %q (fig3, table1, table2, recovery, counter, compare, platform, all)", what)
+	}
+	return nil
+}
+
+func platformEffort(w io.Writer, s scale) {
 	// The 50 MHz single-SoC window spans ~8 rounds; cap the budget so
 	// the drop-out is quick (the point is the contrast, not the exact
 	// blow-up size).
+	opt := s.opt
 	if opt.Budget > 50_000 {
 		opt.Budget = 50_000
 	}
-	fmt.Print(experiments.RenderPlatformEffort(experiments.PlatformEffort(opt, nil)))
+	fmt.Fprint(w, experiments.RenderPlatformEffort(experiments.PlatformEffort(opt, nil)))
 }
 
-func compare(opt experiments.Options) {
-	fmt.Print(experiments.RenderCompare(experiments.CompareCiphers(opt)))
-	fmt.Println()
-	fmt.Print(experiments.RenderProbeMethods(experiments.CompareProbeMethods(opt)))
+func compare(w io.Writer, s scale) {
+	fmt.Fprint(w, experiments.RenderCompare(experiments.CompareCiphers(s.opt)))
+	fmt.Fprintln(w)
+	fmt.Fprint(w, experiments.RenderProbeMethods(experiments.CompareProbeMethods(s.opt)))
 }
 
-func fig3(opt experiments.Options, rounds []int, csv bool) {
-	rows := experiments.Fig3(opt, rounds)
-	if csv {
-		fmt.Print(experiments.Fig3CSV(rows))
+func fig3(w io.Writer, s scale) {
+	rows := experiments.Fig3(s.opt, s.fig3Rounds)
+	if s.csv {
+		fmt.Fprint(w, experiments.Fig3CSV(rows))
 		return
 	}
-	fmt.Print(experiments.RenderFig3(rows))
-	fmt.Println()
-	fmt.Print(experiments.Fig3Chart(rows))
+	fmt.Fprint(w, experiments.RenderFig3(rows))
+	fmt.Fprintln(w)
+	fmt.Fprint(w, experiments.Fig3Chart(rows))
 }
 
-func table1(opt experiments.Options, lines, rounds []int, csv bool) {
-	rows := experiments.Table1(opt, lines, rounds)
-	if csv {
-		fmt.Print(experiments.Table1CSV(rows, rounds))
+func table1(w io.Writer, s scale) {
+	rows := experiments.Table1(s.opt, s.t1Lines, s.t1Rounds)
+	if s.csv {
+		fmt.Fprint(w, experiments.Table1CSV(rows, s.t1Rounds))
 		return
 	}
-	fmt.Print(experiments.RenderTable1(rows, rounds))
+	fmt.Fprint(w, experiments.RenderTable1(rows, s.t1Rounds))
 }
 
-func table2(opt experiments.Options) {
-	fmt.Print(experiments.RenderTable2(experiments.Table2(opt, nil)))
+func table2(w io.Writer, s scale) {
+	fmt.Fprint(w, experiments.RenderTable2(experiments.Table2(s.opt, nil)))
 }
 
-func recovery(opt experiments.Options) {
-	fmt.Print(experiments.RenderRecovery(experiments.FullRecovery(opt)))
+func recovery(w io.Writer, s scale) {
+	fmt.Fprint(w, experiments.RenderRecovery(experiments.FullRecovery(s.opt)))
 }
 
-func counter(opt experiments.Options) {
-	fmt.Print(experiments.RenderCountermeasures(experiments.Countermeasures(opt)))
+func counter(w io.Writer, s scale) {
+	fmt.Fprint(w, experiments.RenderCountermeasures(experiments.Countermeasures(s.opt)))
 }
