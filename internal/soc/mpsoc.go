@@ -3,12 +3,9 @@ package soc
 import (
 	"grinch/internal/bitutil"
 	"grinch/internal/cache"
-	"grinch/internal/gift"
 	"grinch/internal/noc"
-	"grinch/internal/obs/metrics"
 	"grinch/internal/probe"
 	"grinch/internal/sim"
-	"grinch/internal/victim"
 )
 
 // MPSoC is the paper's second platform: a tile-based multiprocessor with
@@ -18,33 +15,15 @@ import (
 // which is why the MPSoC attacker reaches round 1 at every frequency
 // (Table II).
 type MPSoC struct {
-	params   Params
-	cipher   *gift.Cipher64
-	table    probe.TableLayout
-	sessions uint64
-	meter    *probe.Meter
+	platform
 }
 
-// NewMPSoC builds the platform around a victim key.
+// NewMPSoC builds the platform around a victim key. Its attacker always
+// probes with remote Flush+Reload, whatever params.Primitive says.
 func NewMPSoC(key bitutil.Word128, params Params) *MPSoC {
-	return &MPSoC{
-		params: params,
-		cipher: gift.NewCipher64FromWord(key),
-		table:  probe.TableLayout{Base: params.TableBase, EntryBytes: 1, Entries: 16},
-	}
+	params.Primitive = PrimitiveFlushReload
+	return &MPSoC{newPlatform(key, params, mpsocRace)}
 }
-
-// Table returns the victim's S-box table layout.
-func (m *MPSoC) Table() probe.TableLayout { return m.table }
-
-// SetMetrics points the per-session Flush+Reload primitive at a metrics
-// registry (nil disables).
-func (m *MPSoC) SetMetrics(r *metrics.Registry) {
-	m.meter = probe.NewMeter(r, PrimitiveFlushReload.String())
-}
-
-// Sessions returns how many victim encryptions the platform has run.
-func (m *MPSoC) Sessions() uint64 { return m.sessions }
 
 // nocExecutor charges work to a dedicated core whose memory accesses
 // cross the mesh to the shared cache tile and back.
@@ -70,127 +49,49 @@ func (e *nocExecutor) Access(addr uint64) uint64 {
 	return e.clock.CyclesAt(e.proc.Now() - before)
 }
 
-// RunSession simulates one encryption of pt with the attacker polling
-// Flush+Reload from its own tile. One probe window is produced per poll
-// — several per round with the default polling period.
-func (m *MPSoC) RunSession(pt uint64) Session {
-	return m.runSession(pt, gift.Rounds64)
-}
-
-// RunSessionUntil is RunSession with the attacker standing down once the
-// victim passes probeUntilRound; the victim's remaining rounds are
-// fast-forwarded (their timing can no longer be observed), which makes
-// attack campaigns over the platform an order of magnitude cheaper to
-// simulate without changing anything the attacker sees.
-func (m *MPSoC) RunSessionUntil(pt uint64, probeUntilRound int) Session {
-	return m.runSession(pt, probeUntilRound)
-}
-
-func (m *MPSoC) runSession(pt uint64, probeUntilRound int) Session {
-	m.sessions++
-	k := sim.NewKernel()
-	clock := sim.ClockMHz(m.params.ClockMHz)
-	cch := cache.MustNew(cache.PaperConfig(m.params.CacheLineBytes))
-	mesh := noc.MustNew(k, clock, m.params.Mesh)
-	vic := victim.New(m.cipher, m.table, m.params.Timing)
-
-	poll := m.params.AttackerPoll
+// mpsocRace spawns the session's victim and attacker on their own
+// tiles. The attacker polls remote Flush+Reload concurrently with the
+// victim, producing one probe window per poll — several per round with
+// the default polling period.
+func mpsocRace(s *session) {
+	mesh := noc.MustNew(s.k, s.clock, s.params.Mesh)
+	poll := s.params.AttackerPoll
 	if poll == 0 {
 		// Quarter-round windows keep the union of windows covering any
 		// one round narrow enough for candidate elimination (the
 		// paper's attacker has the same freedom: its probe is ~3000×
 		// faster than a round).
-		poll = clock.Cycles(vic.RoundCycles()) / 4
+		poll = s.clock.Cycles(s.vic.RoundCycles()) / 4
+	}
+	exec := func(p *sim.Proc, tile noc.Coord) *nocExecutor {
+		return &nocExecutor{
+			proc: p, clock: s.clock, mesh: mesh, cache: s.cache,
+			tile: tile, cchTl: s.params.CacheTile,
+			line: s.params.CacheLineBytes,
+		}
 	}
 
-	var sess Session
-	done := false
-	standDown := false
-
-	k.Spawn("victim", func(p *sim.Proc) {
-		ex := &nocExecutor{
-			proc: p, clock: clock, mesh: mesh, cache: cch,
-			tile: m.params.VictimTile, cchTl: m.params.CacheTile,
-			line: m.params.CacheLineBytes,
-		}
+	s.k.Spawn("victim", func(p *sim.Proc) {
+		ex := exec(p, s.params.VictimTile)
 		// Small startup cost: fetching the plaintext over the NoC.
-		mesh.RoundTrip(p, m.params.VictimTile, m.params.CacheTile, 4, 8, 0)
-		sess.Ciphertext = vic.Encrypt(&cutoverExecutor{
-			slow: ex, fast: &fastExecutor{cache: cch}, standDown: &standDown,
-		}, pt)
-		done = true
+		mesh.RoundTrip(p, s.params.VictimTile, s.params.CacheTile, 4, 8, 0)
+		s.encrypt(ex, s.pt)
 	})
 
-	k.Spawn("attacker", func(p *sim.Proc) {
-		ex := &nocExecutor{
-			proc: p, clock: clock, mesh: mesh, cache: cch,
-			tile: m.params.AttackerTile, cchTl: m.params.CacheTile,
-			line: m.params.CacheLineBytes,
-		}
-		fr := &probe.FlushReload{Cache: cch, Table: m.table, Meter: m.meter}
+	s.k.Spawn("attacker", func(p *sim.Proc) {
+		ex := exec(p, s.params.AttackerTile)
+		fr := &probe.FlushReload{Cache: s.cache, Table: s.table, Meter: s.meter}
+		observe := func() probe.LineSet { return probeAndFlushRemote(ex, fr) }
 		flushRemote(ex, fr)
-		first := roundOrStart(vic)
+		s.open()
 		for {
 			p.Wait(poll)
-			last := roundOrEnd(vic, done)
-			set := probeAndFlushRemote(ex, fr)
-			sess.Windows = append(sess.Windows, ProbeWindow{
-				FirstRound: first,
-				LastRound:  last,
-				Set:        set,
-				At:         p.Now(),
-			})
-			if done || last > probeUntilRound {
-				standDown = true
-				break
+			if !s.window(observe) {
+				return
 			}
-			first = roundOrStart(vic)
+			s.open()
 		}
 	})
-
-	k.Run()
-	sess.CacheStats = cch.Stats()
-	return sess
-}
-
-// cutoverExecutor runs the victim at full timing fidelity until the
-// attacker stands down, then switches to an untimed executor: once no
-// probe will ever run again, the remaining rounds' timing is
-// unobservable and only the cache-state and ciphertext effects matter.
-type cutoverExecutor struct {
-	slow, fast victim.Executor
-	standDown  *bool
-}
-
-func (e *cutoverExecutor) current() victim.Executor {
-	if *e.standDown {
-		return e.fast
-	}
-	return e.slow
-}
-
-func (e *cutoverExecutor) Exec(cycles uint64)        { e.current().Exec(cycles) }
-func (e *cutoverExecutor) Access(addr uint64) uint64 { return e.current().Access(addr) }
-
-// fastExecutor mutates cache state without consuming virtual time.
-type fastExecutor struct {
-	cache *cache.Cache
-}
-
-func (e *fastExecutor) Exec(uint64) {}
-func (e *fastExecutor) Access(addr uint64) uint64 {
-	e.cache.Access(addr)
-	return 0
-}
-
-// EarliestProbeRound reports the round the attacker's first reload lands
-// in (Table II metric).
-func (m *MPSoC) EarliestProbeRound() int {
-	sess := m.RunSession(0x0123456789abcdef)
-	if len(sess.Windows) == 0 {
-		return 0
-	}
-	return sess.Windows[0].LastRound
 }
 
 // flushRemote flushes every table line over the NoC: each flush is a

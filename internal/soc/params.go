@@ -13,10 +13,13 @@
 //     the victim ("the attacker can write content to the shared cache
 //     as desired", §IV-B3).
 //
-// Both platforms run the same victim (package internal/victim) and
-// expose the same observation interface to the attack: a sequence of
-// probe windows per encryption, adapted to probe.Channel by
-// PlatformChannel.
+// Both platforms embed one probed-session skeleton: a fresh kernel,
+// cache and victim (package internal/victim) per session, the victim's
+// cut-over to untimed execution once the attacker stands down, and the
+// probe-window bookkeeping. Each platform adds only its race, which
+// spawns the victim and the attacker on its own substrate. Both expose
+// the same observation interface to the attack: a sequence of probe
+// windows per encryption, adapted to probe.Channel by PlatformChannel.
 package soc
 
 import (
