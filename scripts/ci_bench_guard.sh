@@ -34,6 +34,12 @@
 # If the comparison fails, up to two extra reps are measured and the
 # minimum re-taken before the verdict: a background load spike spanning
 # the first reps clears, while a real regression fails every retry.
+#
+# Every other baseline metric except B/op and allocs/op is a work
+# counter (encryptions/op, earliest_round, series, ...): deterministic,
+# so each rep must reproduce it exactly, on any host. A counter that
+# moved fails at once, with no retry; a deliberate change needs a
+# regenerated baseline and a note in CHANGES.md.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -59,26 +65,45 @@ import json, re, sys
 
 base_path, tol, cur_paths = sys.argv[1], float(sys.argv[2]), sys.argv[3:]
 
+TIMED = {"ns/op", "B/op", "allocs/op"}
+
 def load(path):
     with open(path) as f:
         doc = json.load(f)
-    return {
-        (b.get("pkg", ""), b["name"]): b["metrics"]["ns/op"]
-        for b in doc["benchmarks"]
-        if "ns/op" in b.get("metrics", {})
-    }
+    return {(b.get("pkg", ""), b["name"]): b.get("metrics", {}) for b in doc["benchmarks"]}
 
-base = load(base_path)
+def label_of(key):
+    pkg, name = key
+    return f"{pkg}:{name}" if pkg else name
+
+base_all = load(base_path)
+runs = [load(path) for path in cur_paths]
+
+# Work counters first: exact equality in every rep.
+counter_failures = []
+for key in sorted(base_all):
+    for metric, want in sorted(base_all[key].items()):
+        if metric in TIMED:
+            continue
+        for run in runs:
+            if key not in run:
+                continue  # reported as MISSING below
+            got = run[key].get(metric)
+            if got != want:
+                counter_failures.append(f"{label_of(key)}: {metric} {want} -> {got}")
+                break
+
+base = {k: m["ns/op"] for k, m in base_all.items() if "ns/op" in m}
 cur = {}
-for path in cur_paths:
-    for key, v in load(path).items():
-        cur[key] = min(v, cur.get(key, v))
+for run in runs:
+    for key, m in run.items():
+        if "ns/op" in m:
+            cur[key] = min(m["ns/op"], cur.get(key, m["ns/op"]))
 failures = []
 
 print(f"{'benchmark':56s} {'baseline':>12s} {'current':>12s} {'ratio':>7s}")
 for key in sorted(base):
-    pkg, name = key
-    label = f"{pkg}:{name}" if pkg else name
+    name, label = key[1], label_of(key)
     if key not in cur:
         failures.append(f"{label}: present in baseline but not produced by the current run")
         print(f"{label:56s} {base[key]:12.0f} {'MISSING':>12s}")
@@ -97,24 +122,29 @@ for key in sorted(base):
     print(f"{label:56s} {base[key]:12.0f} {cur[key]:12.0f} {ratio:6.2f}x{flag}")
 
 for key in sorted(set(cur) - set(base)):
-    pkg, name = key
-    label = f"{pkg}:{name}" if pkg else name
+    label = label_of(key)
     print(f"{label:56s} {'(new)':>12s} {cur[key]:12.0f}   not in baseline — "
           f"regenerate with 'make bench-json'")
 
+if counter_failures:
+    print("\nci_bench_guard: work counters differ from the baseline:", file=sys.stderr)
+    for f in counter_failures:
+        print(f"  {f}", file=sys.stderr)
+    sys.exit(2)
 if failures:
     print("\nci_bench_guard: performance regressions beyond tolerance:", file=sys.stderr)
     for f in failures:
         print(f"  {f}", file=sys.stderr)
     sys.exit(1)
-print("\nci_bench_guard: all benchmarks within tolerance")
+print("\nci_bench_guard: all benchmarks within tolerance, all work counters exact")
 PY
 }
 
 rc=0
 compare || rc=$?
 for retry in 1 2; do
-  [ "$rc" -eq 0 ] && break
+  # 0 passed; 2 is a work-counter mismatch, which no rerun can clear.
+  [ "$rc" -ne 1 ] && break
   echo "== retry $retry: measuring one more rep in case a load spike spanned the earlier ones"
   make -s bench-json BENCH_OUT="$WORK/current.retry$retry.json" >/dev/null
   rc=0
