@@ -195,8 +195,10 @@ func (r Result) Canonical() Result {
 // recovered by the runner and recorded as a failed result.
 type Executor func(Job, obs.Tracer) (Measurement, error)
 
-// DeriveSeed exposes the job-seed derivation so single-run tools (cmd/
-// grinch -json) can emit records whose seeds line up with a campaign's.
+// DeriveSeed is the job-seed derivation: Spec.Jobs seeds each job with
+// it, and a journal or a coordinator refuses a record whose seed is not
+// its job's derived seed. (grinch -json records carry the -seed flag
+// itself, not a derived seed.)
 func DeriveSeed(campaignSeed uint64, jobIndex int) uint64 {
 	return rng.Derive(campaignSeed, uint64(jobIndex))
 }
