@@ -42,6 +42,33 @@ func TestQuickAllGolden(t *testing.T) {
 	}
 }
 
+// TestDocumentedOutput pins experiments_output.txt, the tables the docs
+// quote, to what the documented command
+//
+//	go run ./cmd/experiments -trials 3 -seed 2021 all > experiments_output.txt
+//
+// prints today. It runs every experiment at full scale, so -short
+// skips it.
+func TestDocumentedOutput(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-scale run of every experiment")
+	}
+	// The flag defaults of main, with -trials 3 -seed 2021.
+	opt := experiments.Options{Trials: 3, Budget: 1_000_000, Seed: 2021}
+	var out bytes.Buffer
+	if err := render(&out, io.Discard, "all", newScale(opt, false, false)); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join("..", "..", "experiments_output.txt")
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out.Bytes(), want) {
+		t.Errorf("`experiments -trials 3 -seed 2021 all` differs from %s (regenerate it and update the docs that quote it):\n%s", path, out.Bytes())
+	}
+}
+
 func TestRenderUnknownExperiment(t *testing.T) {
 	var out, progress bytes.Buffer
 	if err := render(&out, &progress, "bogus", newScale(experiments.Options{}, true, false)); err == nil {

@@ -5,6 +5,7 @@ import (
 
 	"grinch/internal/bitutil"
 	"grinch/internal/gift"
+	"grinch/internal/rng"
 	"grinch/internal/sim"
 )
 
@@ -39,6 +40,54 @@ func TestMPSoCEarliestProbeRound(t *testing.T) {
 		m := NewMPSoC(testKey, DefaultParams(mhz))
 		if got := m.EarliestProbeRound(); got != 1 {
 			t.Errorf("%d MHz: earliest probe round %d, want 1", mhz, got)
+		}
+	}
+}
+
+// TestEarliestProbeRoundIsFirstWindow pins Table II's metric to the
+// full session it summarises: the earliest probe round is the last
+// round of the first window a full RunSession records, for every
+// platform, primitive, clock and key, and a session whose attacker
+// stands down after its first window records that same window.
+func TestEarliestProbeRoundIsFirstWindow(t *testing.T) {
+	const pt = 0x0123456789abcdef // the plaintext EarliestProbeRound encrypts
+	platforms := []struct {
+		name string
+		make func(key bitutil.Word128, mhz uint64) Platform
+	}{
+		{"single/flush_reload", func(key bitutil.Word128, mhz uint64) Platform {
+			return NewSingleSoC(key, DefaultParams(mhz))
+		}},
+		{"single/prime_probe", func(key bitutil.Word128, mhz uint64) Platform {
+			return NewSingleSoC(key, ppParams(mhz))
+		}},
+		{"mpsoc", func(key bitutil.Word128, mhz uint64) Platform {
+			return NewMPSoC(key, DefaultParams(mhz))
+		}},
+	}
+	r := rng.New(32)
+	keys := make([]bitutil.Word128, 8)
+	for i := range keys {
+		keys[i] = bitutil.Word128{Lo: r.Uint64(), Hi: r.Uint64()}
+	}
+	for _, pl := range platforms {
+		for _, mhz := range []uint64{10, 25, 50} {
+			for i, key := range keys {
+				full := pl.make(key, mhz).RunSession(pt)
+				if len(full.Windows) == 0 {
+					t.Fatalf("%s %dMHz key %d: full session recorded no window", pl.name, mhz, i)
+				}
+				first := full.Windows[0]
+				if got := pl.make(key, mhz).EarliestProbeRound(); got != first.LastRound {
+					t.Errorf("%s %dMHz key %d: EarliestProbeRound %d, first window of the full session ends in round %d",
+						pl.name, mhz, i, got, first.LastRound)
+				}
+				early := pl.make(key, mhz).RunSessionUntil(pt, 0)
+				if len(early.Windows) != 1 || early.Windows[0] != first || early.Ciphertext != full.Ciphertext {
+					t.Errorf("%s %dMHz key %d: stand-down session ct=%016x windows %+v, want ct=%016x and only %+v",
+						pl.name, mhz, i, early.Ciphertext, early.Windows, full.Ciphertext, first)
+				}
+			}
 		}
 	}
 }
