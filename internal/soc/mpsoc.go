@@ -4,6 +4,7 @@ import (
 	"grinch/internal/bitutil"
 	"grinch/internal/cache"
 	"grinch/internal/noc"
+	"grinch/internal/obs/metrics"
 	"grinch/internal/probe"
 	"grinch/internal/sim"
 )
@@ -16,13 +17,32 @@ import (
 // (Table II).
 type MPSoC struct {
 	platform
+	// ops, observations and cycles meter the attacker's remote
+	// Flush+Reload passes (nil disables).
+	ops, observations, cycles *metrics.Counter
 }
 
 // NewMPSoC builds the platform around a victim key. Its attacker always
 // probes with remote Flush+Reload, whatever params.Primitive says.
 func NewMPSoC(key bitutil.Word128, params Params) *MPSoC {
 	params.Primitive = PrimitiveFlushReload
-	return &MPSoC{newPlatform(key, params, mpsocRace)}
+	m := new(MPSoC)
+	m.platform = newPlatform(key, params, m.race)
+	return m
+}
+
+// SetMetrics points the attacker's remote Flush+Reload passes at a
+// metrics registry (nil disables). They charge the probe layer's
+// flush_reload series: one op per flush pass, one observation per
+// reload pass, and the cache cycles of both. The passes interleave NoC
+// traffic between lines, so they cannot run through
+// probe.FlushReload, whose Flush and Reload meter whole-table passes.
+func (m *MPSoC) SetMetrics(r *metrics.Registry) {
+	m.platform.SetMetrics(r) // registers the series with their help
+	l := metrics.L("primitive", m.params.Primitive.String())
+	m.ops = r.Counter("grinch_probe_ops_total", "", l)
+	m.observations = r.Counter("grinch_probe_observations_total", "", l)
+	m.cycles = r.Counter("grinch_probe_cycles_total", "", l)
 }
 
 // nocExecutor charges work to a dedicated core whose memory accesses
@@ -49,11 +69,11 @@ func (e *nocExecutor) Access(addr uint64) uint64 {
 	return e.clock.CyclesAt(e.proc.Now() - before)
 }
 
-// mpsocRace spawns the session's victim and attacker on their own
-// tiles. The attacker polls remote Flush+Reload concurrently with the
-// victim, producing one probe window per poll — several per round with
-// the default polling period.
-func mpsocRace(s *session) {
+// race spawns the session's victim and attacker on their own tiles.
+// The attacker polls remote Flush+Reload concurrently with the victim,
+// producing one probe window per poll — several per round with the
+// default polling period.
+func (m *MPSoC) race(s *session) {
 	mesh := noc.MustNew(s.k, s.clock, s.params.Mesh)
 	poll := s.params.AttackerPoll
 	if poll == 0 {
@@ -80,9 +100,8 @@ func mpsocRace(s *session) {
 
 	s.k.Spawn("attacker", func(p *sim.Proc) {
 		ex := exec(p, s.params.AttackerTile)
-		fr := &probe.FlushReload{Cache: s.cache, Table: s.table, Meter: s.meter}
-		observe := func() probe.LineSet { return probeAndFlushRemote(ex, fr) }
-		flushRemote(ex, fr)
+		observe := func() probe.LineSet { return m.probeAndFlushRemote(ex) }
+		m.flushRemote(ex)
 		s.open()
 		for {
 			p.Wait(poll)
@@ -96,14 +115,18 @@ func mpsocRace(s *session) {
 
 // flushRemote flushes every table line over the NoC: each flush is a
 // one-way command packet plus the flush cost at the cache tile.
-func flushRemote(ex *nocExecutor, fr *probe.FlushReload) {
+func (m *MPSoC) flushRemote(ex *nocExecutor) {
 	lineBytes := ex.cache.Config().LineBytes
-	n := fr.Table.LinesIn(lineBytes)
+	n := m.table.LinesIn(lineBytes)
+	var total uint64
 	for l := 0; l < n; l++ {
-		cycles := ex.cache.FlushLine(fr.Table.Base + uint64(l*lineBytes))
+		cycles := ex.cache.FlushLine(m.table.Base + uint64(l*lineBytes))
 		ex.mesh.Send(ex.proc, ex.tile, ex.cchTl, 4)
 		ex.Exec(cycles)
+		total += cycles
 	}
+	m.ops.Inc()
+	m.cycles.Add(total)
 }
 
 // probeAndFlushRemote reloads and immediately re-flushes each table
@@ -111,12 +134,13 @@ func flushRemote(ex *nocExecutor, fr *probe.FlushReload) {
 // the reload keeps the blind window per line to roughly one NoC round
 // trip — victim accesses landing inside it are lost, which is the
 // platform channel's natural (small) false-absence noise.
-func probeAndFlushRemote(ex *nocExecutor, fr *probe.FlushReload) probe.LineSet {
+func (m *MPSoC) probeAndFlushRemote(ex *nocExecutor) probe.LineSet {
 	lineBytes := ex.cache.Config().LineBytes
-	n := fr.Table.LinesIn(lineBytes)
+	n := m.table.LinesIn(lineBytes)
 	var set probe.LineSet
+	var total uint64
 	for l := 0; l < n; l++ {
-		addr := fr.Table.Base + uint64(l*lineBytes)
+		addr := m.table.Base + uint64(l*lineBytes)
 		res := ex.cache.Access(addr)
 		ex.mesh.RoundTrip(ex.proc, ex.tile, ex.cchTl, 4, lineBytes, ex.clock.Cycles(res.Latency))
 		if res.Hit {
@@ -125,7 +149,11 @@ func probeAndFlushRemote(ex *nocExecutor, fr *probe.FlushReload) probe.LineSet {
 		cycles := ex.cache.FlushLine(addr)
 		ex.mesh.Send(ex.proc, ex.tile, ex.cchTl, 4)
 		ex.Exec(cycles)
+		total += res.Latency + cycles
 	}
+	m.observations.Inc()
+	m.ops.Inc()
+	m.cycles.Add(total)
 	return set
 }
 
