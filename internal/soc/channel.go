@@ -12,13 +12,14 @@ type Platform interface {
 	RunSession(pt uint64) Session
 	// RunSessionUntil is RunSession with probing stopped (and the
 	// remaining victim rounds fast-forwarded) once the probe windows
-	// cover probeUntilRound.
+	// cover probeUntilRound; with 0, after the first window.
 	RunSessionUntil(pt uint64, probeUntilRound int) Session
 	// Table locates the victim's S-box table.
 	Table() probe.TableLayout
 	// Sessions counts victim encryptions so far.
 	Sessions() uint64
-	// EarliestProbeRound reports where the first probe lands (Table II).
+	// EarliestProbeRound reports where the first probe lands (Table II),
+	// standing the race down after that first window.
 	EarliestProbeRound() int
 }
 

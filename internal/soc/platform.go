@@ -53,11 +53,12 @@ func (p *platform) RunSession(pt uint64) Session {
 	return p.RunSessionUntil(pt, gift.Rounds64)
 }
 
-// RunSessionUntil is RunSession with the attacker standing down once
-// its windows pass probeUntilRound; the victim's remaining rounds are
-// fast-forwarded (their timing can no longer be observed), which makes
-// attack campaigns over the platform far cheaper to simulate without
-// changing anything the attacker sees.
+// RunSessionUntil is RunSession with the attacker standing down after
+// the first window that passes probeUntilRound (with 0, after its
+// first window); the victim's remaining rounds are fast-forwarded
+// (their timing can no longer be observed), which makes attack
+// campaigns over the platform far cheaper to simulate without changing
+// anything the attacker sees.
 func (p *platform) RunSessionUntil(pt uint64, probeUntilRound int) Session {
 	p.sessions++
 	s := &session{
@@ -76,9 +77,11 @@ func (p *platform) RunSessionUntil(pt uint64, probeUntilRound int) Session {
 }
 
 // EarliestProbeRound reports the round the attacker's first
-// observation lands in — the paper's Table II metric.
+// observation lands in — the paper's Table II metric. The race stands
+// down after that first window: the victim's remaining rounds only
+// replay their cache accesses, which no later probe reads.
 func (p *platform) EarliestProbeRound() int {
-	sess := p.RunSession(0x0123456789abcdef)
+	sess := p.RunSessionUntil(0x0123456789abcdef, 0)
 	if len(sess.Windows) == 0 {
 		return 0
 	}
