@@ -51,3 +51,19 @@ func TestProbeMetricsCountEveryWindow(t *testing.T) {
 		}
 	}
 }
+
+// TestEarliestProbeRoundObservesOnce is the Table II race's work gate:
+// the race reads only the first window, so it makes exactly one
+// observation pass on every platform, primitive and clock.
+func TestEarliestProbeRoundObservesOnce(t *testing.T) {
+	for _, mhz := range []uint64{10, 25, 50} {
+		for _, mp := range meteredPlatforms(mhz) {
+			r := metrics.New()
+			mp.p.SetMetrics(r)
+			mp.p.EarliestProbeRound()
+			if _, observations, _ := probeCounts(r, mp.primitive); observations != 1 {
+				t.Errorf("%s %dMHz: EarliestProbeRound made %d observation passes, want 1", mp.name, mhz, observations)
+			}
+		}
+	}
+}
