@@ -17,7 +17,9 @@
 // cache and victim (package internal/victim) per session, the victim's
 // cut-over to untimed execution once the attacker stands down, and the
 // probe-window bookkeeping. Each platform adds only its race, which
-// spawns the victim and the attacker on its own substrate. Both expose
+// spawns the victim and the attacker on its own substrate. Table II's
+// race (EarliestProbeRound) stands the attacker down after its first
+// window, since the metric reads nothing later. Both expose
 // the same observation interface to the attack: a sequence of probe
 // windows per encryption, adapted to probe.Channel by PlatformChannel.
 package soc
