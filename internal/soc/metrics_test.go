@@ -67,3 +67,27 @@ func TestEarliestProbeRoundObservesOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestProbeWorkPinned pins the exact probe work of one full session on
+// every platform, primitive and clock: the setup passes (flush or
+// prime), the observation passes (reload or probe) and the cache cycles
+// they spent. A change to how a primitive's passes are split or charged
+// moves one of these counts.
+func TestProbeWorkPinned(t *testing.T) {
+	want := map[string]map[uint64][3]uint64{ // ops, observations, cycles
+		"single/flush_reload": {10: {19, 19, 2899}, 25: {8, 8, 488}, 50: {4, 4, 128}},
+		"single/prime_probe":  {10: {1, 19, 116944}, 25: {1, 8, 65408}, 50: {1, 4, 38400}},
+		"mpsoc":               {10: {109, 108, 45029}, 25: {109, 108, 45029}, 50: {109, 108, 45029}},
+	}
+	for _, mhz := range []uint64{10, 25, 50} {
+		for _, mp := range meteredPlatforms(mhz) {
+			r := metrics.New()
+			mp.p.SetMetrics(r)
+			mp.p.RunSession(1)
+			ops, observations, cycles := probeCounts(r, mp.primitive)
+			if got := [3]uint64{ops, observations, cycles}; got != want[mp.name][mhz] {
+				t.Errorf("%s %dMHz: ops, observations, cycles = %v, want %v", mp.name, mhz, got, want[mp.name][mhz])
+			}
+		}
+	}
+}
