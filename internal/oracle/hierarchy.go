@@ -71,7 +71,7 @@ func (o *HierOracle) Collect(pt uint64, targetRound int) probe.LineSet {
 	if o.events != nil {
 		o.events.Emit(obs.Event{Kind: obs.KindEncryptionStart, Enc: o.encryptions, Cipher: o.spec.name, Round: targetRound})
 		defer func() {
-			snap := probe.CacheSnapshot(o.hier.L2)
+			snap := probe.CacheSnapshot(o.hier.L2.Stats())
 			snap.Enc = o.encryptions
 			o.events.Emit(snap)
 			o.events.Emit(obs.Event{Kind: obs.KindEncryptionEnd, Enc: o.encryptions})

@@ -32,8 +32,8 @@ func NewMeter(r *metrics.Registry, primitive string) *Meter {
 	}
 }
 
-// op accounts one setup pass (Flush or Prime) and its cycle cost.
-func (m *Meter) op(cycles uint64) {
+// Op accounts one setup pass (flush or prime) and its cycle cost.
+func (m *Meter) Op(cycles uint64) {
 	if m == nil {
 		return
 	}
@@ -41,9 +41,9 @@ func (m *Meter) op(cycles uint64) {
 	m.cycles.Add(cycles)
 }
 
-// observed accounts one observation pass (Reload or Probe) and its
+// Observe accounts one observation pass (reload or probe) and its
 // cycle cost.
-func (m *Meter) observed(cycles uint64) {
+func (m *Meter) Observe(cycles uint64) {
 	if m == nil {
 		return
 	}

@@ -175,33 +175,20 @@ func (t TableLayout) LinesIn(lineBytes int) int {
 
 // FlushReload implements the Flush+Reload primitive against a cache
 // model: Flush evicts the table lines; Reload touches each line and
-// classifies hit/miss by access latency.
+// classifies it as a hit when its latency is at or below the cache's
+// hit latency.
 type FlushReload struct {
 	Cache *cache.Cache
 	Table TableLayout
-	// HitThreshold is the latency (cycles) at or below which a reload
-	// counts as a hit. Defaults to the cache's hit latency when zero.
-	HitThreshold uint64
-	// Tracer, when set, receives one cache_snapshot event per Reload
-	// with the cache's cumulative activity counters.
-	Tracer obs.Tracer
 	// Meter, when set, counts primitive operations and their cycle
 	// cost (nil disables metering).
 	Meter *Meter
 }
 
-// threshold returns the classification boundary.
-func (fr *FlushReload) threshold() uint64 {
-	if fr.HitThreshold != 0 {
-		return fr.HitThreshold
-	}
-	return fr.Cache.Config().HitLatency
-}
-
 // Flush evicts every table line and returns the cycles spent.
 func (fr *FlushReload) Flush() uint64 {
 	cycles := fr.Cache.FlushRange(fr.Table.Base, uint64(fr.Table.Entries*fr.Table.EntryBytes))
-	fr.Meter.op(cycles)
+	fr.Meter.Op(cycles)
 	return cycles
 }
 
@@ -210,36 +197,26 @@ func (fr *FlushReload) Flush() uint64 {
 // (as on real hardware), so the caller must Flush again before the next
 // observation window.
 func (fr *FlushReload) Reload() (LineSet, uint64) {
-	lineBytes := fr.Cache.Config().LineBytes
-	n := fr.Table.LinesIn(lineBytes)
+	cfg := fr.Cache.Config()
+	n := fr.Table.LinesIn(cfg.LineBytes)
 	var set LineSet
 	var cycles uint64
 	for l := 0; l < n; l++ {
-		addr := fr.Table.Base + uint64(l*lineBytes)
+		addr := fr.Table.Base + uint64(l*cfg.LineBytes)
 		res := fr.Cache.Access(addr)
 		cycles += res.Latency
-		if res.Latency <= fr.threshold() {
+		if res.Latency <= cfg.HitLatency {
 			set = set.Add(l)
 		}
 	}
-	fr.Meter.observed(cycles)
-	if fr.Tracer != nil {
-		fr.Tracer.Emit(CacheSnapshot(fr.Cache))
-	}
+	fr.Meter.Observe(cycles)
 	return set, cycles
 }
 
 // CacheSnapshot folds a cache's cumulative counters into a
-// cache_snapshot event — the shared emission helper for every
-// cache-backed channel.
-func CacheSnapshot(c *cache.Cache) obs.Event {
-	return CacheSnapshotStats(c.Stats())
-}
-
-// CacheSnapshotStats is CacheSnapshot for a caller that holds the
-// counters rather than the cache — platform channels accumulate stats
-// across throwaway per-session caches.
-func CacheSnapshotStats(s cache.Stats) obs.Event {
+// cache_snapshot event. Platform channels pass the counters they
+// accumulate across throwaway per-session caches.
+func CacheSnapshot(s cache.Stats) obs.Event {
 	return obs.Event{
 		Kind:         obs.KindCacheSnapshot,
 		Hits:         s.Hits,
@@ -255,24 +232,15 @@ func CacheSnapshotStats(s cache.Stats) obs.Event {
 // lines and reports the table lines whose sets showed evictions.
 //
 // The attacker's eviction buffer lives at EvictionBase and must map to
-// the same cache sets as the table (congruent addresses).
+// the same cache sets as the table (congruent addresses). An attacker
+// line missed when its latency exceeds the cache's hit latency.
 type PrimeProbe struct {
 	Cache        *cache.Cache
 	Table        TableLayout
 	EvictionBase uint64
-	HitThreshold uint64
-	// Tracer, when set, receives one cache_snapshot event per Probe.
-	Tracer obs.Tracer
 	// Meter, when set, counts primitive operations and their cycle
 	// cost (nil disables metering).
 	Meter *Meter
-}
-
-func (pp *PrimeProbe) threshold() uint64 {
-	if pp.HitThreshold != 0 {
-		return pp.HitThreshold
-	}
-	return pp.Cache.Config().HitLatency
 }
 
 // setStride returns the address distance between lines mapping to the
@@ -306,7 +274,7 @@ func (pp *PrimeProbe) Prime() uint64 {
 			cycles += pp.Cache.Access(a).Latency
 		}
 	}
-	pp.Meter.op(cycles)
+	pp.Meter.Op(cycles)
 	return cycles
 }
 
@@ -315,8 +283,8 @@ func (pp *PrimeProbe) Prime() uint64 {
 // the inferred touched lines and the cycles spent. Probe re-establishes
 // the prime as it goes.
 func (pp *PrimeProbe) Probe() (LineSet, uint64) {
-	lineBytes := pp.Cache.Config().LineBytes
-	n := pp.Table.LinesIn(lineBytes)
+	cfg := pp.Cache.Config()
+	n := pp.Table.LinesIn(cfg.LineBytes)
 	var set LineSet
 	var cycles uint64
 	for l := 0; l < n; l++ {
@@ -324,7 +292,7 @@ func (pp *PrimeProbe) Probe() (LineSet, uint64) {
 		for _, a := range pp.evictionAddrs(l) {
 			res := pp.Cache.Access(a)
 			cycles += res.Latency
-			if res.Latency > pp.threshold() {
+			if res.Latency > cfg.HitLatency {
 				missed = true
 			}
 		}
@@ -332,9 +300,6 @@ func (pp *PrimeProbe) Probe() (LineSet, uint64) {
 			set = set.Add(l)
 		}
 	}
-	pp.Meter.observed(cycles)
-	if pp.Tracer != nil {
-		pp.Tracer.Emit(CacheSnapshot(pp.Cache))
-	}
+	pp.Meter.Observe(cycles)
 	return set, cycles
 }

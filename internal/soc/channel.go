@@ -83,7 +83,7 @@ func (c *PlatformChannel) Collect(pt uint64, targetRound int) probe.LineSet {
 		if n := len(sess.Windows); n > 0 {
 			c.Tracer.Emit(obs.Event{Kind: obs.KindSimTime, Enc: enc, SimPS: uint64(sess.Windows[n-1].At)})
 		}
-		snap := probe.CacheSnapshotStats(c.stats)
+		snap := probe.CacheSnapshot(c.stats)
 		snap.Enc = enc
 		c.Tracer.Emit(snap)
 		c.Tracer.Emit(obs.Event{Kind: obs.KindEncryptionEnd, Enc: enc})

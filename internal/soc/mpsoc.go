@@ -4,7 +4,6 @@ import (
 	"grinch/internal/bitutil"
 	"grinch/internal/cache"
 	"grinch/internal/noc"
-	"grinch/internal/obs/metrics"
 	"grinch/internal/probe"
 	"grinch/internal/sim"
 )
@@ -17,9 +16,6 @@ import (
 // (Table II).
 type MPSoC struct {
 	platform
-	// ops, observations and cycles meter the attacker's remote
-	// Flush+Reload passes (nil disables).
-	ops, observations, cycles *metrics.Counter
 }
 
 // NewMPSoC builds the platform around a victim key. Its attacker always
@@ -29,20 +25,6 @@ func NewMPSoC(key bitutil.Word128, params Params) *MPSoC {
 	m := new(MPSoC)
 	m.platform = newPlatform(key, params, m.race)
 	return m
-}
-
-// SetMetrics points the attacker's remote Flush+Reload passes at a
-// metrics registry (nil disables). They charge the probe layer's
-// flush_reload series: one op per flush pass, one observation per
-// reload pass, and the cache cycles of both. The passes interleave NoC
-// traffic between lines, so they cannot run through
-// probe.FlushReload, whose Flush and Reload meter whole-table passes.
-func (m *MPSoC) SetMetrics(r *metrics.Registry) {
-	m.platform.SetMetrics(r) // registers the series with their help
-	l := metrics.L("primitive", m.params.Primitive.String())
-	m.ops = r.Counter("grinch_probe_ops_total", "", l)
-	m.observations = r.Counter("grinch_probe_observations_total", "", l)
-	m.cycles = r.Counter("grinch_probe_cycles_total", "", l)
 }
 
 // nocExecutor charges work to a dedicated core whose memory accesses
@@ -75,14 +57,11 @@ func (e *nocExecutor) Access(addr uint64) uint64 {
 // default polling period.
 func (m *MPSoC) race(s *session) {
 	mesh := noc.MustNew(s.k, s.clock, s.params.Mesh)
-	poll := s.params.AttackerPoll
-	if poll == 0 {
-		// Quarter-round windows keep the union of windows covering any
-		// one round narrow enough for candidate elimination (the
-		// paper's attacker has the same freedom: its probe is ~3000×
-		// faster than a round).
-		poll = s.clock.Cycles(s.vic.RoundCycles()) / 4
-	}
+	// Quarter-round windows keep the union of windows covering any one
+	// round narrow enough for candidate elimination (the paper's
+	// attacker has the same freedom: its probe is ~3000× faster than a
+	// round).
+	poll := s.clock.Cycles(s.vic.RoundCycles()) / 4
 	exec := func(p *sim.Proc, tile noc.Coord) *nocExecutor {
 		return &nocExecutor{
 			proc: p, clock: s.clock, mesh: mesh, cache: s.cache,
@@ -125,20 +104,21 @@ func (m *MPSoC) flushRemote(ex *nocExecutor) {
 		ex.Exec(cycles)
 		total += cycles
 	}
-	m.ops.Inc()
-	m.cycles.Add(total)
+	m.meter.Op(total)
 }
 
 // probeAndFlushRemote reloads and immediately re-flushes each table
 // line over the NoC, one line at a time. Interleaving the flush with
 // the reload keeps the blind window per line to roughly one NoC round
 // trip — victim accesses landing inside it are lost, which is the
-// platform channel's natural (small) false-absence noise.
+// platform channel's natural (small) false-absence noise. The meter
+// counts the reloads as one observation pass and the flushes as one
+// setup pass.
 func (m *MPSoC) probeAndFlushRemote(ex *nocExecutor) probe.LineSet {
 	lineBytes := ex.cache.Config().LineBytes
 	n := m.table.LinesIn(lineBytes)
 	var set probe.LineSet
-	var total uint64
+	var read, flush uint64
 	for l := 0; l < n; l++ {
 		addr := m.table.Base + uint64(l*lineBytes)
 		res := ex.cache.Access(addr)
@@ -149,11 +129,11 @@ func (m *MPSoC) probeAndFlushRemote(ex *nocExecutor) probe.LineSet {
 		cycles := ex.cache.FlushLine(addr)
 		ex.mesh.Send(ex.proc, ex.tile, ex.cchTl, 4)
 		ex.Exec(cycles)
-		total += res.Latency + cycles
+		read += res.Latency
+		flush += cycles
 	}
-	m.observations.Inc()
-	m.ops.Inc()
-	m.cycles.Add(total)
+	m.meter.Observe(read)
+	m.meter.Op(flush)
 	return set
 }
 

@@ -19,9 +19,17 @@
 // probe-window bookkeeping. Each platform adds only its race, which
 // spawns the victim and the attacker on its own substrate. Table II's
 // race (EarliestProbeRound) stands the attacker down after its first
-// window, since the metric reads nothing later. Both expose
-// the same observation interface to the attack: a sequence of probe
-// windows per encryption, adapted to probe.Channel by PlatformChannel.
+// window, since the metric reads nothing later.
+//
+// Both platforms probe through one contract: a probe is a setup pass
+// (flush or prime) and an observation pass (reload or probe) over the
+// shared cache, and one probe.Meter counts every pass and its cache
+// cycles. The single SoC charges each pass its cache cycles plus one
+// bus transfer per cache operation the pass issued, read off the
+// cache's own counters; the MPSoC's remote passes pay the NoC instead.
+// Both expose the same observation interface to the attack: a sequence
+// of probe windows per encryption, adapted to probe.Channel by
+// PlatformChannel.
 package soc
 
 import (
@@ -87,9 +95,6 @@ type Params struct {
 	VictimTile   noc.Coord
 	CacheTile    noc.Coord
 	AttackerTile noc.Coord
-	// AttackerPoll is the MPSoC attacker's probe period; 0 derives a
-	// quarter of a victim round time automatically.
-	AttackerPoll sim.Time
 }
 
 // DefaultParams returns the paper-calibrated platform parameters for a

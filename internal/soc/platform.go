@@ -38,9 +38,11 @@ func (p *platform) Table() probe.TableLayout { return p.table }
 // Sessions returns how many victim encryptions the platform has run.
 func (p *platform) Sessions() uint64 { return p.sessions }
 
-// SetMetrics points the per-session probing primitive at a metrics
-// registry (nil disables). The meter survives across sessions even
-// though each session builds a throwaway prober over a fresh cache.
+// SetMetrics points the attacker's probing passes at a metrics
+// registry (nil disables): on either platform, every setup pass (flush
+// or prime) and observation pass (reload or probe) goes through one
+// probe.Meter, which survives across sessions though each session
+// probes a fresh cache.
 func (p *platform) SetMetrics(r *metrics.Registry) {
 	p.meter = probe.NewMeter(r, p.params.Primitive.String())
 }

@@ -56,17 +56,17 @@ func singleRace(s *session) {
 
 	sched.Spawn("attacker", func(t *rtos.Task) {
 		ex := exec(t)
-		pr := s.newProber()
-		observe := func() probe.LineSet { return observeCharged(ex, pr) }
-		prepareCharged(ex, pr)
+		prepare, observe := s.primitive()
+		read := func() probe.LineSet { return ex.charged(observe) }
+		ex.charged(prepare)
 		s.open()
 		ptq.Send(s.pt)
 		for {
 			t.YieldSlice()
-			if !s.window(observe) {
+			if !s.window(read) {
 				return
 			}
-			prepareCharged(ex, pr)
+			ex.charged(prepare)
 			s.open()
 		}
 	})
@@ -76,77 +76,39 @@ func singleRace(s *session) {
 	})
 }
 
-// prober abstracts the attacker's probing primitive on a platform:
-// Prepare resets the observation window (flush, or prime), Observe
-// reads it out (reload, or probe). Both return the cache cycles spent
-// plus the number of memory operations (for bus accounting).
-type prober interface {
-	Prepare() (cycles, accesses uint64)
-	Observe() (set probe.LineSet, cycles, accesses uint64)
-}
+// pass is one probing pass over the table: the lines it found touched
+// (none, for a setup pass) and the cache cycles it spent.
+type pass func() (probe.LineSet, uint64)
 
-// frProber adapts Flush+Reload.
-type frProber struct{ fr *probe.FlushReload }
-
-func (p frProber) Prepare() (uint64, uint64) {
-	lines := uint64(p.fr.Table.LinesIn(p.fr.Cache.Config().LineBytes))
-	return p.fr.Flush(), lines
-}
-
-func (p frProber) Observe() (probe.LineSet, uint64, uint64) {
-	lines := uint64(p.fr.Table.LinesIn(p.fr.Cache.Config().LineBytes))
-	set, cycles := p.fr.Reload()
-	return set, cycles, lines
-}
-
-// ppProber adapts Prime+Probe (the probe re-establishes the prime).
-type ppProber struct {
-	pp     *probe.PrimeProbe
-	primed bool
-}
-
-func (p *ppProber) ops() uint64 {
-	cfg := p.pp.Cache.Config()
-	return uint64(p.pp.Table.LinesIn(cfg.LineBytes) * cfg.Ways)
-}
-
-func (p *ppProber) Prepare() (uint64, uint64) {
-	if p.primed {
-		// Probe already re-touched every attacker line.
-		return 0, 0
-	}
-	p.primed = true
-	return p.pp.Prime(), p.ops()
-}
-
-func (p *ppProber) Observe() (probe.LineSet, uint64, uint64) {
-	set, cycles := p.pp.Probe()
-	return set, cycles, p.ops()
-}
-
-// newProber builds the configured probing primitive over the session's
-// cache.
-func (s *session) newProber() prober {
+// primitive returns the session's probing primitive as its two passes
+// over the session's cache: prepare resets the observation window
+// (flush, or prime) and observe reads it out (reload, or probe).
+func (s *session) primitive() (prepare, observe pass) {
 	if s.params.Primitive == PrimitivePrimeProbe {
-		return &ppProber{pp: &probe.PrimeProbe{
-			Cache:        s.cache,
-			Table:        s.table,
-			EvictionBase: s.params.EvictionBase,
-			Meter:        s.meter,
-		}}
+		pp := &probe.PrimeProbe{Cache: s.cache, Table: s.table, EvictionBase: s.params.EvictionBase, Meter: s.meter}
+		primed := false
+		return func() (probe.LineSet, uint64) {
+			if primed {
+				// Probe already re-touched every attacker line.
+				return 0, 0
+			}
+			primed = true
+			return 0, pp.Prime()
+		}, pp.Probe
 	}
-	return frProber{fr: &probe.FlushReload{Cache: s.cache, Table: s.table, Meter: s.meter}}
+	fr := &probe.FlushReload{Cache: s.cache, Table: s.table, Meter: s.meter}
+	return func() (probe.LineSet, uint64) { return 0, fr.Flush() }, fr.Reload
 }
 
-// prepareCharged runs Prepare, charging cache and bus time.
-func prepareCharged(ex *rtosExecutor, pr prober) {
-	cycles, accesses := pr.Prepare()
-	ex.Exec(cycles + accesses*ex.busCycles)
-}
-
-// observeCharged runs Observe, charging cache and bus time.
-func observeCharged(ex *rtosExecutor, pr prober) probe.LineSet {
-	set, cycles, accesses := pr.Observe()
-	ex.Exec(cycles + accesses*ex.busCycles)
+// charged runs p on the attacker's task, charging its cache cycles
+// plus one bus transfer per cache operation (access or flush) it
+// issued. A pass never yields, so the cache's counters move by its own
+// operations only.
+func (e *rtosExecutor) charged(p pass) probe.LineSet {
+	before := e.cache.Stats()
+	set, cycles := p()
+	after := e.cache.Stats()
+	ops := after.Accesses + after.Flushes - before.Accesses - before.Flushes
+	e.Exec(cycles + ops*e.busCycles)
 	return set
 }
