@@ -161,11 +161,6 @@ func run() int {
 		Tracer:      tracer,
 		Metrics:     reg,
 	}
-	if *threshold < 1 {
-		// Tolerant thresholds need a statistical floor before any
-		// decision is meaningful.
-		cfg.MinObservations = 48
-	}
 	if inj != nil && !inj.Plan().Empty() {
 		// A faulted channel gets the robustness defaults: retry
 		// transient failures a few times, discard degenerate

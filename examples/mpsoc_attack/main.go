@@ -44,10 +44,9 @@ func main() {
 	// elimination threshold instead of strict intersection.
 	channel := &soc.PlatformChannel{P: node, LineBytes: params.CacheLineBytes}
 	attacker, err := core.NewAttacker(channel, core.Config{
-		Seed:            99,
-		Threshold:       0.95,
-		MinObservations: 48,
-		TotalBudget:     500_000,
+		Seed:        99,
+		Threshold:   0.95,
+		TotalBudget: 500_000,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -41,10 +41,7 @@ func PlatformEffort(opt Options, freqs []uint64) []PlatformEffortRow {
 	for _, mhz := range freqs {
 		key := bitutil.Word128{Lo: r.Uint64(), Hi: r.Uint64()}
 		single := core.Config{Seed: r.Uint64(), TotalBudget: opt.Budget}
-		multi := core.Config{
-			Seed: r.Uint64(), TotalBudget: opt.Budget,
-			Threshold: 0.95, MinObservations: 48,
-		}
+		multi := core.Config{Seed: r.Uint64(), TotalBudget: opt.Budget, Threshold: 0.95}
 		trials = append(trials,
 			func() PlatformEffortRow {
 				return measurePlatform("Single-processing SoC", mhz, soc.NewSingleSoC(key, soc.DefaultParams(mhz)), single)
