@@ -54,7 +54,7 @@ func ExecuteJobs(ctx context.Context, jobs []Job, exec Executor, workers int, em
 		go func(id int) {
 			defer wg.Done()
 			for job := range jobCh {
-				resCh <- runJob(job, exec, id, nil)
+				resCh <- runJob(job, exec, id)
 			}
 		}(w)
 	}

@@ -193,9 +193,9 @@ func Run(ctx context.Context, spec Spec, exec Executor, opts Options) (Report, e
 	return rep, closeErr
 }
 
-// runJob executes one job, converting errors and panics into failed
-// results and stamping the execution metadata.
-func runJob(job Job, exec Executor, worker int, tracer obs.Tracer) (res Result) {
+// runJob executes one job untraced, converting errors and panics into
+// failed results and stamping the execution metadata.
+func runJob(job Job, exec Executor, worker int) (res Result) {
 	start := time.Now() //grinchvet:ignore wallclock Result.DurationNS is excluded from canonical sink output (see Result.Canonical)
 	res = Result{Job: job.Index, Point: job.Point, Seed: job.Seed, Worker: worker}
 	defer func() {
@@ -205,7 +205,7 @@ func runJob(job Job, exec Executor, worker int, tracer obs.Tracer) (res Result) 
 		}
 		res.DurationNS = time.Since(start).Nanoseconds() //grinchvet:ignore wallclock timing metadata, excluded from canonical sink output
 	}()
-	m, err := exec(job, tracer)
+	m, err := exec(job, nil)
 	if err != nil {
 		res.Failed = true
 		res.Err = err.Error()

@@ -21,7 +21,6 @@ import (
 	"grinch/internal/bitutil"
 	"grinch/internal/core"
 	"grinch/internal/countermeasure"
-	"grinch/internal/gift"
 	"grinch/internal/oracle"
 	"grinch/internal/rng"
 	"grinch/internal/stats"
@@ -113,11 +112,8 @@ type Fig3Row struct {
 // The grid runs as a campaign on opt.Workers workers.
 func Fig3(opt Options, probeRounds []int) []Fig3Row {
 	opt = opt.withDefaults()
-	if len(probeRounds) == 0 {
-		probeRounds = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	}
-	results := runCampaign(Fig3Spec(opt, probeRounds), opt.Workers)
-	return Fig3FromResults(opt, probeRounds, results)
+	spec := Fig3Spec(opt, probeRounds)
+	return Fig3FromResults(opt, spec.ProbeRounds, runCampaign(spec, opt.Workers))
 }
 
 // Table1Row is one line-size row of paper Table I.
@@ -134,14 +130,8 @@ type Table1Row struct {
 // workers.
 func Table1(opt Options, lineWords, probeRounds []int) []Table1Row {
 	opt = opt.withDefaults()
-	if len(lineWords) == 0 {
-		lineWords = []int{1, 2, 4, 8}
-	}
-	if len(probeRounds) == 0 {
-		probeRounds = []int{1, 2, 3, 4, 5}
-	}
-	results := runCampaign(Table1Spec(opt, lineWords, probeRounds), opt.Workers)
-	return Table1FromResults(opt, lineWords, probeRounds, results)
+	spec := Table1Spec(opt, lineWords, probeRounds)
+	return Table1FromResults(opt, spec.LineWords, spec.ProbeRounds, runCampaign(spec, opt.Workers))
 }
 
 // Table2Row is one platform row of paper Table II.
@@ -157,11 +147,8 @@ type Table2Row struct {
 // keys per cell.
 func Table2(opt Options, freqs []uint64) []Table2Row {
 	opt = opt.withDefaults()
-	if len(freqs) == 0 {
-		freqs = []uint64{10, 25, 50}
-	}
-	results := runCampaign(Table2Spec(opt, freqs), opt.Workers)
-	return Table2FromResults(freqs, results)
+	spec := Table2Spec(opt, freqs)
+	return Table2FromResults(spec.MHz, runCampaign(spec, opt.Workers))
 }
 
 // RecoveryResult is the headline full-key experiment.
@@ -256,6 +243,3 @@ var PaperTable2 = map[string]map[uint64]int{
 	"Single-processing SoC": {10: 2, 25: 4, 50: 8},
 	"Multi-processing SoC":  {10: 1, 25: 1, 50: 1},
 }
-
-// sanity: key schedule invariant used across the package.
-var _ = gift.Rounds64
