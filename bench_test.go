@@ -165,9 +165,55 @@ func BenchmarkTable1(b *testing.B) {
 	}
 	for _, c := range cells {
 		b.Run(fmt.Sprintf("Line%dWords/ProbeRound%d", c.lineWords, c.probeRound), func(b *testing.B) {
-			benchFirstRound(b, oracle.Config{ProbeRound: c.probeRound, Flush: true, LineWords: c.lineWords}, 200_000)
+			ocfg := oracle.Config{ProbeRound: c.probeRound, Flush: true, LineWords: c.lineWords}
+			benchFirstRound(b, ocfg, 200_000)
+			reportPipelineWork(b, ocfg, 200_000)
 		})
 	}
+}
+
+// countingOracle counts the batched pipeline's work on an oracle: the
+// plaintext lanes each accepted PrimeBatch evaluated, and the
+// observations that took the scalar CollectMasked path instead.
+type countingOracle struct {
+	*oracle.Oracle
+	lanesPrimed, scalarCollects uint64
+}
+
+func (c *countingOracle) PrimeBatch(pts []uint64, targetRound int, raw []probe.LineSet) bool {
+	ok := c.Oracle.PrimeBatch(pts, targetRound, raw)
+	if ok {
+		c.lanesPrimed += uint64(len(pts))
+	}
+	return ok
+}
+
+func (c *countingOracle) CollectMasked(pt uint64, targetRound int) (set, mask probe.LineSet) {
+	c.scalarCollects++
+	return c.Oracle.CollectMasked(pt, targetRound)
+}
+
+// reportPipelineWork runs one counted first-round attack outside the
+// timed loop, on the timed loop's first key and seed, and reports how
+// the batched pipeline split its observations. A pipeline that primed
+// more speculative lanes or fell back to scalar collects more often
+// moves these counters on any host.
+func reportPipelineWork(b *testing.B, ocfg oracle.Config, budget uint64) {
+	b.StopTimer()
+	r := rng.New(2021)
+	key := bitutil.Word128{Lo: r.Uint64(), Hi: r.Uint64()}
+	o, err := oracle.New(key, ocfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ch := &countingOracle{Oracle: o}
+	a, err := core.NewAttacker(ch, core.Config{Seed: r.Uint64(), TotalBudget: budget})
+	if err != nil {
+		b.Fatal(err)
+	}
+	a.AttackRound(1, nil, nil) // a budget cell's work up to its cap counts too
+	b.ReportMetric(float64(ch.lanesPrimed), "lanes_primed/op")
+	b.ReportMetric(float64(ch.scalarCollects), "scalar_collects/op")
 }
 
 // BenchmarkTable2 regenerates Table II: the platform races measuring
