@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sync"
 
 	"grinch/internal/bitutil"
 	"grinch/internal/gift"
@@ -67,11 +68,12 @@ type Config struct {
 	// eliminations, where exhaustion is the signal of a wrong parent
 	// hypothesis. 0 disables restarts.
 	MaxRestarts int
-	// Batch selects the batched attack pipeline (BatchAuto, the
-	// default, engages it whenever the channel implements
-	// probe.BatchChannel; BatchOff forces the scalar reference path).
-	// The two paths produce byte-identical observations, traces and
-	// metrics — batching is purely a throughput optimization.
+	// Batch selects whether elimination passes may prime batches
+	// (BatchAuto, the default, does whenever the channel implements
+	// probe.BatchChannel; BatchOff never primes, so every pass crafts
+	// and collects one observation at a time). The two produce
+	// byte-identical observations, traces and metrics — batching is
+	// purely a throughput optimization.
 	Batch BatchMode
 	// SimDeadlinePS aborts the attack once its simulated clock — the
 	// accrued retry backoff plus the channel's own virtual time when
@@ -210,9 +212,10 @@ type channel[W any] interface {
 	Encryptions() uint64
 }
 
-// maskedChannel and fallibleChannel are the optional channel
-// capabilities (probe.MaskedChannel and probe.FallibleChannel for
-// uint64 words), resolved once at attacker construction.
+// maskedChannel, fallibleChannel and batchChannel (batch.go) are the
+// optional channel capabilities (probe.MaskedChannel,
+// probe.FallibleChannel and probe.BatchChannel for uint64 words),
+// resolved once at attacker construction.
 type maskedChannel[W any] interface {
 	CollectMasked(pt W, targetRound int) (set, mask probe.LineSet)
 }
@@ -224,7 +227,7 @@ type fallibleChannel[W any] interface {
 // target is one pinned S-box access as the engine sees it: how to craft
 // plaintexts for it and how to read key candidates off its converged
 // line. *TargetSpec, *TargetSpec128 and TargetSpecP implement it; the
-// methods are documented there (craft is CraftPlaintext).
+// methods are documented there.
 type target[W, RK any] interface {
 	craft(r *rng.Source, rks []RK) W
 	FeasibleLines(lineWords int) probe.LineSet
@@ -252,30 +255,24 @@ type cipherDesc[W, RK any] struct {
 	hypotheses bool
 	// pinShare is the cipher's worstPinShare (see confirmSpan).
 	pinShare float64
-}
-
-// batchHook is the batched-pipeline capability. Only a GIFT-64 attacker
-// over a batch-capable channel has one (batch.go); the engine consults
-// it once per elimination pass, and the returned batchState is a
-// concrete type, so the per-observation path gains no dynamic dispatch.
-type batchHook[W, RK any] interface {
-	begin(spec target[W, RK], rks []RK) *batchState
+	// work pools the batched refills' workspaces (*passWork[W]).
+	work sync.Pool
 }
 
 // engine drives the GRINCH attack for one cipher over an observation
 // channel. Attacker, Attacker128 and AttackerP are thin wrappers.
 type engine[W, RK any] struct {
-	desc      *cipherDesc[W, RK]
-	ch        channel[W]
-	masked    maskedChannel[W]
-	fallible  fallibleChannel[W]
+	desc     *cipherDesc[W, RK]
+	ch       channel[W]
+	masked   maskedChannel[W]
+	fallible fallibleChannel[W]
+	// batch is non-nil only under BatchAuto over a batch-capable
+	// channel, until the channel refuses its first prime.
+	batch     batchChannel[W]
 	cfg       Config
 	rng       *rng.Source
 	lines     int
 	lineWords int
-	// batch is the batched pipeline, non-nil only when Config.Batch
-	// allows it and the channel proved batch support at construction.
-	batch batchHook[W, RK]
 	// meter holds the pre-resolved metrics instruments (zero when
 	// Config.Metrics is nil).
 	meter attackMeter
@@ -310,6 +307,9 @@ func (e *engine[W, RK]) init(desc *cipherDesc[W, RK], ch channel[W], cfg Config)
 	}
 	e.masked, _ = ch.(maskedChannel[W])
 	e.fallible, _ = ch.(fallibleChannel[W])
+	if cfg.Batch == BatchAuto {
+		e.batch, _ = ch.(batchChannel[W])
+	}
 	return nil
 }
 
@@ -526,10 +526,8 @@ func (e *engine[W, RK]) eliminate(spec target[W, RK], t, g int, rks []RK, confir
 	var confirmLeft uint64
 	confirming := false
 
-	var bs *batchState
-	if e.batch != nil {
-		bs = e.batch.begin(spec, rks)
-	}
+	var src pass[W, RK]
+	src.begin(e, spec, t, g, rks)
 
 	// encUpper tracks an upper bound on the channel's encryption counter
 	// without the per-observation interface call behind overBudget():
@@ -550,14 +548,7 @@ func (e *engine[W, RK]) eliminate(spec target[W, RK], t, g int, rks []RK, confir
 			out.ChannelErr = ErrSimDeadline
 			break
 		}
-		var set, mask probe.LineSet
-		var retries uint64
-		var err error
-		if bs != nil {
-			set, mask, retries, err = bs.next()
-		} else {
-			set, mask, retries, err = e.collect(spec.craft(e.rng, rks), t, g)
-		}
+		set, mask, retries, err := src.next()
 		out.Retries += retries
 		encUpper += 1 + retries
 		if err != nil {
@@ -609,9 +600,7 @@ func (e *engine[W, RK]) eliminate(spec target[W, RK], t, g int, rks []RK, confir
 		}
 		confirmLeft--
 	}
-	if bs != nil {
-		bs.finish()
-	}
+	src.finish()
 	if out.Converged {
 		out.Candidates = spec.CandidatesForLine(out.Line, e.lineWords)
 		out.Confidence = confidence(&elim, out.Line, e.lines)
@@ -945,16 +934,13 @@ type Attacker struct {
 // NewAttacker builds a GIFT-64 attacker. The channel's line count must
 // divide the 16-entry table; a single-line table (16 entries per line)
 // carries no index information and is rejected — that is exactly the
-// paper's first countermeasure. Unless Config.Batch is BatchOff, a
-// probe.BatchChannel runs the batched pipeline; a channel that refuses
-// to prime drops back to the scalar path at its first refusal.
+// paper's first countermeasure. Unless Config.Batch is BatchOff, the
+// elimination passes prime batches on a probe.BatchChannel; a channel
+// that refuses to prime is never asked again after its first refusal.
 func NewAttacker(ch probe.Channel, cfg Config) (*Attacker, error) {
 	a := new(Attacker)
 	if err := a.init(&gift64, ch, cfg); err != nil {
 		return nil, err
-	}
-	if bc, ok := ch.(probe.BatchChannel); ok && a.cfg.Batch == BatchAuto {
-		a.batch = &batchPipeline{ch: bc, e: &a.engine}
 	}
 	return a, nil
 }

@@ -78,7 +78,8 @@ func (t TargetSpecP) CraftState(r *rng.Source) uint64 {
 	return state
 }
 
-// craft is the engine's name for CraftPlaintext (see target).
+// craft draws a crafted state and turns it into the plaintext that
+// produces it (see TargetSpec.craft).
 func (t TargetSpecP) craft(r *rng.Source, rks []uint64) uint64 {
 	return craftPlaintext(t.CraftState(r), t.Round, rks, present.PartialDecrypt)
 }

@@ -1,9 +1,6 @@
 package core
 
 import (
-	"sync"
-
-	"grinch/internal/gift"
 	"grinch/internal/probe"
 	"grinch/internal/rng"
 )
@@ -18,8 +15,9 @@ const (
 	// Results are byte-identical either way — batching only reschedules
 	// when victim traces are computed, never what is observed.
 	BatchAuto BatchMode = iota
-	// BatchOff forces the scalar path; the differential tests run both
-	// modes and require identical output.
+	// BatchOff forces the scalar path: every elimination pass crafts and
+	// collects one observation at a time and never primes. The
+	// differential tests run both modes and require identical output.
 	BatchOff
 )
 
@@ -46,64 +44,64 @@ const (
 	batchScalarMax = 8
 )
 
-// batchPipeline is the GIFT-64 batch capability the engine plugs in
-// (batchHook): it owns the channel's batch entry point and hands each
-// elimination pass a pooled batchState.
-type batchPipeline struct {
-	ch probe.BatchChannel
-	e  *engine[uint64, gift.RoundKey64]
-	// refused is set by the channel's first refused prime (a
-	// NewFromTracer oracle implements BatchChannel but cannot prime);
-	// every later refill then stays on the scalar path.
-	refused bool
+// batchChannel is the optional batch capability (probe.BatchChannel's
+// batch half over plaintext word W), resolved once at attacker
+// construction like maskedChannel and fallibleChannel.
+type batchChannel[W any] interface {
+	PrimeBatch(pts []W, targetRound int, raw []probe.LineSet) bool
+	CollectPrimed(raw probe.LineSet, targetRound int) (set, mask probe.LineSet)
 }
 
-// begin binds a pooled batchState to one elimination pass. Engine
-// targets for GIFT-64 are always *TargetSpec.
-func (p *batchPipeline) begin(spec target[uint64, gift.RoundKey64], rks []gift.RoundKey64) *batchState {
-	bs := batchStatePool.Get().(*batchState)
-	bs.p, bs.spec, bs.rks = p, spec.(*TargetSpec), rks
-	bs.n, bs.idx = 0, 0
-	bs.nextSize = batchFirstSize
-	return bs
-}
-
-// batchState is the in-flight refill of one elimination pass: up to
-// 64 crafted plaintexts, their primed raw line sets, and the rng
-// snapshots needed to rewind uncommitted crafts. Pooled because sweeps
-// run hundreds of thousands of eliminations.
-type batchState struct {
-	pts   [64]uint64
-	raw   [64]probe.LineSet
+// passWork is the workspace of a batched refill: up to 64 crafted
+// plaintexts, their primed raw line sets, and the rng snapshots needed
+// to rewind uncommitted crafts. It comes from the cipher's pool
+// (cipherDesc.work) at a pass's first batched refill, because sweeps
+// run hundreds of thousands of eliminations and a scalar pass never
+// needs one.
+type passWork[W any] struct {
+	pts   [batchMaxSize]W
+	raw   [batchMaxSize]probe.LineSet
 	snaps [batchMaxSize / batchSnapEvery]rng.Source
-	dec   gift.Batch64
-	// n is the size of the current refill, idx the next entry to
-	// commit.
-	n, idx int
-	// nextSize is the adaptive size of the next refill.
-	nextSize int
-	// scalar marks a refill at or below batchScalarMax, or one whose
-	// prime the channel refused: nothing is crafted ahead, and each
-	// entry is crafted and collected on commit.
-	scalar bool
-	// p, spec and rks are the pass the state is bound to.
-	p    *batchPipeline
-	spec *TargetSpec
-	rks  []gift.RoundKey64
 }
 
-var batchStatePool = sync.Pool{New: func() any { return new(batchState) }}
+// pass is the observation source of one elimination pass. It serves
+// refills of growing size; a refill past the scalar crossover, on an
+// engine with a batch channel, is crafted ahead and primed on the
+// channel, and every other refill crafts and collects each observation
+// on commit. A scalar run is a pass whose engine has no batch channel.
+type pass[W, RK any] struct {
+	e              *engine[W, RK]
+	spec           target[W, RK]
+	round, segment int
+	rks            []RK
+	work           *passWork[W]
+	// n is the size of the current refill, idx the next entry to
+	// commit, and nextSize the size of the next refill.
+	n, idx, nextSize int
+	// scalar marks a refill that crafted nothing ahead: one at or below
+	// batchScalarMax, on an engine without a batch channel, or whose
+	// prime the channel refused.
+	scalar bool
+}
+
+// begin binds the pass to one elimination of spec at (round, segment)
+// with crafting round keys rks.
+func (p *pass[W, RK]) begin(e *engine[W, RK], spec target[W, RK], round, segment int, rks []RK) {
+	*p = pass[W, RK]{e: e, spec: spec, round: round, segment: segment, rks: rks, nextSize: batchFirstSize}
+}
 
 // refill starts the next refill. Past the scalar crossover it crafts
 // the batch and primes it on the channel. Crafting consumes the
-// plaintext rng exactly as the scalar path would, one CraftState per
-// entry, with a snapshot every batchSnapEvery crafts so finish can
-// rewind the tail that is never committed.
-func (bs *batchState) refill() {
-	e, spec := bs.p.e, bs.spec
-	size := bs.nextSize
-	if bs.nextSize < batchMaxSize {
-		bs.nextSize *= 2
+// plaintext rng exactly as the scalar path would, one craft per entry,
+// with a snapshot every batchSnapEvery crafts so finish can rewind the
+// tail that is never committed. A refused prime rewinds every craft,
+// serves this refill on the scalar path and drops the engine's batch
+// channel, so no later refill asks again.
+func (p *pass[W, RK]) refill() {
+	e := p.e
+	size := p.nextSize
+	if p.nextSize < batchMaxSize {
+		p.nextSize *= 2
 	}
 	// Never craft past the encryption budget: those observations could
 	// not be committed anyway.
@@ -112,65 +110,65 @@ func (bs *batchState) refill() {
 			size = int(rem)
 		}
 	}
-	bs.n, bs.idx = size, 0
-	bs.scalar = size <= batchScalarMax || bs.p.refused
-	if bs.scalar {
+	p.n, p.idx = size, 0
+	p.scalar = size <= batchScalarMax || e.batch == nil
+	if p.scalar {
 		return
 	}
+	if p.work == nil {
+		p.work, _ = e.desc.work.Get().(*passWork[W])
+		if p.work == nil {
+			p.work = new(passWork[W])
+		}
+	}
+	w := p.work
 	for i := 0; i < size; i++ {
 		if i%batchSnapEvery == 0 {
-			bs.snaps[i/batchSnapEvery] = e.rng.Snapshot()
+			w.snaps[i/batchSnapEvery] = e.rng.Snapshot()
 		}
-		bs.pts[i] = spec.CraftState(e.rng)
+		w.pts[i] = p.spec.craft(e.rng, p.rks)
 	}
-	if spec.Round > 1 {
-		if len(bs.rks) < spec.Round-1 {
-			// Match CraftPlaintext's contract for the scalar path.
-			spec.CraftPlaintext(e.rng, bs.rks) // panics
-		}
-		for i := size; i < batchMaxSize; i++ {
-			bs.pts[i] = 0
-		}
-		gift.PartialDecryptBatch64(&bs.pts, bs.rks, spec.Round-1, &bs.dec)
-	}
-	if !bs.p.ch.PrimeBatch(bs.pts[:size], spec.Round, bs.raw[:size]) {
-		// Rewind every craft and serve this refill on the scalar path.
-		e.rng.Restore(bs.snaps[0])
-		bs.p.refused, bs.scalar = true, true
+	if !e.batch.PrimeBatch(w.pts[:size], p.round, w.raw[:size]) {
+		e.rng.Restore(w.snaps[0])
+		e.batch, p.scalar = nil, true
 	}
 }
 
-// next produces the next observation from the batch pipeline,
-// refilling when the current refill is drained. The commit itself —
-// counter, events, noise, probe mask — happens inside the channel's
-// CollectPrimed with the scalar path's exact side-effect order.
-func (bs *batchState) next() (set, mask probe.LineSet, retries uint64, err error) {
-	if bs.idx == bs.n {
-		bs.refill()
+// next produces the next observation, refilling when the current
+// refill is drained. A primed commit — counter, events, noise, probe
+// mask — happens inside the channel's CollectPrimed with the scalar
+// path's exact side-effect order.
+func (p *pass[W, RK]) next() (set, mask probe.LineSet, retries uint64, err error) {
+	if p.idx == p.n {
+		p.refill()
 	}
-	i := bs.idx
-	bs.idx++
-	e, spec := bs.p.e, bs.spec
-	if bs.scalar {
-		return e.collect(spec.craft(e.rng, bs.rks), spec.Round, spec.Segment)
+	i := p.idx
+	p.idx++
+	e := p.e
+	if p.scalar {
+		return e.collect(p.spec.craft(e.rng, p.rks), p.round, p.segment)
 	}
-	set, mask = bs.p.ch.CollectPrimed(bs.raw[i], spec.Round)
+	set, mask = e.batch.CollectPrimed(p.work.raw[i], p.round)
 	return set, mask, 0, nil
 }
 
 // finish rewinds the plaintext rng over the crafted-but-uncommitted
 // tail of a batched refill — restore the nearest snapshot at or before
 // the commit cursor and replay the few crafts up to it, leaving the rng
-// exactly where the scalar path would have — and returns the state to
-// the pool. A scalar refill crafted nothing ahead and needs no rewind.
-func (bs *batchState) finish() {
-	if !bs.scalar && bs.idx < bs.n {
-		rg := bs.p.e.rng
-		rg.Restore(bs.snaps[bs.idx/batchSnapEvery])
-		for i := 0; i < bs.idx%batchSnapEvery; i++ {
-			bs.spec.CraftState(rg)
+// exactly where the scalar path would have — and returns the workspace
+// to the cipher's pool. A scalar refill crafted nothing ahead and needs
+// no rewind.
+func (p *pass[W, RK]) finish() {
+	w := p.work
+	if w == nil {
+		return
+	}
+	if !p.scalar && p.idx < p.n {
+		rg := p.e.rng
+		rg.Restore(w.snaps[p.idx/batchSnapEvery])
+		for i := 0; i < p.idx%batchSnapEvery; i++ {
+			p.spec.craft(rg, p.rks)
 		}
 	}
-	bs.p, bs.spec, bs.rks = nil, nil, nil
-	batchStatePool.Put(bs)
+	p.e.desc.work.Put(w)
 }

@@ -47,6 +47,11 @@ func (e *Eliminator) Recovered(l int) bool {
 // round key t and segment g.
 func NewTarget128(t, g int) TargetSpec128 { return *target128(t, g) }
 
+// CraftPlaintext is the engine's craft on a GIFT-64 target.
+func (t TargetSpec) CraftPlaintext(r *rng.Source, rks []gift.RoundKey64) uint64 {
+	return t.craft(r, rks)
+}
+
 // CraftPlaintext is the engine's craft on a GIFT-128 target.
 func (t TargetSpec128) CraftPlaintext(r *rng.Source, rks []gift.RoundKey128) bitutil.Word128 {
 	return t.craft(r, rks)

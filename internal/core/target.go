@@ -317,15 +317,10 @@ func (t *giftPinned) craftStateGeneral(r *rng.Source, segments uint) bitutil.Wor
 	return state
 }
 
-// CraftPlaintext draws a crafted round-Round state and turns it into
-// the plaintext that produces it (see craftPlaintext).
-func (t TargetSpec) CraftPlaintext(r *rng.Source, rks []gift.RoundKey64) uint64 {
-	return t.craft(r, rks)
-}
-
-// craft is CraftPlaintext on the engine's pointer into the target
-// cache, which spares the per-observation struct copy of a value
-// receiver called through an interface.
+// craft draws a crafted round-Round state and turns it into the
+// plaintext that produces it (see craftPlaintext). Its pointer receiver
+// into the target cache spares the per-observation struct copy of a
+// value receiver called through an interface.
 func (t *TargetSpec) craft(r *rng.Source, rks []gift.RoundKey64) uint64 {
 	return craftPlaintext(t.CraftState(r), t.Round, rks, gift.PartialDecrypt64)
 }

@@ -92,8 +92,8 @@ func (t *TargetSpec128) CraftState(r *rng.Source) bitutil.Word128 {
 	return bitutil.Word128{Lo: src.Lo | lo, Hi: src.Hi | hi}
 }
 
-// craft is CraftPlaintext on the engine's pointer into the target
-// cache (see TargetSpec.craft).
+// craft turns a crafted state into its plaintext on the engine's
+// pointer into the target cache (see TargetSpec.craft).
 func (t *TargetSpec128) craft(r *rng.Source, rks []gift.RoundKey128) bitutil.Word128 {
 	return craftPlaintext(t.CraftState(r), t.Round, rks, gift.PartialDecrypt128)
 }

@@ -14,9 +14,8 @@ import "grinch/internal/bitutil"
 // the kernel, which the grinchvet leakage pass verifies.
 
 // Batch64 holds 64 GIFT-64 states bitsliced across blocks: bit j of
-// word b is state bit b of block j. Load/Store pivot between this
-// layout and the natural one-word-per-block layout via the 64×64 bit
-// transpose.
+// word b is state bit b of block j. Load pivots the natural
+// one-word-per-block layout into this one via the 64×64 bit transpose.
 type Batch64 [64]uint64
 
 // Load fills the batch from 64 states in one-word-per-block layout.
@@ -25,14 +24,6 @@ type Batch64 [64]uint64
 func (b *Batch64) Load(blocks *[64]uint64) {
 	*b = Batch64(*blocks)
 	bitutil.Transpose64((*[64]uint64)(b))
-}
-
-// Store writes the batch back out in one-word-per-block layout.
-//
-//grinch:secret
-func (b *Batch64) Store(blocks *[64]uint64) {
-	*blocks = [64]uint64(*b)
-	bitutil.Transpose64(blocks)
 }
 
 // SubCells applies the GIFT S-box to every segment of every block:
@@ -46,29 +37,11 @@ func (b *Batch64) SubCells() {
 	}
 }
 
-// InvSubCells applies the inverse S-box to every segment of every
-// block (invSBoxPlanes at 64-lane width).
-//
-//grinch:secret
-func (b *Batch64) InvSubCells() {
-	for i := 0; i < 64; i += 4 {
-		b[i], b[i+1], b[i+2], b[i+3] = invSBoxPlanes(b[i], b[i+1], b[i+2], b[i+3])
-	}
-}
-
 // PermBits applies the GIFT-64 bit permutation: in the bitsliced layout
 // a bit permutation is a plane reindexing, free of per-bit extraction.
 func (b *Batch64) PermBits() {
 	tmp := *b
 	for i, p := range Perm64 {
-		b[p] = tmp[i]
-	}
-}
-
-// InvPermBits applies the inverse bit permutation.
-func (b *Batch64) InvPermBits() {
-	tmp := *b
-	for i, p := range InvPerm64 {
 		b[p] = tmp[i]
 	}
 }
@@ -128,15 +101,6 @@ func (b *Batch64) subCellsPermKeyInto(out *Batch64, m uint64) {
 	}
 }
 
-// InvRound inverts one GIFT-64 round for all 64 blocks.
-//
-//grinch:secret rk
-func (b *Batch64) InvRound(rk RoundKey64) {
-	b.AddRoundKey(rk)
-	b.InvPermBits()
-	b.InvSubCells()
-}
-
 // TraceBatch runs rounds 1..last of 64 encryptions bitsliced across
 // blocks, calling visit once per round r in [first, last] with the
 // bitsliced round-r S-box input state — the batched counterpart of
@@ -165,24 +129,4 @@ func (c *Cipher64) TraceBatch(pts *[64]uint64, first, last int, st, st2 *Batch64
 		cur.subCellsPermKeyInto(next, c.rkm[r-1])
 		cur, next = next, cur
 	}
-}
-
-// PartialDecryptBatch64 inverts rounds n..1 for 64 states in place —
-// the batched counterpart of PartialDecrypt64, used to turn 64 crafted
-// round-n+1 input states into the plaintexts that produce them. st is
-// caller-supplied scratch.
-//
-//grinch:secret rks
-func PartialDecryptBatch64(states *[64]uint64, rks []RoundKey64, n int, st *Batch64) {
-	if n > len(rks) {
-		panic("gift: batch partial decrypt needs more round keys than supplied")
-	}
-	if n <= 0 {
-		return
-	}
-	st.Load(states)
-	for r := n - 1; r >= 0; r-- {
-		st.InvRound(rks[r])
-	}
-	st.Store(states)
 }

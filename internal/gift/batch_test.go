@@ -54,12 +54,9 @@ func TestBatch64StepEquivalence(t *testing.T) {
 	}
 
 	check("SubCells", (*Batch64).SubCells, SubCells64)
-	check("InvSubCells", (*Batch64).InvSubCells, InvSubCells64)
 	check("PermBits", (*Batch64).PermBits, PermBits64)
-	check("InvPermBits", (*Batch64).InvPermBits, InvPermBits64)
 	check("AddRoundKey", func(b *Batch64) { b.AddRoundKey(rk) }, func(s uint64) uint64 { return AddRoundKey64(s, rk) })
 	check("Round", func(b *Batch64) { b.Round(rk) }, func(s uint64) uint64 { return Round64(s, rk) })
-	check("InvRound", func(b *Batch64) { b.InvRound(rk) }, func(s uint64) uint64 { return InvRound64(s, rk) })
 }
 
 // TestTraceBatchMatchesSBoxInputsAppend proves the batched victim
@@ -102,31 +99,4 @@ func TestTraceBatchMatchesSBoxInputsAppend(t *testing.T) {
 			}
 		}
 	}
-}
-
-func TestPartialDecryptBatch64MatchesScalar(t *testing.T) {
-	c := batchKey(5)
-	rks := c.RoundKeys()
-	for _, n := range []int{0, 1, 2, 3, 7} {
-		blocks := batchFill(uint64(23 + n))
-		got := blocks
-		var st Batch64
-		PartialDecryptBatch64(&got, rks[:n], n, &st)
-		for i, blk := range blocks {
-			if want := PartialDecrypt64(blk, rks[:n], n); got[i] != want {
-				t.Fatalf("n=%d block %d: batch %#x, scalar %#x", n, i, got[i], want)
-			}
-		}
-	}
-}
-
-func TestPartialDecryptBatch64PanicsShortKeys(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for n > len(rks)")
-		}
-	}()
-	blocks := batchFill(1)
-	var st Batch64
-	PartialDecryptBatch64(&blocks, nil, 1, &st)
 }
