@@ -56,7 +56,12 @@ func singleRace(s *session) {
 
 	sched.Spawn("attacker", func(t *rtos.Task) {
 		ex := exec(t)
-		prepare, observe := s.primitive()
+		// Both constructors inline here, so the passes and their
+		// primitive stay on this task's stack.
+		prepare, observe := s.flushReload()
+		if s.params.Primitive == PrimitivePrimeProbe {
+			prepare, observe = s.primeProbe()
+		}
 		read := func() probe.LineSet { return ex.charged(observe) }
 		ex.charged(prepare)
 		s.open()
@@ -77,27 +82,30 @@ func singleRace(s *session) {
 }
 
 // pass is one probing pass over the table: the lines it found touched
-// (none, for a setup pass) and the cache cycles it spent.
+// (none, for a setup pass) and the cache cycles it spent. A probing
+// primitive is two passes over the session's cache: prepare resets the
+// observation window (flush, or prime) and observe reads it out
+// (reload, or probe).
 type pass func() (probe.LineSet, uint64)
 
-// primitive returns the session's probing primitive as its two passes
-// over the session's cache: prepare resets the observation window
-// (flush, or prime) and observe reads it out (reload, or probe).
-func (s *session) primitive() (prepare, observe pass) {
-	if s.params.Primitive == PrimitivePrimeProbe {
-		pp := &probe.PrimeProbe{Cache: s.cache, Table: s.table, EvictionBase: s.params.EvictionBase, Meter: s.meter}
-		primed := false
-		return func() (probe.LineSet, uint64) {
-			if primed {
-				// Probe already re-touched every attacker line.
-				return 0, 0
-			}
-			primed = true
-			return 0, pp.Prime()
-		}, pp.Probe
-	}
+// flushReload returns Flush+Reload's passes.
+func (s *session) flushReload() (prepare, observe pass) {
 	fr := &probe.FlushReload{Cache: s.cache, Table: s.table, Meter: s.meter}
 	return func() (probe.LineSet, uint64) { return 0, fr.Flush() }, fr.Reload
+}
+
+// primeProbe returns Prime+Probe's passes; only the first prime costs,
+// because every probe re-touches the attacker's lines.
+func (s *session) primeProbe() (prepare, observe pass) {
+	pp := &probe.PrimeProbe{Cache: s.cache, Table: s.table, EvictionBase: s.params.EvictionBase, Meter: s.meter}
+	primed := false
+	return func() (probe.LineSet, uint64) {
+		if primed {
+			return 0, 0
+		}
+		primed = true
+		return 0, pp.Prime()
+	}, pp.Probe
 }
 
 // charged runs p on the attacker's task, charging its cache cycles
