@@ -11,6 +11,7 @@ import (
 	"grinch/internal/cache"
 	"grinch/internal/cofb"
 	"grinch/internal/core"
+	"grinch/internal/obs/metrics"
 	"grinch/internal/oracle"
 	"grinch/internal/present"
 	"grinch/internal/rng"
@@ -18,8 +19,12 @@ import (
 
 // BenchmarkExtension_FullRecoveryByCipher measures full-key recovery for
 // each table-based target under identical ideal probing, reporting the
-// encryption cost (the cross-cipher comparison of EXPERIMENTS.md).
+// encryption cost (the cross-cipher comparison of EXPERIMENTS.md). One
+// counted recovery on each timed loop's first key and seed then
+// reports the observations the eliminations folded in, and on GIFT-64
+// how the batched pipeline split them.
 func BenchmarkExtension_FullRecoveryByCipher(b *testing.B) {
+	ocfg := oracle.Config{ProbeRound: 1, Flush: true, LineWords: 1}
 	b.Run("GIFT-64", func(b *testing.B) {
 		r := rng.New(1)
 		var total uint64
@@ -34,6 +39,13 @@ func BenchmarkExtension_FullRecoveryByCipher(b *testing.B) {
 			total += res.Encryptions
 		}
 		b.ReportMetric(float64(total)/float64(b.N), "encryptions/op")
+		reportObservations(b, "GIFT-64", func(reg *metrics.Registry) {
+			r := rng.New(1)
+			ch := newCountingOracle(b, bitutil.Word128{Lo: r.Uint64(), Hi: r.Uint64()}, ocfg)
+			a, _ := core.NewAttacker(ch, core.Config{Seed: r.Uint64(), Metrics: reg})
+			a.RecoverKey()
+			ch.report(b)
+		})
 	})
 	b.Run("GIFT-128", func(b *testing.B) {
 		r := rng.New(2)
@@ -49,17 +61,18 @@ func BenchmarkExtension_FullRecoveryByCipher(b *testing.B) {
 			total += res.Encryptions
 		}
 		b.ReportMetric(float64(total)/float64(b.N), "encryptions/op")
+		reportObservations(b, "GIFT-128", func(reg *metrics.Registry) {
+			r := rng.New(2)
+			ch, _ := oracle.New128(bitutil.Word128{Lo: r.Uint64(), Hi: r.Uint64()}, ocfg)
+			a, _ := core.NewAttacker128(ch, core.Config{Seed: r.Uint64(), Metrics: reg})
+			a.RecoverKey128()
+		})
 	})
 	b.Run("PRESENT-80", func(b *testing.B) {
 		r := rng.New(3)
 		var total uint64
 		for i := 0; i < b.N; i++ {
-			var key [10]byte
-			lo, hi := r.Uint64(), r.Uint64()
-			key[0], key[1] = byte(hi>>8), byte(hi)
-			for j := 0; j < 8; j++ {
-				key[2+j] = byte(lo >> (56 - 8*uint(j)))
-			}
+			key := present80Key(r)
 			c := present.NewCipher80(key)
 			ch, _ := oracle.NewPresent(c, oracle.Config{ProbeRound: 1, Flush: true, LineWords: 1})
 			a, _ := core.NewAttackerP(ch, core.Config{Seed: r.Uint64()})
@@ -70,7 +83,24 @@ func BenchmarkExtension_FullRecoveryByCipher(b *testing.B) {
 			total += res.Encryptions
 		}
 		b.ReportMetric(float64(total)/float64(b.N), "encryptions/op")
+		reportObservations(b, "PRESENT", func(reg *metrics.Registry) {
+			r := rng.New(3)
+			ch, _ := oracle.NewPresent(present.NewCipher80(present80Key(r)), ocfg)
+			a, _ := core.NewAttackerP(ch, core.Config{Seed: r.Uint64(), Metrics: reg})
+			a.RecoverKey80()
+		})
 	})
+}
+
+// present80Key draws an 80-bit PRESENT key from two rng words.
+func present80Key(r *rng.Source) [10]byte {
+	var key [10]byte
+	lo, hi := r.Uint64(), r.Uint64()
+	key[0], key[1] = byte(hi>>8), byte(hi)
+	for j := 0; j < 8; j++ {
+		key[2+j] = byte(lo >> (56 - 8*uint(j)))
+	}
+	return key
 }
 
 // BenchmarkAblation_ProbeChannel compares the access-driven channel

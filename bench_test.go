@@ -195,25 +195,48 @@ func (c *countingOracle) CollectMasked(pt uint64, targetRound int) (set, mask pr
 
 // reportPipelineWork runs one counted first-round attack outside the
 // timed loop, on the timed loop's first key and seed, and reports how
-// the batched pipeline split its observations. A pipeline that primed
-// more speculative lanes or fell back to scalar collects more often
-// moves these counters on any host.
+// the batched pipeline split its observations and how many the
+// eliminations folded in. A pipeline that primed more speculative
+// lanes or fell back to scalar collects more often, or an eliminator
+// that needed more observations, moves these counters on any host.
 func reportPipelineWork(b *testing.B, ocfg oracle.Config, budget uint64) {
-	b.StopTimer()
-	r := rng.New(2021)
-	key := bitutil.Word128{Lo: r.Uint64(), Hi: r.Uint64()}
+	reportObservations(b, "GIFT-64", func(reg *metrics.Registry) {
+		r := rng.New(2021)
+		key := bitutil.Word128{Lo: r.Uint64(), Hi: r.Uint64()}
+		ch := newCountingOracle(b, key, ocfg)
+		a, err := core.NewAttacker(ch, core.Config{Seed: r.Uint64(), TotalBudget: budget, Metrics: reg})
+		if err != nil {
+			b.Fatal(err)
+		}
+		a.AttackRound(1, nil, nil) // a budget cell's work up to its cap counts too
+		ch.report(b)
+	})
+}
+
+// newCountingOracle wraps a fresh oracle.New channel in a countingOracle.
+func newCountingOracle(b *testing.B, key bitutil.Word128, ocfg oracle.Config) *countingOracle {
 	o, err := oracle.New(key, ocfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	ch := &countingOracle{Oracle: o}
-	a, err := core.NewAttacker(ch, core.Config{Seed: r.Uint64(), TotalBudget: budget})
-	if err != nil {
-		b.Fatal(err)
-	}
-	a.AttackRound(1, nil, nil) // a budget cell's work up to its cap counts too
-	b.ReportMetric(float64(ch.lanesPrimed), "lanes_primed/op")
-	b.ReportMetric(float64(ch.scalarCollects), "scalar_collects/op")
+	return &countingOracle{Oracle: o}
+}
+
+// report reports the counted pipeline work.
+func (c *countingOracle) report(b *testing.B) {
+	b.ReportMetric(float64(c.lanesPrimed), "lanes_primed/op")
+	b.ReportMetric(float64(c.scalarCollects), "scalar_collects/op")
+}
+
+// reportObservations runs attack once outside the timed loop with a
+// fresh metrics registry and reports the observations its eliminations
+// folded in, read from grinch_attack_observations_total for cipher.
+func reportObservations(b *testing.B, cipher string, attack func(reg *metrics.Registry)) {
+	b.StopTimer()
+	reg := metrics.New()
+	attack(reg)
+	observations := reg.Counter("grinch_attack_observations_total", "", metrics.L("cipher", cipher)).Value()
+	b.ReportMetric(float64(observations), "observations/op")
 }
 
 // BenchmarkTable2 regenerates Table II: the platform races measuring
