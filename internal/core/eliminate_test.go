@@ -200,9 +200,10 @@ func TestWorstPinShare(t *testing.T) {
 	}
 }
 
-// naiveEliminator is the pre-lane reference implementation: exact
-// per-line count loops, no deferred bookkeeping. The lane differential
-// tests below hold the real Eliminator to this semantics bit for bit.
+// naiveEliminator is the reference implementation: exact per-line
+// count loops, no packed counters and no deferred folds. The
+// differential tests below hold the real Eliminator to this semantics
+// bit for bit.
 type naiveEliminator struct {
 	lines     int
 	threshold float64
@@ -272,10 +273,11 @@ func elimStream(seed uint64, n, lines int) []probe.LineSet {
 	return out
 }
 
-// TestEliminatorLanesMatchNaive is the lane-mode differential: across
-// line counts and stream lengths spanning several fold boundaries, the
-// lane-accelerated strict eliminator must agree with the naive per-line
-// reference on every query after every observation.
+// TestEliminatorLanesMatchNaive is the fully-probed differential:
+// across line counts and stream lengths spanning several fold
+// boundaries, the strict eliminator's packed-counter bookkeeping must
+// agree with the naive per-line reference on every query after every
+// observation.
 func TestEliminatorLanesMatchNaive(t *testing.T) {
 	for _, lines := range []int{1, 2, 4, 8, 16} {
 		for _, n := range []int{1, 63, 64, 65, 130, 200} {
@@ -291,8 +293,9 @@ func TestEliminatorLanesMatchNaive(t *testing.T) {
 					t.Fatalf("lines=%d n=%d obs %d: Exhausted %v, naive %v", lines, n, i, got, want)
 				}
 			}
-			// Ratio queries force a fold mid-lane-mode; counts must be
-			// exact and further observations must keep working.
+			// Ratio queries force a fold between the periodic ones;
+			// counts must be exact and further observations must keep
+			// working.
 			for l := -1; l <= lines; l++ {
 				if got, want := e.PresenceRatio(l), ref.ratio(l); got != want {
 					t.Fatalf("lines=%d n=%d: PresenceRatio(%d) = %v, naive %v", lines, n, l, got, want)
@@ -310,10 +313,10 @@ func TestEliminatorLanesMatchNaive(t *testing.T) {
 	}
 }
 
-// TestEliminatorLanesLeaveOnPartialMask proves the lane → scalar
-// downgrade is seamless: a partially-masked observation arriving after
-// an arbitrary number of lane observations must leave the statistics
-// exactly as if every observation had been counted scalar all along.
+// TestEliminatorLanesLeaveOnPartialMask mixes probe masks on the one
+// bookkeeping path: partially-masked observations arriving after an
+// arbitrary number of fully-probed ones must leave the statistics
+// exactly as the naive per-line reference counts them.
 func TestEliminatorLanesLeaveOnPartialMask(t *testing.T) {
 	const lines = 8
 	for _, pre := range []int{0, 3, 64, 100} {
@@ -347,9 +350,10 @@ func TestEliminatorLanesLeaveOnPartialMask(t *testing.T) {
 	}
 }
 
-// TestObserveMaskedZeroAllocs is the satellite-1 regression test: the
-// hottest per-encryption call must not allocate, in lane mode, in the
-// scalar fallback, nor across fold boundaries.
+// TestObserveMaskedZeroAllocs pins the hottest per-encryption call at
+// zero allocations, under the strict threshold with full masks and
+// under a relaxed threshold with partial masks, across fold
+// boundaries.
 func TestObserveMaskedZeroAllocs(t *testing.T) {
 	lane := NewEliminator(16, 1)
 	full := probe.FullSet(16)
@@ -368,9 +372,9 @@ func TestObserveMaskedZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestEliminatorBoundsEdges is the satellite-2 regression test: both
-// query methods must treat a negative index exactly like an index past
-// the table — return the zero value, never panic.
+// TestEliminatorBoundsEdges pins the query bounds: both query methods
+// must treat a negative index exactly like an index past the table —
+// return the zero value, never panic.
 func TestEliminatorBoundsEdges(t *testing.T) {
 	e := NewEliminator(4, 1)
 	e.Observe(probe.LineSet(0b0001))
@@ -405,7 +409,7 @@ func TestEliminatorResetReuses(t *testing.T) {
 	for _, s := range elimStream(5, 100, 8) {
 		e.Observe(s)
 	}
-	e.ObserveMasked(0b1, 0b1) // force scalar mode
+	e.ObserveMasked(0b1, 0b1) // leave a partial mask pending
 	e.Reset(4, 0.8)
 	if e.Observations() != 0 || e.Candidates() != probe.FullSet(4) {
 		t.Fatalf("Reset left state: n=%d candidates=%v", e.Observations(), e.Candidates())
