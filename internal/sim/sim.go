@@ -191,19 +191,27 @@ func (k *Kernel) Step() bool {
 
 // Run fires events until the queue drains (or Stop is called). Processes
 // blocked forever on queues do not keep Run alive; a drained queue with
-// parked processes is the simulation's deadlock/quiescence state.
+// parked processes is the simulation's deadlock/quiescence state. A
+// panic out of an event (a process's included) tears the simulation
+// down as Stop does before it propagates.
 func (k *Kernel) Run() {
 	k.running, k.limit = true, ^Time(0)
+	defer k.finish()
 	for !k.stopping && k.Step() {
 	}
-	k.running = false
-	k.finish()
 }
 
 // RunUntil fires events up to and including time t, then sets the clock
-// to t.
+// to t. A panic out of an event (a process's included) tears the
+// simulation down as Stop does before it propagates.
 func (k *Kernel) RunUntil(t Time) {
 	k.running, k.limit = true, t
+	defer func() {
+		// running is still set only when an event panicked.
+		if k.running || k.stopping {
+			k.finish()
+		}
+	}()
 	for !k.stopping && k.events.Len() > 0 {
 		if k.events[0].at > t {
 			break
@@ -214,9 +222,6 @@ func (k *Kernel) RunUntil(t Time) {
 	if k.now < t {
 		k.now = t
 	}
-	if k.stopping {
-		k.finish()
-	}
 }
 
 // Stop makes Run/RunUntil return after the current event and terminates
@@ -225,7 +230,7 @@ func (k *Kernel) Stop() { k.stopping = true }
 
 // finish tears down parked processes so their goroutines exit.
 func (k *Kernel) finish() {
-	k.stopping = true
+	k.running, k.stopping = false, true
 	for _, p := range k.procs {
 		p.kill()
 	}
@@ -252,6 +257,9 @@ type Proc struct {
 	// while the kernel may concurrently kill() it during shutdown.
 	dead   atomic.Bool
 	killed chan struct{}
+	// panicked is what the body panicked with, handed to the kernel's
+	// goroutine with the final parked signal.
+	panicked any
 }
 
 // Spawn starts a process at the current time. The body begins executing
@@ -271,7 +279,7 @@ func (k *Kernel) Spawn(name string, body func(p *Proc)) *Proc {
 		go func() {
 			defer func() {
 				if r := recover(); r != nil && r != errKilled {
-					panic(r)
+					p.panicked = r
 				}
 				p.dead.Store(true)
 				select {
@@ -288,13 +296,17 @@ func (k *Kernel) Spawn(name string, body func(p *Proc)) *Proc {
 }
 
 // dispatch hands control to the process and waits for it to park or die.
-// Runs on the kernel's goroutine.
+// Runs on the kernel's goroutine, where it re-raises the body's panic:
+// on the process's own goroutine no caller could recover it.
 func (p *Proc) dispatch() {
 	if p.dead.Load() {
 		return
 	}
 	p.resume <- struct{}{}
 	<-p.parked
+	if p.panicked != nil {
+		panic(fmt.Errorf("sim: process %s panicked: %v", p.name, p.panicked))
+	}
 }
 
 // park returns control to the kernel; the process blocks until its next
