@@ -125,8 +125,8 @@ type Stats struct {
 }
 
 // Add accumulates o's counters into s — for folding the per-session
-// stats of throwaway caches (one per platform session) into a running
-// total.
+// stats of a platform's caches (an emptied, reused cache per session)
+// into a running total.
 func (s *Stats) Add(o Stats) {
 	s.Accesses += o.Accesses
 	s.Hits += o.Hits
@@ -180,6 +180,15 @@ func New(cfg Config) (*Cache, error) {
 	}
 	p.Reset(cfg.Sets, cfg.Ways)
 	return c, nil
+}
+
+// Reset empties the cache for reuse: every line invalid, the counters
+// zero and the policy's history discarded, leaving the cache exactly as
+// New built it.
+func (c *Cache) Reset() {
+	clear(c.lines)
+	c.stats = Stats{}
+	c.policy.Reset(c.cfg.Sets, c.cfg.Ways)
 }
 
 // MustNew is New for configurations known good at compile time.

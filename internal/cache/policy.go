@@ -7,7 +7,8 @@ import "grinch/internal/rng"
 // A Policy instance belongs to exactly one Cache.
 type Policy interface {
 	// Reset prepares the policy for a cache with the given geometry,
-	// discarding all history.
+	// discarding all history. It may be called again to empty the
+	// policy for reuse.
 	Reset(sets, ways int)
 	// Touch records a hit on (set, way).
 	Touch(set, way int)
@@ -38,7 +39,7 @@ func (p *lru) Name() string { return "lru" }
 func (p *lru) Reset(sets, ways int) {
 	p.ways = ways
 	p.clock = 0
-	p.last = make([]uint64, sets*ways)
+	p.last = zeroed(p.last, sets*ways)
 }
 
 func (p *lru) stamp(set, way int) {
@@ -79,7 +80,7 @@ func (p *fifo) Name() string { return "fifo" }
 func (p *fifo) Reset(sets, ways int) {
 	p.ways = ways
 	p.clock = 0
-	p.fill = make([]uint64, sets*ways)
+	p.fill = zeroed(p.fill, sets*ways)
 }
 
 func (p *fifo) Touch(int, int) {}
@@ -108,7 +109,7 @@ func (p *fifo) Victim(set int) int {
 // generator so simulations stay reproducible.
 type random struct {
 	ways int
-	src  *rng.Source
+	src  rng.Source
 	seed uint64
 }
 
@@ -119,7 +120,7 @@ func (p *random) Name() string { return "random" }
 
 func (p *random) Reset(sets, ways int) {
 	p.ways = ways
-	p.src = rng.New(p.seed)
+	p.src.Reseed(p.seed)
 }
 
 func (p *random) Touch(int, int)      {}
@@ -135,7 +136,7 @@ func (p *random) Victim(int) int { return p.src.Intn(p.ways) }
 type plru struct {
 	ways  int
 	nodes int
-	bits  [][]bool // per set: tree of direction bits
+	bits  []bool // sets × nodes: one tree of direction bits per set
 }
 
 // NewPLRU returns a tree-based pseudo-LRU policy.
@@ -150,10 +151,7 @@ func (p *plru) Reset(sets, ways int) {
 		n <<= 1
 	}
 	p.nodes = n - 1
-	p.bits = make([][]bool, sets)
-	for i := range p.bits {
-		p.bits[i] = make([]bool, p.nodes)
-	}
+	p.bits = zeroed(p.bits, sets*p.nodes)
 }
 
 // touchPath flips the tree bits along the path to way so they point away
@@ -162,12 +160,13 @@ func (p *plru) touchPath(set, way int) {
 	if p.nodes == 0 {
 		return
 	}
+	tree := p.bits[set*p.nodes:]
 	node := 0
 	span := p.nodes + 1 // leaves under current node
 	for span > 1 {
 		span /= 2
 		right := way%(span*2) >= span
-		p.bits[set][node] = !right // point away from the touched half
+		tree[node] = !right // point away from the touched half
 		if right {
 			node = 2*node + 2
 		} else {
@@ -184,11 +183,12 @@ func (p *plru) Victim(set int) int {
 	if p.nodes == 0 {
 		return 0
 	}
+	tree := p.bits[set*p.nodes:]
 	node, way := 0, 0
 	span := p.nodes + 1
 	for span > 1 {
 		span /= 2
-		if p.bits[set][node] {
+		if tree[node] {
 			way += span
 			node = 2*node + 2
 		} else {
@@ -199,6 +199,17 @@ func (p *plru) Victim(set int) int {
 		return 0
 	}
 	return way
+}
+
+// zeroed returns s resized to n zero elements, reusing its array when
+// it is large enough.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // PolicyByName constructs a policy from its experiment-output name.
