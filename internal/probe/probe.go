@@ -215,7 +215,7 @@ func (fr *FlushReload) Reload() (LineSet, uint64) {
 
 // CacheSnapshot folds a cache's cumulative counters into a
 // cache_snapshot event. Platform channels pass the counters they
-// accumulate across throwaway per-session caches.
+// accumulate across sessions, each on an emptied, reused cache.
 func CacheSnapshot(s cache.Stats) obs.Event {
 	return obs.Event{
 		Kind:         obs.KindCacheSnapshot,

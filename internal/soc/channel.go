@@ -46,8 +46,8 @@ type PlatformChannel struct {
 	Tracer obs.Tracer
 
 	// stats accumulates the per-session cache counters (each session
-	// runs on a fresh cache) so snapshots are cumulative, matching the
-	// persistent-cache channels.
+	// runs on an emptied, reused cache) so snapshots are cumulative,
+	// matching the persistent-cache channels.
 	stats cache.Stats
 }
 

@@ -143,7 +143,7 @@ func (m *MPSoC) probeAndFlushRemote(ex *nocExecutor) probe.LineSet {
 func (m *MPSoC) RemoteAccessTime() sim.Time {
 	k := sim.NewKernel()
 	clock := sim.ClockMHz(m.params.ClockMHz)
-	cch := cache.MustNew(cache.PaperConfig(m.params.CacheLineBytes))
+	cch := sessionCache(m.params.CacheLineBytes)
 	mesh := noc.MustNew(k, clock, m.params.Mesh)
 	var rt sim.Time
 	k.Spawn("meter", func(p *sim.Proc) {
@@ -151,5 +151,6 @@ func (m *MPSoC) RemoteAccessTime() sim.Time {
 		rt = mesh.RoundTrip(p, m.params.AttackerTile, m.params.CacheTile, 4, m.params.CacheLineBytes, clock.Cycles(res.Latency))
 	})
 	k.Run()
+	sessionCaches.Put(cch)
 	return rt
 }

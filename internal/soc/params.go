@@ -13,13 +13,13 @@
 //     the victim ("the attacker can write content to the shared cache
 //     as desired", §IV-B3).
 //
-// Both platforms embed one probed-session skeleton: a fresh kernel,
-// cache and victim (package internal/victim) per session, the victim's
-// cut-over to untimed execution once the attacker stands down, and the
-// probe-window bookkeeping. Each platform adds only its race, which
-// spawns the victim and the attacker on its own substrate. Table II's
-// race (EarliestProbeRound) stands the attacker down after its first
-// window, since the metric reads nothing later.
+// Both platforms embed one probed-session skeleton: a fresh kernel and
+// victim (package internal/victim) and an emptied, reused cache per
+// session, the victim's cut-over to untimed execution once the attacker
+// stands down, and the probe-window bookkeeping. Each platform adds
+// only its race, which spawns the victim and the attacker on its own
+// substrate. Table II's race (EarliestProbeRound) stands the attacker
+// down after its first window, since the metric reads nothing later.
 //
 // Both platforms probe through one contract: a probe is a setup pass
 // (flush or prime) and an observation pass (reload or probe) over the
@@ -147,8 +147,9 @@ type Session struct {
 	Ciphertext uint64
 	Windows    []ProbeWindow
 	// CacheStats holds the shared cache's activity counters for this
-	// session (each session runs on a fresh cache, so the counters are
-	// per-encryption; PlatformChannel accumulates them across sessions).
+	// session (each session runs on an emptied, reused cache, so the
+	// counters are per-encryption; PlatformChannel accumulates them
+	// across sessions).
 	CacheStats cache.Stats
 }
 

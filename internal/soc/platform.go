@@ -1,6 +1,8 @@
 package soc
 
 import (
+	"sync"
+
 	"grinch/internal/bitutil"
 	"grinch/internal/cache"
 	"grinch/internal/gift"
@@ -42,7 +44,7 @@ func (p *platform) Sessions() uint64 { return p.sessions }
 // registry (nil disables): on either platform, every setup pass (flush
 // or prime) and observation pass (reload or probe) goes through one
 // probe.Meter, which survives across sessions though each session
-// probes a fresh cache.
+// probes an emptied, reused cache.
 func (p *platform) SetMetrics(r *metrics.Registry) {
 	p.meter = probe.NewMeter(r, p.params.Primitive.String())
 }
@@ -67,7 +69,7 @@ func (p *platform) RunSessionUntil(pt uint64, probeUntilRound int) Session {
 		platform: p,
 		k:        sim.NewKernel(),
 		clock:    sim.ClockMHz(p.params.ClockMHz),
-		cache:    cache.MustNew(cache.PaperConfig(p.params.CacheLineBytes)),
+		cache:    sessionCache(p.params.CacheLineBytes),
 		vic:      victim.New(p.cipher, p.table, p.params.Timing),
 		pt:       pt,
 		until:    probeUntilRound,
@@ -75,7 +77,28 @@ func (p *platform) RunSessionUntil(pt uint64, probeUntilRound int) Session {
 	p.race(s)
 	s.k.Run()
 	s.out.CacheStats = s.cache.Stats()
+	sessionCaches.Put(s.cache)
 	return s.out
+}
+
+// sessionCaches holds the caches of finished sessions for reuse. It is
+// shared by every platform, because a Table II job builds a new
+// platform per key and runs a single race on it.
+var sessionCaches sync.Pool
+
+// sessionCache returns an emptied PaperConfig cache with the given line
+// size (the one parameter PaperConfig takes): a pooled one when its
+// line size fits, otherwise a new one.
+func sessionCache(lineBytes int) *cache.Cache {
+	// Declared with its type: grinchvet's loader stubs sync, and only a
+	// typed variable lets it see that Reset is called here.
+	var c *cache.Cache
+	c, _ = sessionCaches.Get().(*cache.Cache)
+	if c == nil || c.Config().LineBytes != lineBytes {
+		return cache.MustNew(cache.PaperConfig(lineBytes))
+	}
+	c.Reset()
+	return c
 }
 
 // EarliestProbeRound reports the round the attacker's first
