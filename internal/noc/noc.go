@@ -1,7 +1,11 @@
 // Package noc models the mesh Network-on-Chip of the paper's MPSoC: a
 // 2-D mesh of routers with XY deterministic routing (X hops first, then
 // Y), per-hop router latency, and per-link serialization so contention
-// costs virtual time.
+// costs virtual time. The mesh holds only link state and no kernel:
+// Send reserves a packet's links at its start time and returns its
+// arrival, and the sender waits that out itself, so a round trip is a
+// request, the far tile's processing and a response sent once the
+// request has arrived.
 //
 // XY routing is deadlock-free on a mesh because the X-then-Y discipline
 // orders channel dependencies acyclically; TestXYNoTurnBack encodes that
@@ -60,10 +64,10 @@ const (
 	ports
 )
 
-// Mesh is the network. One Mesh belongs to one kernel.
+// Mesh is the network. It holds only link state: a sender asks Send when
+// its packet arrives and waits that long on its own.
 type Mesh struct {
 	cfg   Config
-	k     *sim.Kernel
 	clock sim.Clock
 	// links[index(from)*ports+port] is the link leaving tile from by
 	// port; ports facing off the mesh edge are never used.
@@ -71,16 +75,16 @@ type Mesh struct {
 }
 
 // New builds a mesh NoC.
-func New(k *sim.Kernel, clock sim.Clock, cfg Config) (*Mesh, error) {
+func New(clock sim.Clock, cfg Config) (*Mesh, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Mesh{cfg: cfg, k: k, clock: clock, links: make([]link, cfg.Width*cfg.Height*ports)}, nil
+	return &Mesh{cfg: cfg, clock: clock, links: make([]link, cfg.Width*cfg.Height*ports)}, nil
 }
 
 // MustNew is New for known-good configurations.
-func MustNew(k *sim.Kernel, clock sim.Clock, cfg Config) *Mesh {
-	m, err := New(k, clock, cfg)
+func MustNew(clock sim.Clock, cfg Config) *Mesh {
+	m, err := New(clock, cfg)
 	if err != nil {
 		panic(err)
 	}
@@ -156,15 +160,16 @@ func (m *Mesh) flits(payloadBytes int) uint64 {
 	return n
 }
 
-// Send transports a packet from src to dst, blocking the calling process
-// until the tail flit arrives. It returns the end-to-end latency.
-// Store-and-forward at packet granularity: each link is held for the
-// whole packet, which upper-bounds a wormhole router and keeps the
-// model deterministic. The hops are walked in place, so a packet
-// allocates nothing.
-func (m *Mesh) Send(p *sim.Proc, src, dst Coord, payloadBytes int) sim.Time {
+// Send transports a packet from src to dst that leaves at start, which
+// must be the current time of the mesh's simulation, and returns the
+// time its tail flit arrives. Store-and-forward at packet granularity:
+// each link is held for the whole packet, which upper-bounds a wormhole
+// router and keeps the model deterministic. The links are reserved as
+// the packet is sent, so packets sent in simulation order contend in
+// that order. The hops are walked in place, so a packet allocates
+// nothing.
+func (m *Mesh) Send(start sim.Time, src, dst Coord, payloadBytes int) sim.Time {
 	m.checkRoute(src, dst)
-	start := p.Now()
 	nflits := m.flits(payloadBytes)
 	serial := m.clock.Cycles(nflits * m.cfg.LinkCycles)
 	hop := m.clock.Cycles(m.cfg.RouterCycles)
@@ -177,21 +182,5 @@ func (m *Mesh) Send(p *sim.Proc, src, dst Coord, payloadBytes int) sim.Time {
 		t = l.tail + hop // downstream router traversal
 		cur = nxt
 	}
-	p.WaitUntil(t)
-	return t - start
-}
-
-// RoundTrip sends a request of reqBytes from src to dst and a response
-// of respBytes back, blocking until the response arrives; remote
-// processing time at dst is added between the two legs. This is the
-// shape of a remote cache access from a tile (the paper's ~400 ns
-// "processor delay, NoC latency and cache memory response time").
-func (m *Mesh) RoundTrip(p *sim.Proc, src, dst Coord, reqBytes, respBytes int, processing sim.Time) sim.Time {
-	start := p.Now()
-	m.Send(p, src, dst, reqBytes)
-	if processing > 0 {
-		p.Wait(processing)
-	}
-	m.Send(p, dst, src, respBytes)
-	return p.Now() - start
+	return t
 }

@@ -7,34 +7,32 @@ import (
 	"grinch/internal/sim"
 )
 
-func testMesh(t *testing.T, w, h int) (*sim.Kernel, *Mesh) {
+func testMesh(t *testing.T, w, h int) *Mesh {
 	t.Helper()
-	k := sim.NewKernel()
-	m, err := New(k, sim.ClockMHz(50), Config{
+	m, err := New(sim.ClockMHz(50), Config{
 		Width: w, Height: h, RouterCycles: 2, LinkCycles: 1, FlitBytes: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return k, m
+	return m
 }
 
 func TestConfigValidation(t *testing.T) {
-	k := sim.NewKernel()
 	bad := []Config{
 		{Width: 0, Height: 3, FlitBytes: 4},
 		{Width: 3, Height: 0, FlitBytes: 4},
 		{Width: 3, Height: 3, FlitBytes: 0},
 	}
 	for _, cfg := range bad {
-		if _, err := New(k, sim.ClockMHz(50), cfg); err == nil {
+		if _, err := New(sim.ClockMHz(50), cfg); err == nil {
 			t.Errorf("config %+v accepted", cfg)
 		}
 	}
 }
 
 func TestRouteXYShape(t *testing.T) {
-	_, m := testMesh(t, 3, 3)
+	m := testMesh(t, 3, 3)
 	path := m.Route(Coord{0, 0}, Coord{2, 2})
 	want := []Coord{{0, 0}, {1, 0}, {2, 0}, {2, 1}, {2, 2}}
 	if len(path) != len(want) {
@@ -48,7 +46,7 @@ func TestRouteXYShape(t *testing.T) {
 }
 
 func TestRouteSelf(t *testing.T) {
-	_, m := testMesh(t, 3, 3)
+	m := testMesh(t, 3, 3)
 	path := m.Route(Coord{1, 1}, Coord{1, 1})
 	if len(path) != 1 || path[0] != (Coord{1, 1}) {
 		t.Fatalf("self route %v", path)
@@ -59,7 +57,7 @@ func TestRouteSelf(t *testing.T) {
 // packet starts moving in Y it never moves in X again, and it never
 // reverses direction on either axis.
 func TestXYNoTurnBack(t *testing.T) {
-	_, m := testMesh(t, 4, 4)
+	m := testMesh(t, 4, 4)
 	f := func(sx, sy, dx, dy uint8) bool {
 		src := Coord{int(sx) % 4, int(sy) % 4}
 		dst := Coord{int(dx) % 4, int(dy) % 4}
@@ -99,7 +97,7 @@ func TestXYNoTurnBack(t *testing.T) {
 }
 
 func TestHopsManhattan(t *testing.T) {
-	_, m := testMesh(t, 5, 5)
+	m := testMesh(t, 5, 5)
 	if m.Hops(Coord{0, 0}, Coord{3, 4}) != 7 {
 		t.Fatal("manhattan distance wrong")
 	}
@@ -118,24 +116,16 @@ func TestRouteOutsideMeshPanics(t *testing.T) {
 		}()
 		f()
 	}
-	_, m := testMesh(t, 2, 2)
+	m := testMesh(t, 2, 2)
 	expectPanic("Route", func() { m.Route(Coord{0, 0}, Coord{5, 0}) })
-
-	k, m := testMesh(t, 2, 2)
-	k.Spawn("s", func(p *sim.Proc) {
-		expectPanic("Send", func() { m.Send(p, Coord{0, -1}, Coord{1, 1}, 4) })
-	})
-	k.Run()
+	expectPanic("Send", func() { m.Send(0, Coord{0, -1}, Coord{1, 1}, 4) })
 }
 
 func TestSendLatencyNoContention(t *testing.T) {
-	k, m := testMesh(t, 3, 3) // 50 MHz: 20 ns/cycle; router 2cy=40ns, link 1cy/flit
-	var lat sim.Time
-	k.Spawn("s", func(p *sim.Proc) {
-		// 4-byte payload = 1 flit. Path (0,0)→(2,0): 2 links, 3 routers.
-		lat = m.Send(p, Coord{0, 0}, Coord{2, 0}, 4)
-	})
-	k.Run()
+	m := testMesh(t, 3, 3) // 50 MHz: 20 ns/cycle; router 2cy=40ns, link 1cy/flit
+	// 4-byte payload = 1 flit. Path (0,0)→(2,0): 2 links, 3 routers.
+	const start = 7 * sim.Nanosecond
+	lat := m.Send(start, Coord{0, 0}, Coord{2, 0}, 4) - start
 	// 3 routers × 40ns + 2 links × 1 flit × 20ns = 120 + 40 = 160ns.
 	if want := 160 * sim.Nanosecond; lat != want {
 		t.Fatalf("latency %v, want %v", lat, want)
@@ -143,13 +133,9 @@ func TestSendLatencyNoContention(t *testing.T) {
 }
 
 func TestSendMultiFlitPayload(t *testing.T) {
-	k, m := testMesh(t, 2, 1)
-	var lat sim.Time
-	k.Spawn("s", func(p *sim.Proc) {
-		// 10 bytes / 4-byte flits = 3 flits; 1 link, 2 routers.
-		lat = m.Send(p, Coord{0, 0}, Coord{1, 0}, 10)
-	})
-	k.Run()
+	m := testMesh(t, 2, 1)
+	// 10 bytes / 4-byte flits = 3 flits; 1 link, 2 routers.
+	lat := m.Send(0, Coord{0, 0}, Coord{1, 0}, 10)
 	// 2 routers × 40ns + 1 link × 3 flits × 20ns = 80 + 60 = 140ns.
 	if want := 140 * sim.Nanosecond; lat != want {
 		t.Fatalf("latency %v, want %v", lat, want)
@@ -157,44 +143,29 @@ func TestSendMultiFlitPayload(t *testing.T) {
 }
 
 func TestLinkContentionSerializes(t *testing.T) {
-	k, m := testMesh(t, 2, 1)
-	var first, second sim.Time
-	k.Spawn("a", func(p *sim.Proc) {
-		m.Send(p, Coord{0, 0}, Coord{1, 0}, 4)
-		first = p.Now()
-	})
-	k.Spawn("b", func(p *sim.Proc) {
-		m.Send(p, Coord{0, 0}, Coord{1, 0}, 4)
-		second = p.Now()
-	})
-	k.Run()
+	m := testMesh(t, 2, 1)
+	first := m.Send(0, Coord{0, 0}, Coord{1, 0}, 4)
+	second := m.Send(0, Coord{0, 0}, Coord{1, 0}, 4)
 	if second <= first {
 		t.Fatalf("contending packets not serialized: %v then %v", first, second)
 	}
 }
 
 func TestOppositeLinksIndependent(t *testing.T) {
-	k, m := testMesh(t, 2, 1)
-	var a, b sim.Time
-	k.Spawn("a", func(p *sim.Proc) {
-		a = m.Send(p, Coord{0, 0}, Coord{1, 0}, 4)
-	})
-	k.Spawn("b", func(p *sim.Proc) {
-		b = m.Send(p, Coord{1, 0}, Coord{0, 0}, 4)
-	})
-	k.Run()
+	m := testMesh(t, 2, 1)
+	a := m.Send(0, Coord{0, 0}, Coord{1, 0}, 4)
+	b := m.Send(0, Coord{1, 0}, Coord{0, 0}, 4)
 	if a != b {
 		t.Fatalf("opposite-direction transfers interfered: %v vs %v", a, b)
 	}
 }
 
+// TestRoundTrip: a request, processing at the far tile, and the
+// response sent once it is done — the shape of a remote cache access.
 func TestRoundTrip(t *testing.T) {
-	k, m := testMesh(t, 3, 3)
-	var rt sim.Time
-	k.Spawn("s", func(p *sim.Proc) {
-		rt = m.RoundTrip(p, Coord{0, 0}, Coord{2, 0}, 4, 4, 100*sim.Nanosecond)
-	})
-	k.Run()
+	m := testMesh(t, 3, 3)
+	arrived := m.Send(0, Coord{0, 0}, Coord{2, 0}, 4)
+	rt := m.Send(arrived+100*sim.Nanosecond, Coord{2, 0}, Coord{0, 0}, 4)
 	// Two 160ns legs + 100ns processing.
 	if want := 420 * sim.Nanosecond; rt != want {
 		t.Fatalf("round trip %v, want %v", rt, want)
@@ -227,49 +198,55 @@ func TestSendWalksRoute(t *testing.T) {
 	for _, dim := range [][2]int{{1, 1}, {3, 3}, {4, 2}} {
 		// One sender, packet after packet: the links each Send touches
 		// must be exactly those along Route.
-		k, m := testMesh(t, dim[0], dim[1])
+		m := testMesh(t, dim[0], dim[1])
 		tiles := meshTiles(m)
-		k.Spawn("s", func(p *sim.Proc) {
-			for _, src := range tiles {
-				for _, dst := range tiles {
-					before := append([]link(nil), m.links...)
-					m.Send(p, src, dst, 4)
-					want := map[int]bool{}
-					path := m.Route(src, dst)
-					for i := 0; i+1 < len(path); i++ {
-						want[m.linkIndex(path[i], path[i+1])] = true
-					}
-					for i := range m.links {
-						if changed := m.links[i] != before[i]; changed != want[i] {
-							t.Errorf("%dx%d %v→%v: link %d changed=%v, on route=%v", dim[0], dim[1], src, dst, i, changed, want[i])
-						}
+		var now sim.Time
+		for _, src := range tiles {
+			for _, dst := range tiles {
+				before := append([]link(nil), m.links...)
+				now = m.Send(now, src, dst, 4)
+				want := map[int]bool{}
+				path := m.Route(src, dst)
+				for i := 0; i+1 < len(path); i++ {
+					want[m.linkIndex(path[i], path[i+1])] = true
+				}
+				for i := range m.links {
+					if changed := m.links[i] != before[i]; changed != want[i] {
+						t.Errorf("%dx%d %v→%v: link %d changed=%v, on route=%v", dim[0], dim[1], src, dst, i, changed, want[i])
 					}
 				}
 			}
-		})
-		k.Run()
+		}
 
-		// One sender per tile, all at once: packets contend, and the
-		// reference model keyed by (from, to) must agree hop for hop.
-		k, m = testMesh(t, dim[0], dim[1])
+		// One sender per tile, all at once, each sending its next packet
+		// when the last arrives: packets contend, and the reference
+		// model keyed by (from, to) must agree hop for hop.
+		k := sim.NewKernel()
+		m = testMesh(t, dim[0], dim[1])
 		serial := m.clock.Cycles(m.flits(4) * m.cfg.LinkCycles)
 		hop := m.clock.Cycles(m.cfg.RouterCycles)
 		tails := map[[2]Coord]sim.Time{}
 		for _, src := range tiles {
-			k.Spawn(src.String(), func(p *sim.Proc) {
-				for _, dst := range tiles {
-					start := p.Now()
-					path := m.Route(src, dst)
-					at := start + hop
-					for i := 0; i+1 < len(path); i++ {
-						key := [2]Coord{path[i], path[i+1]}
-						tails[key] = max(at, tails[key]) + serial
-						at = tails[key] + hop
-					}
-					if lat := m.Send(p, src, dst, 4); lat != at-start {
-						t.Errorf("%dx%d %v→%v: latency %v, want %v", dim[0], dim[1], src, dst, lat, at-start)
-					}
+			sent := 0
+			k.Go(func() (sim.Time, bool) {
+				if sent == len(tiles) {
+					return 0, true
 				}
+				dst := tiles[sent]
+				sent++
+				start := k.Now()
+				path := m.Route(src, dst)
+				at := start + hop
+				for i := 0; i+1 < len(path); i++ {
+					key := [2]Coord{path[i], path[i+1]}
+					tails[key] = max(at, tails[key]) + serial
+					at = tails[key] + hop
+				}
+				arrived := m.Send(start, src, dst, 4)
+				if arrived != at {
+					t.Errorf("%dx%d %v→%v: latency %v, want %v", dim[0], dim[1], src, dst, arrived-start, at-start)
+				}
+				return arrived - start, false
 			})
 		}
 		k.Run()
@@ -291,29 +268,31 @@ func TestSendWalksRoute(t *testing.T) {
 }
 
 // paperMesh is the MPSoC's 3×3 mesh at 50 MHz (soc.DefaultParams).
-func paperMesh(k *sim.Kernel) *Mesh {
-	return MustNew(k, sim.ClockMHz(50), Config{
+func paperMesh() *Mesh {
+	return MustNew(sim.ClockMHz(50), Config{
 		Width: 3, Height: 3, RouterCycles: 2, LinkCycles: 1, FlitBytes: 4,
 	})
 }
 
+// roundTrip sends a request from src to dst at start and the response
+// back once processing is done, returning the response's arrival.
+func roundTrip(m *Mesh, start sim.Time, src, dst Coord, reqBytes, respBytes int, processing sim.Time) sim.Time {
+	return m.Send(m.Send(start, src, dst, reqBytes)+processing, dst, src, respBytes)
+}
+
 // TestSendRoundTripZeroAllocs: a packet walks its hops in place, so
-// neither Send nor RoundTrip allocates.
+// neither a Send nor a round trip's two legs allocate.
 func TestSendRoundTripZeroAllocs(t *testing.T) {
-	k := sim.NewKernel()
-	m := paperMesh(k)
-	var send, rt float64
-	k.Spawn("s", func(p *sim.Proc) {
-		send = testing.AllocsPerRun(100, func() {
-			m.Send(p, Coord{0, 0}, Coord{2, 2}, 8)
-		})
-		rt = testing.AllocsPerRun(100, func() {
-			m.RoundTrip(p, Coord{2, 2}, Coord{1, 1}, 4, 1, 20*sim.Nanosecond)
-		})
+	m := paperMesh()
+	var now sim.Time
+	send := testing.AllocsPerRun(100, func() {
+		now = m.Send(now, Coord{0, 0}, Coord{2, 2}, 8)
 	})
-	k.Run()
+	rt := testing.AllocsPerRun(100, func() {
+		now = roundTrip(m, now, Coord{2, 2}, Coord{1, 1}, 4, 1, 20*sim.Nanosecond)
+	})
 	if send != 0 || rt != 0 {
-		t.Fatalf("allocations per call: Send %v, RoundTrip %v; want 0", send, rt)
+		t.Fatalf("allocations per call: Send %v, round trip %v; want 0", send, rt)
 	}
 }
 
@@ -322,13 +301,9 @@ func TestSendRoundTripZeroAllocs(t *testing.T) {
 // work.
 func BenchmarkMeshRoundTrip(b *testing.B) {
 	b.ReportAllocs()
-	k := sim.NewKernel()
-	m := paperMesh(k)
-	k.Spawn("s", func(p *sim.Proc) {
-		for i := 0; i < b.N; i++ {
-			m.RoundTrip(p, Coord{2, 2}, Coord{1, 1}, 4, 1, 20*sim.Nanosecond)
-		}
-	})
-	b.ResetTimer()
-	k.Run()
+	m := paperMesh()
+	var now sim.Time
+	for i := 0; i < b.N; i++ {
+		now = roundTrip(m, now, Coord{2, 2}, Coord{1, 1}, 4, 1, 20*sim.Nanosecond)
+	}
 }

@@ -11,15 +11,15 @@ func TestTaskAccessors(t *testing.T) {
 	k := sim.NewKernel()
 	s := newSched(k, sim.Millisecond, 0)
 	var task *Task
-	task = s.Spawn("worker", func(tt *Task) {
+	task = s.Spawn("worker", program(func(tt *Task) {
 		if tt.name != "worker" {
 			t.Errorf("Name = %q", tt.name)
 		}
-		if tt.proc == nil {
-			t.Error("Proc nil")
+		if tt.actor == nil {
+			t.Error("actor nil")
 		}
 		tt.Exec(10)
-	})
+	}))
 	k.Run()
 	if task.runtime == 0 {
 		t.Error("Runtime not accounted")
@@ -32,12 +32,12 @@ func TestSchedulerString(t *testing.T) {
 	if !strings.Contains(s.String(), "idle") {
 		t.Errorf("idle scheduler renders as %q", s.String())
 	}
-	s.Spawn("a", func(task *Task) {
+	s.Spawn("a", program(func(task *Task) {
 		if !strings.Contains(s.String(), "a") {
 			t.Errorf("running scheduler renders as %q", s.String())
 		}
 		task.Exec(1)
-	})
+	}))
 	k.Run()
 }
 
@@ -49,44 +49,61 @@ func TestSchedulerClock(t *testing.T) {
 	}
 }
 
+// TestRecvFastPathKeepsCPU: a Wake that arrives before the task blocks
+// is kept, so the Block that would receive it neither gives up the core
+// nor reschedules.
 func TestRecvFastPathKeepsCPU(t *testing.T) {
 	k := sim.NewKernel()
 	s := newSched(k, 10*sim.Millisecond, 0)
-	q := sim.NewQueue[int](k)
-	q.Send(42)
 	switchesBefore := uint64(0)
-	s.Spawn("recv", func(task *Task) {
-		switchesBefore = s.switches
-		if v := Recv(task, q); v != 42 {
-			t.Errorf("Recv = %d", v)
-		}
-		// A buffered value must not trigger a reschedule.
-		if s.switches != switchesBefore {
-			t.Error("Recv fast path rescheduled")
-		}
-		task.Exec(1)
-	})
+	var recv *Task
+	recv = s.Spawn("recv", program(
+		func(task *Task) {
+			switchesBefore = s.switches
+			recv.Wake()
+			task.Block()
+		},
+		func(task *Task) {
+			if s.switches != switchesBefore || s.current != task {
+				t.Error("Block after a Wake rescheduled")
+			}
+			task.Exec(1)
+		},
+	))
 	k.Run()
+	if recv.runtime == 0 {
+		t.Fatal("task never ran past its Block")
+	}
 }
 
+// TestRecvBlockingPath: a task blocked waiting for a value gives the
+// core to others and resumes only after the Wake that delivers it.
 func TestRecvBlockingPath(t *testing.T) {
 	k := sim.NewKernel()
 	s := newSched(k, 10*sim.Millisecond, 0)
-	q := sim.NewQueue[string](k)
 	var got string
 	var at sim.Time
-	s.Spawn("recv", func(task *Task) {
-		got = Recv(task, q)
-		at = task.Now()
-		task.Exec(1)
+	var msg string
+	var recv *Task
+	recv = s.Spawn("recv", program(
+		func(task *Task) { task.Block() },
+		func(task *Task) {
+			got, at = msg, task.Now()
+			task.Exec(1)
+		},
+	))
+	var otherDone sim.Time
+	s.Spawn("other", execs(1, 100, func(task *Task) { otherDone = task.Now() })) // runs while recv blocks
+	k.Schedule(5*sim.Millisecond, func() {
+		msg = "late"
+		recv.Wake()
 	})
-	s.Spawn("other", func(task *Task) {
-		task.Exec(100) // runs while recv blocks
-	})
-	k.Schedule(5*sim.Millisecond, func() { q.Send("late") })
 	k.Run()
 	if got != "late" || at < 5*sim.Millisecond {
 		t.Fatalf("got %q at %v", got, at)
+	}
+	if otherDone != 10*sim.Microsecond {
+		t.Fatalf("other finished at %v, want 10µs: the blocked task held the core", otherDone)
 	}
 }
 
@@ -96,9 +113,7 @@ func TestManyTasksRoundRobinFairness(t *testing.T) {
 	const n = 5
 	runtimes := make([]*Task, n)
 	for i := 0; i < n; i++ {
-		runtimes[i] = s.Spawn("t", func(task *Task) {
-			task.Exec(50_000) // 5 ms CPU each
-		})
+		runtimes[i] = s.Spawn("t", execs(1, 50_000, nil)) // 5 ms CPU each
 	}
 	k.Run()
 	for i, task := range runtimes {
@@ -117,12 +132,14 @@ func TestExecZeroIsNoop(t *testing.T) {
 	k := sim.NewKernel()
 	s := newSched(k, sim.Millisecond, 0)
 	var before, after sim.Time
-	s.Spawn("z", func(task *Task) {
-		task.Exec(1)
-		before = task.Now()
-		task.Exec(0)
-		after = task.Now()
-	})
+	s.Spawn("z", program(
+		func(task *Task) { task.Exec(1) },
+		func(task *Task) {
+			before = task.Now()
+			task.Exec(0)
+		},
+		func(task *Task) { after = task.Now() },
+	))
 	k.Run()
 	if before != after {
 		t.Fatal("Exec(0) advanced time")

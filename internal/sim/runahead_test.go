@@ -6,10 +6,11 @@ import (
 	"testing"
 )
 
-// The run-ahead fast path in Proc.Wait must be invisible: a program's
-// event log is the same whether the kernel is driven by Run (which may
-// run ahead), by RunUntil in slices, or by Step by hand (which never
-// does). These tests build small random programs and compare the three.
+// The run-ahead fast path in Actor steps must be invisible: a program's
+// event log is the same whether Run drives the kernel (which may run
+// ahead), a caller steps it by hand (which never does), or the actors
+// are replaced by a reference that queues every wait through Schedule.
+// These tests build small random programs and compare the three.
 
 // progReader hands out program bytes, then zeros once they run out.
 type progReader struct {
@@ -26,55 +27,52 @@ func (r *progReader) next(n int) int {
 	return int(b) % n
 }
 
-// Op kinds of a process program.
+// Op kinds of an actor program.
 const (
-	opWait = iota
-	opWaitUntil
-	opSend
-	opRecv
-	opSchedule
+	opWait     = iota // end the step, waiting arg%4
+	opSleep           // end the step done: the actor sleeps until a Wake
+	opWake            // wake actor arg, if it sleeps, after arg%3
+	opSchedule        // schedule a callback arg%4 from now
 	opKinds
 )
 
 type progOp struct {
-	kind  int
-	arg   int // delay, absolute time, or queue index
-	value int // value sent
+	kind int
+	arg  int
 }
 
 // progEvent is a plain callback scheduled before the run starts.
 type progEvent struct {
 	at     int
 	cancel int // index of an earlier event to cancel, or -1
-	send   int // queue to send on, or -1
-	spawn  int // ticks of a short-lived process to spawn, or 0
+	wake   int // actor to wake, or -1
+	spawn  int // waits of a short-lived actor to start, or 0
 }
 
 type program struct {
-	queues int
-	procs  [][]progOp
+	actors [][]progOp
 	events []progEvent
 }
 
 func parseProgram(data []byte) program {
 	r := &progReader{data: data}
-	p := program{queues: 1 + r.next(2)}
-	nprocs := 1 + r.next(4)
-	for i := 0; i < nprocs; i++ {
+	var p program
+	nactors := 1 + r.next(4)
+	for i := 0; i < nactors; i++ {
 		ops := make([]progOp, r.next(12))
 		for j := range ops {
-			ops[j] = progOp{kind: r.next(opKinds), arg: r.next(16), value: r.next(8)}
+			ops[j] = progOp{kind: r.next(opKinds), arg: r.next(16)}
 		}
-		p.procs = append(p.procs, ops)
+		p.actors = append(p.actors, ops)
 	}
 	p.events = make([]progEvent, r.next(5))
 	for i := range p.events {
-		ev := progEvent{at: r.next(12), cancel: -1, send: -1}
+		ev := progEvent{at: r.next(12), cancel: -1, wake: -1}
 		switch r.next(4) {
 		case 1:
 			ev.cancel = r.next(len(p.events))
 		case 2:
-			ev.send = r.next(p.queues)
+			ev.wake = r.next(nactors)
 		case 3:
 			ev.spawn = 1 + r.next(4)
 		}
@@ -83,95 +81,112 @@ func parseProgram(data []byte) program {
 	return p
 }
 
-// Drive modes.
-const (
-	driveStep = iota
-	driveRun
-	driveRunUntil
-)
+// starter starts an actor on k and returns its Wake.
+type starter func(k *Kernel, step func() (Time, bool)) func(delay Time)
 
-// execute runs prog on a fresh kernel and returns its (time, actor,
-// operation) log.
-func (prog program) execute(mode int) []string {
+// kernelActor starts a step actor with the kernel's own Go.
+func kernelActor(k *Kernel, step func() (Time, bool)) func(Time) {
+	return k.Go(step).Wake
+}
+
+// scheduledActor is the reference: every step, wait and wake-up is an
+// event queued through Schedule.
+func scheduledActor(k *Kernel, step func() (Time, bool)) func(Time) {
+	var fire func()
+	fire = func() {
+		if wait, done := step(); !done {
+			k.Schedule(wait, fire)
+		}
+	}
+	k.Schedule(0, fire)
+	return func(delay Time) { k.Schedule(delay, fire) }
+}
+
+// execute runs prog on a fresh kernel, with actors started by start and
+// the kernel driven by Run or, with byHand, by Step, and returns its
+// (time, actor, operation) log.
+func (prog program) execute(start starter, byHand bool) []string {
 	k := NewKernel()
 	var log []string
 	logf := func(who, format string, args ...any) {
 		log = append(log, fmt.Sprintf("%d %s ", uint64(k.Now()), who)+fmt.Sprintf(format, args...))
 	}
-	queues := make([]*Queue[int], prog.queues)
-	for i := range queues {
-		queues[i] = NewQueue[int](k)
+	wakes := make([]func(Time), len(prog.actors))
+	sleeping := make([]bool, len(prog.actors))
+	wake := func(who string, i int, delay Time) {
+		if sleeping[i] {
+			sleeping[i] = false
+			logf(who, "wake a%d after %d", i, uint64(delay))
+			wakes[i](delay)
+		}
 	}
+
 	events := make([]*Event, len(prog.events))
 	for i, ev := range prog.events {
+		name := fmt.Sprintf("ev%d", i)
 		events[i] = k.At(Time(ev.at), func() {
-			logf(fmt.Sprintf("ev%d", i), "fire")
+			logf(name, "fire")
 			switch {
 			case ev.cancel >= 0:
 				k.Cancel(events[ev.cancel])
-			case ev.send >= 0:
-				queues[ev.send].Send(100 + i)
+			case ev.wake >= 0:
+				wake(name, ev.wake, 0)
 			case ev.spawn > 0:
-				name := fmt.Sprintf("ev%d.proc", i)
-				k.Spawn(name, func(p *Proc) {
-					for n := 0; n < ev.spawn; n++ {
-						p.Wait(Time(n))
-						logf(name, "tick %d", n)
-					}
+				ticks := 0
+				start(k, func() (Time, bool) {
+					logf(name+".actor", "tick %d", ticks)
+					ticks++
+					return Time(ticks - 1), ticks > ev.spawn
 				})
 			}
 		})
 	}
-	for i, ops := range prog.procs {
-		name := fmt.Sprintf("p%d", i)
-		k.Spawn(name, func(p *Proc) {
-			logf(name, "start")
-			for j, op := range ops {
+	for i, ops := range prog.actors {
+		name := fmt.Sprintf("a%d", i)
+		pc := 0
+		wakes[i] = start(k, func() (Time, bool) {
+			logf(name, "step")
+			for pc < len(ops) {
+				op := ops[pc]
+				pc++
 				switch op.kind {
 				case opWait:
-					p.Wait(Time(op.arg % 4))
-					logf(name, "wait")
-				case opWaitUntil:
-					p.WaitUntil(Time(op.arg))
-					logf(name, "waituntil %d", op.arg)
-				case opSend:
-					queues[op.arg%len(queues)].Send(op.value)
-					logf(name, "send %d", op.value)
-				case opRecv:
-					v := queues[op.arg%len(queues)].Recv(p)
-					logf(name, "recv %d", v)
+					logf(name, "wait %d", op.arg%4)
+					return Time(op.arg % 4), false
+				case opSleep:
+					logf(name, "sleep")
+					sleeping[i] = true
+					return 0, true
+				case opWake:
+					wake(name, op.arg%len(prog.actors), Time(op.arg%3))
 				case opSchedule:
-					tag := fmt.Sprintf("%s.cb%d", name, j)
+					tag := fmt.Sprintf("%s.cb%d", name, pc-1)
 					k.Schedule(Time(op.arg%4), func() { logf(tag, "fire") })
 				}
 			}
 			logf(name, "exit")
+			return 0, true
 		})
 	}
 
-	switch mode {
-	case driveStep:
+	if byHand {
 		for k.Step() {
 		}
-	case driveRunUntil:
-		k.RunUntil(3)
-		k.RunUntil(9)
+	} else {
+		k.Run()
 	}
-	// Run drains whatever is left and tears down processes still parked
-	// on a queue, so no goroutine outlives the program.
-	k.Run()
 	return log
 }
 
-// checkRunAhead fails t if the program's log differs between drive
-// modes.
+// checkRunAhead fails t if the program's log under Run or hand-stepping
+// differs from the log of the Schedule-driven reference.
 func checkRunAhead(t *testing.T, data []byte) {
 	t.Helper()
 	prog := parseProgram(data)
-	want := prog.execute(driveStep)
-	for _, mode := range []int{driveRun, driveRunUntil} {
-		if got := prog.execute(mode); !slices.Equal(got, want) {
-			t.Fatalf("program %x: drive mode %d log\n%q\ndiffers from Step-driven log\n%q", data, mode, got, want)
+	want := prog.execute(scheduledActor, false)
+	for _, byHand := range []bool{false, true} {
+		if got := prog.execute(kernelActor, byHand); !slices.Equal(got, want) {
+			t.Fatalf("program %x: actor log (stepped by hand: %v)\n%q\ndiffers from the Schedule-driven log\n%q", data, byHand, got, want)
 		}
 	}
 }
@@ -202,73 +217,45 @@ func FuzzRunAheadMatchesStep(f *testing.F) {
 	})
 }
 
-// TestRunUntilBoundsRunAhead: a process waiting in a loop must never see
-// the clock pass RunUntil's limit, however empty the event queue is.
-func TestRunUntilBoundsRunAhead(t *testing.T) {
-	k := NewKernel()
-	var seen Time
-	k.Spawn("loop", func(p *Proc) {
-		for i := 0; i < 1000; i++ {
-			p.Wait(7)
-			seen = p.Now()
-		}
-	})
-	for _, limit := range []Time{100, 101, 250} {
-		k.RunUntil(limit)
-		if seen > limit || k.Now() != limit {
-			t.Fatalf("RunUntil(%v): process saw %v, clock at %v", limit, seen, k.Now())
-		}
-		if want := limit / 7 * 7; seen != want {
-			t.Fatalf("RunUntil(%v): last wake-up at %v, want %v", limit, seen, want)
-		}
-	}
-	k.Stop()
-	k.Run()
-}
-
-// TestStopThenWaitDoesNotRunOn: once Stop is called, a Wait parks the
-// process and the shutdown kills it, even with nothing else queued.
-func TestStopThenWaitDoesNotRunOn(t *testing.T) {
-	k := NewKernel()
-	reached := false
-	k.Spawn("p", func(p *Proc) {
-		k.Stop()
-		p.Wait(1)
-		reached = true
-	})
-	k.Run()
-	if reached {
-		t.Fatal("process ran past a Wait after Stop")
-	}
-}
-
 // TestSameInstantEventFiresFirst: an event queued earlier for the very
-// instant a process wakes at has the lower sequence number and must run
-// before the process resumes.
+// instant an actor's wait ends has the lower sequence number and must
+// run before the actor's next step.
 func TestSameInstantEventFiresFirst(t *testing.T) {
 	k := NewKernel()
 	var log []string
 	k.Schedule(10, func() { log = append(log, "event") })
-	k.Spawn("p", func(p *Proc) {
-		p.Wait(10)
-		log = append(log, "proc")
+	steps := 0
+	k.Go(func() (Time, bool) {
+		steps++
+		if steps == 1 {
+			return 10, false
+		}
+		log = append(log, "actor")
+		return 0, true
 	})
 	k.Run()
-	if !slices.Equal(log, []string{"event", "proc"}) {
-		t.Fatalf("order %v, want [event proc]", log)
+	if !slices.Equal(log, []string{"event", "actor"}) {
+		t.Fatalf("order %v, want [event actor]", log)
 	}
 }
 
 // TestStepNeverRunsAhead: a caller stepping the kernel by hand sees one
-// event per Step, including a zero-length Wait at time zero.
+// actor step per Step, including after a zero-length wait at time zero.
 func TestStepNeverRunsAhead(t *testing.T) {
 	k := NewKernel()
 	var marks []Time
-	k.Spawn("p", func(p *Proc) {
-		p.Wait(0)
-		marks = append(marks, p.Now())
-		p.Wait(5)
-		marks = append(marks, p.Now())
+	steps := 0
+	k.Go(func() (Time, bool) {
+		steps++
+		switch steps {
+		case 1:
+			return 0, false
+		case 2:
+			marks = append(marks, k.Now())
+			return 5, false
+		}
+		marks = append(marks, k.Now())
+		return 0, true
 	})
 	for want := 0; want < 2; want++ {
 		if !k.Step() {
@@ -284,31 +271,28 @@ func TestStepNeverRunsAhead(t *testing.T) {
 	}
 }
 
-// BenchmarkWait measures one Proc.Wait: alone, it is taken in place by
-// run-ahead; against a second process waking at the same instants,
-// every Wait parks and hands control through the kernel.
+// BenchmarkWait measures one actor wait: alone, it is taken in place by
+// run-ahead; against a second actor waking at the same instants, every
+// wait is queued and popped.
 func BenchmarkWait(b *testing.B) {
+	waits := func(n int) func() (Time, bool) {
+		return func() (Time, bool) {
+			n--
+			return 1, n < 0
+		}
+	}
 	b.Run("alone", func(b *testing.B) {
 		b.ReportAllocs()
 		k := NewKernel()
-		k.Spawn("p", func(p *Proc) {
-			for i := 0; i < b.N; i++ {
-				p.Wait(1)
-			}
-		})
+		k.Go(waits(b.N))
 		b.ResetTimer()
 		k.Run()
 	})
 	b.Run("competing", func(b *testing.B) {
 		b.ReportAllocs()
 		k := NewKernel()
-		for _, name := range []string{"a", "b"} {
-			k.Spawn(name, func(p *Proc) {
-				for i := 0; i < b.N/2; i++ {
-					p.Wait(1)
-				}
-			})
-		}
+		k.Go(waits(b.N / 2))
+		k.Go(waits(b.N / 2))
 		b.ResetTimer()
 		k.Run()
 	})

@@ -22,135 +22,190 @@ type MPSoC struct {
 // probes with remote Flush+Reload, whatever params.Primitive says.
 func NewMPSoC(key bitutil.Word128, params Params) *MPSoC {
 	params.Primitive = PrimitiveFlushReload
-	m := new(MPSoC)
-	m.platform = newPlatform(key, params, m.race)
-	return m
+	return &MPSoC{newPlatform(key, params, mpsocRace)}
 }
 
-// nocExecutor charges work to a dedicated core whose memory accesses
-// cross the mesh to the shared cache tile and back.
-type nocExecutor struct {
-	proc  *sim.Proc
-	clock sim.Clock
-	mesh  *noc.Mesh
-	cache *cache.Cache
-	tile  noc.Coord
-	cchTl noc.Coord
-	line  int
+// nocCore is a dedicated core on its own tile whose memory accesses
+// cross the mesh to the shared cache tile and back. Its executor calls
+// queue the work; next then runs it, one wait per step of the core's
+// actor: every packet that has not arrived by the time it is sent, the
+// cache tile's processing when it takes time, and every Exec.
+type nocCore struct {
+	s    *session
+	mesh *noc.Mesh
+	tile noc.Coord
+	// The queued work, run in this order: a 4-byte request to the cache
+	// tile, processing there, a response of resp bytes back (every
+	// response carries at least one), and a wait.
+	request    bool
+	processing sim.Time
+	resp       int
+	wait       sim.Time
+	waiting    bool
 }
 
-func (e *nocExecutor) Exec(cycles uint64) { e.proc.Wait(e.clock.Cycles(cycles)) }
+func (c *nocCore) Exec(cycles uint64) { c.wait, c.waiting = c.s.clock.Cycles(cycles), true }
 
-func (e *nocExecutor) Access(addr uint64) uint64 {
-	// The cache lookup happens at the remote tile; its latency is the
-	// "processing" leg of the round trip. State is updated on issue,
-	// which preserves access ordering at the µs scale the attack sees.
-	res := e.cache.Access(addr)
-	before := e.proc.Now()
-	e.mesh.RoundTrip(e.proc, e.tile, e.cchTl, 4, e.line, e.clock.Cycles(res.Latency))
-	return e.clock.CyclesAt(e.proc.Now() - before)
+func (c *nocCore) Access(addr uint64) { c.reload(addr) }
+
+// reload looks addr up in the shared cache and queues the round trip,
+// with the cache's latency as its processing leg. State is updated on
+// issue, which preserves access ordering at the µs scale the attack
+// sees.
+func (c *nocCore) reload(addr uint64) cache.Result {
+	res := c.s.cache.Access(addr)
+	c.request, c.processing, c.resp = true, c.s.clock.Cycles(res.Latency), c.s.params.CacheLineBytes
+	return res
 }
 
-// race spawns the session's victim and attacker on their own tiles.
-// The attacker polls remote Flush+Reload concurrently with the victim,
-// producing one probe window per poll — several per round with the
-// default polling period.
-func (m *MPSoC) race(s *session) {
-	mesh := noc.MustNew(s.k, s.clock, s.params.Mesh)
-	// Quarter-round windows keep the union of windows covering any one
-	// round narrow enough for candidate elimination (the paper's
-	// attacker has the same freedom: its probe is ~3000× faster than a
-	// round).
-	poll := s.clock.Cycles(s.vic.RoundCycles()) / 4
-	exec := func(p *sim.Proc, tile noc.Coord) *nocExecutor {
-		return &nocExecutor{
-			proc: p, clock: s.clock, mesh: mesh, cache: s.cache,
-			tile: tile, cchTl: s.params.CacheTile,
-			line: s.params.CacheLineBytes,
+// next runs the queued work up to its next wait and returns it; ok is
+// false once nothing is queued.
+func (c *nocCore) next() (wait sim.Time, ok bool) {
+	now, cch := c.s.k.Now(), c.s.params.CacheTile
+	if c.request {
+		c.request = false
+		if t := c.mesh.Send(now, c.tile, cch, 4); t > now {
+			return t - now, true
 		}
 	}
+	if d := c.processing; d > 0 {
+		c.processing = 0
+		return d, true
+	}
+	if n := c.resp; n > 0 {
+		c.resp = 0
+		if t := c.mesh.Send(now, cch, c.tile, n); t > now {
+			return t - now, true
+		}
+	}
+	if c.waiting {
+		c.waiting = false
+		return c.wait, true
+	}
+	return 0, false
+}
 
-	s.k.Spawn("victim", func(p *sim.Proc) {
-		ex := exec(p, s.params.VictimTile)
-		// Small startup cost: fetching the plaintext over the NoC.
-		mesh.RoundTrip(p, s.params.VictimTile, s.params.CacheTile, 4, 8, 0)
-		s.encrypt(ex, s.pt)
-	})
+// victimStep is the victim's actor step: it runs the queued work, then
+// issues the encryption's next executor call.
+func (c *nocCore) victimStep() (sim.Time, bool) {
+	for {
+		if wait, ok := c.next(); ok {
+			return wait, false
+		}
+		if c.s.encrypt(c) {
+			return 0, true
+		}
+	}
+}
 
-	s.k.Spawn("attacker", func(p *sim.Proc) {
-		ex := exec(p, s.params.AttackerTile)
-		observe := func() probe.LineSet { return m.probeAndFlushRemote(ex) }
-		m.flushRemote(ex)
+// mpsocRace starts the session's victim and attacker on their own
+// tiles. The attacker polls remote Flush+Reload concurrently with the
+// victim, producing one probe window per poll — several per round with
+// the default polling period.
+func mpsocRace(s *session) {
+	mesh := noc.MustNew(s.clock, s.params.Mesh)
+	v := &nocCore{s: s, mesh: mesh, tile: s.params.VictimTile}
+	// Small startup cost: fetching the plaintext over the NoC.
+	v.request, v.resp = true, 8
+	s.k.Go(v.victimStep)
+
+	a := &remoteAttacker{
+		nocCore: nocCore{s: s, mesh: mesh, tile: s.params.AttackerTile},
+		// Quarter-round windows keep the union of windows covering any
+		// one round narrow enough for candidate elimination (the
+		// paper's attacker has the same freedom: its probe is ~3000×
+		// faster than a round).
+		poll:  s.clock.Cycles(s.vic.RoundCycles()) / 4,
+		lines: s.table.LinesIn(s.params.CacheLineBytes),
+	}
+	s.k.Go(a.step)
+}
+
+// remoteAttacker is the MPSoC attacker. Its first pass over the table
+// flushes every line; each later pass, a poll period after the last,
+// reloads and immediately re-flushes each line, one line at a time.
+// Interleaving the flush with the reload keeps the blind window per
+// line to roughly one NoC round trip — victim accesses landing inside
+// it are lost, which is the platform channel's natural (small)
+// false-absence noise. Every flush is a one-way command packet plus the
+// flush cost at the cache tile. The meter counts a pass's reloads as
+// one observation pass and its flushes as one setup pass.
+type remoteAttacker struct {
+	nocCore
+	poll  sim.Time
+	lines int
+	// line is the pass's next table line; observing marks every pass
+	// but the first, and reloaded a line whose reload has returned.
+	line                int
+	observing, reloaded bool
+	// The window under observation: its label, the lines found, the
+	// last reload, and the cache cycles the pass spent.
+	last          int
+	set           probe.LineSet
+	res           cache.Result
+	read, flushed uint64
+}
+
+func (a *remoteAttacker) step() (sim.Time, bool) {
+	for {
+		if wait, ok := a.next(); ok {
+			return wait, false
+		}
+		if a.advance() {
+			return 0, true
+		}
+	}
+}
+
+// advance queues the attacker's next work and reports whether the
+// attacker has stood down.
+func (a *remoteAttacker) advance() bool {
+	s := a.s
+	if a.line == a.lines { // the pass is over
+		if a.observing {
+			s.meter.Observe(a.read)
+		}
+		s.meter.Op(a.flushed)
+		if a.observing && !s.record(a.last, a.set) {
+			return true
+		}
 		s.open()
-		for {
-			p.Wait(poll)
-			if !s.window(observe) {
-				return
-			}
-			s.open()
-		}
-	})
-}
-
-// flushRemote flushes every table line over the NoC: each flush is a
-// one-way command packet plus the flush cost at the cache tile.
-func (m *MPSoC) flushRemote(ex *nocExecutor) {
-	lineBytes := ex.cache.Config().LineBytes
-	n := m.table.LinesIn(lineBytes)
-	var total uint64
-	for l := 0; l < n; l++ {
-		cycles := ex.cache.FlushLine(m.table.Base + uint64(l*lineBytes))
-		ex.mesh.Send(ex.proc, ex.tile, ex.cchTl, 4)
-		ex.Exec(cycles)
-		total += cycles
+		a.wait, a.waiting = a.poll, true
+		a.line, a.observing, a.set, a.read, a.flushed = 0, true, 0, 0, 0
+		return false
 	}
-	m.meter.Op(total)
-}
-
-// probeAndFlushRemote reloads and immediately re-flushes each table
-// line over the NoC, one line at a time. Interleaving the flush with
-// the reload keeps the blind window per line to roughly one NoC round
-// trip — victim accesses landing inside it are lost, which is the
-// platform channel's natural (small) false-absence noise. The meter
-// counts the reloads as one observation pass and the flushes as one
-// setup pass.
-func (m *MPSoC) probeAndFlushRemote(ex *nocExecutor) probe.LineSet {
-	lineBytes := ex.cache.Config().LineBytes
-	n := m.table.LinesIn(lineBytes)
-	var set probe.LineSet
-	var read, flush uint64
-	for l := 0; l < n; l++ {
-		addr := m.table.Base + uint64(l*lineBytes)
-		res := ex.cache.Access(addr)
-		ex.mesh.RoundTrip(ex.proc, ex.tile, ex.cchTl, 4, lineBytes, ex.clock.Cycles(res.Latency))
-		if res.Hit {
-			set = set.Add(l)
+	addr := s.table.Base + uint64(a.line*s.params.CacheLineBytes)
+	if a.observing && !a.reloaded {
+		if a.line == 0 {
+			a.last = s.label()
 		}
-		cycles := ex.cache.FlushLine(addr)
-		ex.mesh.Send(ex.proc, ex.tile, ex.cchTl, 4)
-		ex.Exec(cycles)
-		read += res.Latency
-		flush += cycles
+		a.res = a.reload(addr)
+		a.reloaded = true
+		return false
 	}
-	m.meter.Observe(read)
-	m.meter.Op(flush)
-	return set
+	if a.res.Hit {
+		a.set = a.set.Add(a.line)
+	}
+	cycles := s.cache.FlushLine(addr)
+	a.request = true
+	a.Exec(cycles)
+	a.read += a.res.Latency
+	a.flushed += cycles
+	a.line++
+	a.reloaded = false
+	return false
 }
 
 // RemoteAccessTime reports the modelled cost of one attacker cache
 // access (processor + NoC + cache response), the paper's ≈400 ns
-// figure, at the platform's clock.
+// figure, at the platform's clock: a request to the cache tile, the
+// cache's latency there, and the response back, on an idle mesh.
 func (m *MPSoC) RemoteAccessTime() sim.Time {
-	k := sim.NewKernel()
 	clock := sim.ClockMHz(m.params.ClockMHz)
 	cch := sessionCache(m.params.CacheLineBytes)
-	mesh := noc.MustNew(k, clock, m.params.Mesh)
-	var rt sim.Time
-	k.Spawn("meter", func(p *sim.Proc) {
-		res := cch.Access(m.params.TableBase)
-		rt = mesh.RoundTrip(p, m.params.AttackerTile, m.params.CacheTile, 4, m.params.CacheLineBytes, clock.Cycles(res.Latency))
-	})
-	k.Run()
+	res := cch.Access(m.params.TableBase)
 	sessionCaches.Put(cch)
-	return rt
+	mesh := noc.MustNew(clock, m.params.Mesh)
+	arrived := mesh.Send(0, m.params.AttackerTile, m.params.CacheTile, 4)
+	return mesh.Send(arrived+clock.Cycles(res.Latency), m.params.CacheTile, m.params.AttackerTile, m.params.CacheLineBytes)
 }

@@ -14,8 +14,8 @@ import (
 
 // platform is what SingleSoC and MPSoC share: the victim's cipher and
 // table, the session count, the probing meter, and the probed-session
-// skeleton. Each platform supplies only its race, which spawns the
-// victim and the attacker of one session.
+// skeleton. Each platform supplies only its race, which starts the
+// victim and the attacker of one session on the session's kernel.
 type platform struct {
 	params   Params
 	cipher   *gift.Cipher64
@@ -71,9 +71,9 @@ func (p *platform) RunSessionUntil(pt uint64, probeUntilRound int) Session {
 		clock:    sim.ClockMHz(p.params.ClockMHz),
 		cache:    sessionCache(p.params.CacheLineBytes),
 		vic:      victim.New(p.cipher, p.table, p.params.Timing),
-		pt:       pt,
 		until:    probeUntilRound,
 	}
+	s.enc = s.vic.Start(pt)
 	p.race(s)
 	s.k.Run()
 	s.out.CacheStats = s.cache.Stats()
@@ -121,7 +121,7 @@ type session struct {
 	clock sim.Clock
 	cache *cache.Cache
 	vic   *victim.Victim
-	pt    uint64
+	enc   victim.Encryption
 	until int
 	out   Session
 	// first labels the open window: the victim's round when it opened.
@@ -129,14 +129,29 @@ type session struct {
 	done, standDown bool
 }
 
-// encrypt runs the victim on ex and records the ciphertext. Once the
+// encrypt issues the victim's next executor call on ex and reports
+// whether the encryption is done, recording its ciphertext. Once the
 // attacker stands down no probe will ever run again, so the remaining
-// rounds only touch the cache, without consuming virtual time: their
+// calls only touch the cache, without consuming virtual time: their
 // timing is unobservable.
-func (s *session) encrypt(ex victim.Executor, pt uint64) {
-	s.out.Ciphertext = s.vic.Encrypt(&cutoverExecutor{slow: ex, s: s}, pt)
-	s.done = true
+func (s *session) encrypt(ex victim.Executor) bool {
+	if s.standDown {
+		ex = untimed{s.cache}
+	}
+	ct, done := s.enc.Step(ex)
+	if done {
+		s.out.Ciphertext, s.done = ct, true
+	}
+	return done
 }
+
+// untimed is the victim's executor once the attacker has stood down:
+// cache state only.
+type untimed struct{ cache *cache.Cache }
+
+func (untimed) Exec(uint64) {}
+
+func (u untimed) Access(addr uint64) { u.cache.Access(addr) }
 
 // open opens a probe window at the victim's current round; an idle
 // victim means the window begins at round 1.
@@ -144,43 +159,25 @@ func (s *session) open() {
 	s.first = max(s.vic.CurrentRound(), 1)
 }
 
-// window closes the open window with the line set observe reads out,
-// labelling it up to the round in progress as the observation starts
-// (the final round once the victim has finished). It reports whether
-// the attacker probes on; when it does not, the attacker stands down.
-func (s *session) window(observe func() probe.LineSet) bool {
+// label is the round a window whose observation starts now is labelled
+// up to: the round in progress (the final round once the victim has
+// finished).
+func (s *session) label() int {
 	last := s.vic.CurrentRound()
 	if last == 0 && s.done {
 		last = gift.Rounds64
 	}
-	last = max(last, 1)
-	set := observe()
+	return max(last, 1)
+}
+
+// record closes the open window, labelled up to last, with the line set
+// its observation read. It reports whether the attacker probes on; when
+// it does not, the attacker stands down.
+func (s *session) record(last int, set probe.LineSet) bool {
 	s.out.Windows = append(s.out.Windows, ProbeWindow{FirstRound: s.first, LastRound: last, Set: set, At: s.k.Now()})
 	if s.done || last > s.until {
 		s.standDown = true
 		return false
 	}
 	return true
-}
-
-// cutoverExecutor is the victim's executor in a session: slow at full
-// timing fidelity until the attacker stands down, then cache state
-// only.
-type cutoverExecutor struct {
-	slow victim.Executor
-	s    *session
-}
-
-func (e *cutoverExecutor) Exec(cycles uint64) {
-	if !e.s.standDown {
-		e.slow.Exec(cycles)
-	}
-}
-
-func (e *cutoverExecutor) Access(addr uint64) uint64 {
-	if e.s.standDown {
-		e.s.cache.Access(addr)
-		return 0
-	}
-	return e.slow.Access(addr)
 }

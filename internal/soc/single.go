@@ -5,7 +5,6 @@ import (
 	"grinch/internal/cache"
 	"grinch/internal/probe"
 	"grinch/internal/rtos"
-	"grinch/internal/sim"
 )
 
 // SingleSoC is the paper's first platform: one processor, a shared L1
@@ -22,8 +21,8 @@ func NewSingleSoC(key bitutil.Word128, params Params) *SingleSoC {
 	return &SingleSoC{newPlatform(key, params, singleRace)}
 }
 
-// rtosExecutor charges victim/attacker work to an RTOS task, with
-// each memory access charged a flat bus transfer cost plus the shared
+// rtosExecutor charges the victim's work to its RTOS task, with each
+// memory access charged a flat bus transfer cost plus the shared
 // cache's latency.
 type rtosExecutor struct {
 	task      *rtos.Task
@@ -33,90 +32,109 @@ type rtosExecutor struct {
 
 func (e *rtosExecutor) Exec(cycles uint64) { e.task.Exec(cycles) }
 
-func (e *rtosExecutor) Access(addr uint64) uint64 {
+func (e *rtosExecutor) Access(addr uint64) {
 	res := e.cache.Access(addr)
-	cycles := e.busCycles + res.Latency
-	e.task.Exec(cycles)
-	return cycles
+	e.task.Exec(e.busCycles + res.Latency)
 }
 
-// singleRace spawns the session's attacker and victim as RTOS tasks.
+// singleRace starts the session's attacker and victim as RTOS tasks.
 // The attacker is spawned first so its first prepare (flush or prime)
 // precedes the victim's first lookup; it then hands the plaintext to
-// the victim and observes at every scheduling opportunity.
+// the victim, which blocks for it, and observes at every scheduling
+// opportunity.
 func singleRace(s *session) {
 	sched := rtos.New(s.k, s.clock, rtos.Config{
 		Quantum:         s.params.Quantum,
 		CtxSwitchCycles: s.params.CtxSwitchCycles,
 	})
-	ptq := sim.NewQueue[uint64](s.k)
-	exec := func(t *rtos.Task) *rtosExecutor {
-		return &rtosExecutor{task: t, cache: s.cache, busCycles: s.params.BusCyclesPerAccess}
+	a := &singleAttacker{
+		s:  s,
+		fr: probe.FlushReload{Cache: s.cache, Table: s.table, Meter: s.meter},
+		pp: probe.PrimeProbe{Cache: s.cache, Table: s.table, EvictionBase: s.params.EvictionBase, Meter: s.meter},
 	}
+	sched.Spawn("attacker", a.step)
 
-	sched.Spawn("attacker", func(t *rtos.Task) {
-		ex := exec(t)
-		// Both constructors inline here, so the passes and their
-		// primitive stay on this task's stack.
-		prepare, observe := s.flushReload()
-		if s.params.Primitive == PrimitivePrimeProbe {
-			prepare, observe = s.primeProbe()
+	ex := &rtosExecutor{cache: s.cache, busCycles: s.params.BusCyclesPerAccess}
+	handedOver := false
+	ex.task = sched.Spawn("victim", func(t *rtos.Task) bool {
+		if !handedOver {
+			handedOver = true
+			t.Block() // until the attacker hands over the plaintext
+			return false
 		}
-		read := func() probe.LineSet { return ex.charged(observe) }
-		ex.charged(prepare)
+		return s.encrypt(ex)
+	})
+	a.victim = ex.task
+}
+
+// singleAttacker is the single SoC's attacker task. Its steps are the
+// points where the task charges work or yields the core: the first
+// setup pass; opening the first window and handing the victim its
+// plaintext; each observation pass; recording the window and the next
+// setup pass; and opening the next window.
+type singleAttacker struct {
+	s      *session
+	victim *rtos.Task
+	fr     probe.FlushReload
+	pp     probe.PrimeProbe
+	primed bool
+	pc     int
+	// last and set are the window under observation.
+	last int
+	set  probe.LineSet
+}
+
+func (a *singleAttacker) step(t *rtos.Task) bool {
+	s := a.s
+	a.pc++
+	switch a.pc {
+	case 1:
+		a.pass(t, false)
+	case 2:
 		s.open()
-		ptq.Send(s.pt)
-		for {
-			t.YieldSlice()
-			if !s.window(read) {
-				return
-			}
-			ex.charged(prepare)
-			s.open()
+		a.victim.Wake()
+		t.YieldSlice()
+	case 3:
+		a.last = s.label()
+		a.set = a.pass(t, true)
+	case 4:
+		if !s.record(a.last, a.set) {
+			return true
 		}
-	})
-
-	sched.Spawn("victim", func(t *rtos.Task) {
-		s.encrypt(exec(t), rtos.Recv(t, ptq))
-	})
+		a.pass(t, false)
+	case 5:
+		s.open()
+		t.YieldSlice()
+		a.pc = 2
+	}
+	return false
 }
 
-// pass is one probing pass over the table: the lines it found touched
-// (none, for a setup pass) and the cache cycles it spent. A probing
-// primitive is two passes over the session's cache: prepare resets the
-// observation window (flush, or prime) and observe reads it out
-// (reload, or probe).
-type pass func() (probe.LineSet, uint64)
-
-// flushReload returns Flush+Reload's passes.
-func (s *session) flushReload() (prepare, observe pass) {
-	fr := &probe.FlushReload{Cache: s.cache, Table: s.table, Meter: s.meter}
-	return func() (probe.LineSet, uint64) { return 0, fr.Flush() }, fr.Reload
-}
-
-// primeProbe returns Prime+Probe's passes; only the first prime costs,
-// because every probe re-touches the attacker's lines.
-func (s *session) primeProbe() (prepare, observe pass) {
-	pp := &probe.PrimeProbe{Cache: s.cache, Table: s.table, EvictionBase: s.params.EvictionBase, Meter: s.meter}
-	primed := false
-	return func() (probe.LineSet, uint64) {
-		if primed {
-			return 0, 0
-		}
-		primed = true
-		return 0, pp.Prime()
-	}, pp.Probe
-}
-
-// charged runs p on the attacker's task, charging its cache cycles
-// plus one bus transfer per cache operation (access or flush) it
-// issued. A pass never yields, so the cache's counters move by its own
-// operations only.
-func (e *rtosExecutor) charged(p pass) probe.LineSet {
-	before := e.cache.Stats()
-	set, cycles := p()
-	after := e.cache.Stats()
+// pass runs one probing pass over the table — the primitive's
+// observation pass (reload, or probe), or its setup pass (flush, or
+// prime) — and charges the attacker's task its cache cycles plus one
+// bus transfer per cache operation (access or flush) it issued. Only
+// the first prime costs, because every probe re-touches the attacker's
+// lines. A pass runs at one instant, so the cache's counters move by
+// its own operations only.
+func (a *singleAttacker) pass(t *rtos.Task, observe bool) probe.LineSet {
+	before := a.s.cache.Stats()
+	var set probe.LineSet
+	var cycles uint64
+	switch primeProbe := a.s.params.Primitive == PrimitivePrimeProbe; {
+	case primeProbe && observe:
+		set, cycles = a.pp.Probe()
+	case primeProbe && !a.primed:
+		a.primed = true
+		cycles = a.pp.Prime()
+	case primeProbe:
+	case observe:
+		set, cycles = a.fr.Reload()
+	default:
+		cycles = a.fr.Flush()
+	}
+	after := a.s.cache.Stats()
 	ops := after.Accesses + after.Flushes - before.Accesses - before.Flushes
-	e.Exec(cycles + ops*e.busCycles)
+	t.Exec(cycles + ops*a.s.params.BusCyclesPerAccess)
 	return set
 }

@@ -16,14 +16,14 @@ import (
 
 // Executor abstracts how the victim's work is charged to a platform: an
 // RTOS task on the single-processor SoC, a dedicated core behind a NoC
-// on the MPSoC.
+// on the MPSoC. A call records the work; the platform charges its
+// virtual time before the encryption's next step.
 type Executor interface {
 	// Exec consumes CPU cycles (possibly spanning preemptions).
 	Exec(cycles uint64)
-	// Access performs one memory read, advancing virtual time by the
-	// full access path (bus or NoC plus cache) and returning the cycles
-	// charged.
-	Access(addr uint64) uint64
+	// Access performs one memory read over the full access path (bus or
+	// NoC plus cache).
+	Access(addr uint64)
 }
 
 // Timing is the victim's per-round cycle budget.
@@ -75,29 +75,63 @@ func (v *Victim) Encryptions() uint64 { return v.encryptions }
 // windows; a real attacker recovers the same information from timing.
 func (v *Victim) CurrentRound() int { return v.round }
 
-// Encrypt runs one traced encryption on the executor: for every round,
-// 16 S-box lookups hit the table through the platform's memory path,
-// then the round's compute budget is consumed. Returns the ciphertext.
-func (v *Victim) Encrypt(ex Executor, pt uint64) uint64 {
-	rks := v.cipher.RoundKeys()
-	s := pt
-	for r := 0; r < gift.Rounds64; r++ {
-		v.round = r + 1
-		var sub uint64
-		for seg := uint(0); seg < gift.Segments64; seg++ {
-			idx := int(s >> (4 * seg) & 0xf)
-			if v.timing.LookupOverheadCycles > 0 {
-				ex.Exec(v.timing.LookupOverheadCycles)
-			}
-			ex.Access(v.table.EntryAddr(idx))
-			sub |= uint64(gift.SBox[idx]) << (4 * seg)
+// Encryption is one encryption in progress on a victim, advanced one
+// executor call at a time by Step, so that a platform charges each
+// call's virtual time before the next one is issued.
+type Encryption struct {
+	v     *Victim
+	rks   []gift.RoundKey64 //grinch:secret
+	state uint64
+	sub   uint64
+	// round is the round in progress (1..28), seg its next S-box lookup:
+	// 16 issues the round's compute and 17 means it has been issued.
+	// looked reports that seg's address-computation overhead has been
+	// issued, so its access comes next.
+	round  int
+	seg    uint
+	looked bool
+}
+
+// Start begins encrypting pt.
+func (v *Victim) Start(pt uint64) Encryption {
+	return Encryption{v: v, rks: v.cipher.RoundKeys(), state: pt}
+}
+
+// Step issues the encryption's next executor call: for every round, 16
+// S-box lookups hit the table through the platform's memory path, each
+// after its address-computation overhead, then the round's compute
+// budget is consumed. The step after the last round's compute issues
+// nothing and reports done with the ciphertext.
+func (e *Encryption) Step(ex Executor) (ct uint64, done bool) {
+	v := e.v
+	if e.seg > gift.Segments64 {
+		e.state = gift.AddRoundKey64(gift.PermBits64(e.sub), e.rks[e.round-1])
+		if e.round == gift.Rounds64 {
+			v.round = 0
+			v.encryptions++
+			return e.state, true
 		}
-		ex.Exec(v.timing.ComputeCyclesPerRound)
-		s = gift.AddRoundKey64(gift.PermBits64(sub), rks[r])
+		e.sub, e.seg = 0, 0
 	}
-	v.round = 0
-	v.encryptions++
-	return s
+	if e.seg == 0 && !e.looked {
+		e.round++
+		v.round = e.round
+	}
+	switch {
+	case e.seg == gift.Segments64:
+		ex.Exec(v.timing.ComputeCyclesPerRound)
+	case !e.looked && v.timing.LookupOverheadCycles > 0:
+		e.looked = true
+		ex.Exec(v.timing.LookupOverheadCycles)
+		return 0, false
+	default:
+		idx := int(e.state >> (4 * e.seg) & 0xf)
+		ex.Access(v.table.EntryAddr(idx))
+		e.sub |= uint64(gift.SBox[idx]) << (4 * e.seg)
+		e.looked = false
+	}
+	e.seg++
+	return 0, false
 }
 
 // RoundCycles returns the approximate CPU cycles one round consumes,
