@@ -36,8 +36,8 @@ build:
 test:
 	$(GO) test ./...
 
-# The platform models run coroutine-style simulation processes, so the
-# race detector is the gate that keeps them honest.
+# The campaign pool, the coordinator and its workers share state across
+# goroutines, so the race detector is the gate that keeps them honest.
 race:
 	$(GO) test -race ./...
 

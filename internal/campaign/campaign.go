@@ -17,7 +17,7 @@
 //     JSON-lines journal. A re-run against the same journal replays the
 //     finished cells into the sinks and executes only the remainder.
 //   - Fault isolation. A panicking job is recovered and recorded as a
-//     failed cell; a context cancel (SIGINT) stops dispatch, drains
+//     failed cell; a context cancel (SIGINT) stops claiming, drains
 //     in-flight workers, and flushes the journal.
 //   - Observability. An obs/metrics registry (Options.Registry)
 //     receives the grid size, jobs in flight, per-status completion

@@ -63,7 +63,7 @@ type Report struct {
 // index order, the byte output of every deterministic sink — is
 // identical for any worker count and any scheduling.
 //
-// Cancellation: when ctx is cancelled, dispatch stops, in-flight jobs
+// Cancellation: when ctx is cancelled, claiming stops, in-flight jobs
 // drain, the journal is flushed, and Run returns the partial report
 // with ctx's error. A later Run with the same spec and journal resumes
 // where this one stopped.
@@ -159,7 +159,7 @@ func Run(ctx context.Context, spec Spec, exec Executor, opts Options) (Report, e
 	}
 
 	rep := Report{Spec: spec, Total: len(jobs), Skipped: skipped, FailedReplayed: failedReplayed}
-	// A sink, trace or journal write error stops dispatch: the pool
+	// A sink, trace or journal write error stops claiming: the pool
 	// drains the jobs in flight and runs no more.
 	runErr := deliver()
 	if runErr == nil {
