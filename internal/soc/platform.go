@@ -12,13 +12,13 @@ import (
 	"grinch/internal/victim"
 )
 
-// platform is what SingleSoC and MPSoC share: the victim's cipher and
-// table, the session count, the probing meter, and the probed-session
-// skeleton. Each platform supplies only its race, which starts the
+// platform is what SingleSoC and MPSoC share: the victim's round keys,
+// expanded once, and table, the session count, the probing meter, and
+// the probed-session skeleton. Each platform supplies only its race, which starts the
 // victim and the attacker of one session on the session's kernel.
 type platform struct {
 	params   Params
-	cipher   *gift.Cipher64
+	rks      []gift.RoundKey64
 	table    probe.TableLayout
 	sessions uint64
 	meter    *probe.Meter
@@ -28,7 +28,7 @@ type platform struct {
 func newPlatform(key bitutil.Word128, params Params, race func(s *session)) platform {
 	return platform{
 		params: params,
-		cipher: gift.NewCipher64FromWord(key),
+		rks:    gift.ExpandKey64(key),
 		table:  probe.TableLayout{Base: params.TableBase, EntryBytes: 1, Entries: 16},
 		race:   race,
 	}
@@ -70,7 +70,7 @@ func (p *platform) RunSessionUntil(pt uint64, probeUntilRound int) Session {
 		k:        sim.NewKernel(),
 		clock:    sim.ClockMHz(p.params.ClockMHz),
 		cache:    sessionCache(p.params.CacheLineBytes),
-		vic:      victim.New(p.cipher, p.table, p.params.Timing),
+		vic:      victim.New(p.rks, p.table, p.params.Timing),
 		until:    probeUntilRound,
 	}
 	s.enc = s.vic.Start(pt)

@@ -51,7 +51,7 @@ func DefaultTiming() Timing {
 
 // Victim is a GIFT-64 encryption service with progress tracking.
 type Victim struct {
-	cipher *gift.Cipher64 //grinch:secret
+	rks    []gift.RoundKey64 //grinch:secret
 	table  probe.TableLayout
 	timing Timing
 
@@ -59,12 +59,13 @@ type Victim struct {
 	round       int
 }
 
-// New builds a victim holding the cipher whose key the attacker is
-// after. table locates the S-box lookup table in the shared memory map.
+// New builds a victim that encrypts under rks, the expanded round keys
+// of the key the attacker is after; it keeps rks without copying them.
+// table locates the S-box lookup table in the shared memory map.
 //
-//grinch:secret cipher
-func New(cipher *gift.Cipher64, table probe.TableLayout, timing Timing) *Victim {
-	return &Victim{cipher: cipher, table: table, timing: timing}
+//grinch:secret rks
+func New(rks []gift.RoundKey64, table probe.TableLayout, timing Timing) *Victim {
+	return &Victim{rks: rks, table: table, timing: timing}
 }
 
 // Encryptions returns how many encryptions have completed.
@@ -80,7 +81,6 @@ func (v *Victim) CurrentRound() int { return v.round }
 // call's virtual time before the next one is issued.
 type Encryption struct {
 	v     *Victim
-	rks   []gift.RoundKey64 //grinch:secret
 	state uint64
 	sub   uint64
 	// round is the round in progress (1..28), seg its next S-box lookup:
@@ -94,7 +94,7 @@ type Encryption struct {
 
 // Start begins encrypting pt.
 func (v *Victim) Start(pt uint64) Encryption {
-	return Encryption{v: v, rks: v.cipher.RoundKeys(), state: pt}
+	return Encryption{v: v, state: pt}
 }
 
 // Step issues the encryption's next executor call: for every round, 16
@@ -105,7 +105,7 @@ func (v *Victim) Start(pt uint64) Encryption {
 func (e *Encryption) Step(ex Executor) (ct uint64, done bool) {
 	v := e.v
 	if e.seg > gift.Segments64 {
-		e.state = gift.AddRoundKey64(gift.PermBits64(e.sub), e.rks[e.round-1])
+		e.state = gift.AddRoundKey64(gift.PermBits64(e.sub), v.rks[e.round-1])
 		if e.round == gift.Rounds64 {
 			v.round = 0
 			v.encryptions++
