@@ -94,7 +94,7 @@ func TestRecvBlockingPath(t *testing.T) {
 	))
 	var otherDone sim.Time
 	s.Spawn("other", execs(1, 100, func(task *Task) { otherDone = task.Now() })) // runs while recv blocks
-	k.Schedule(5*sim.Millisecond, func() {
+	later(k, 5*sim.Millisecond, func() {
 		msg = "late"
 		recv.Wake()
 	})

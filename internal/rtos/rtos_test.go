@@ -41,6 +41,19 @@ func execs(count int, n uint64, after func(t *Task)) func(t *Task) bool {
 	return program(ops...)
 }
 
+// later starts an actor on k that runs fn once d has passed.
+func later(k *sim.Kernel, d sim.Time, fn func()) {
+	waited := false
+	k.Go(func() (sim.Time, bool) {
+		if !waited {
+			waited = true
+			return d, false
+		}
+		fn()
+		return 0, true
+	})
+}
+
 func TestSingleTaskRunsToCompletion(t *testing.T) {
 	k := sim.NewKernel()
 	s := newSched(k, 10*sim.Millisecond, 0)
@@ -161,7 +174,7 @@ func TestSleepReleasesCPU(t *testing.T) {
 	sleeper = s.Spawn("sleeper", program(
 		func(task *Task) { task.Exec(100) }, // 10 µs
 		func(task *Task) {
-			k.Schedule(5*sim.Millisecond, sleeper.Wake)
+			later(k, 5*sim.Millisecond, sleeper.Wake)
 			task.Block()
 		},
 		func(task *Task) { sleeperWoke = task.Now() },
@@ -187,7 +200,7 @@ func TestSleepContendedWakeup(t *testing.T) {
 	var sleeper *Task
 	sleeper = s.Spawn("sleeper", program(
 		func(task *Task) {
-			k.Schedule(sim.Millisecond, sleeper.Wake)
+			later(k, sim.Millisecond, sleeper.Wake)
 			task.Block()
 		},
 		func(task *Task) { task.Exec(1) },

@@ -8,9 +8,8 @@ import (
 
 // The run-ahead fast path in Actor steps must be invisible: a program's
 // event log is the same whether Run drives the kernel (which may run
-// ahead), a caller steps it by hand (which never does), or the actors
-// are replaced by a reference that queues every wait through Schedule.
-// These tests build small random programs and compare the three.
+// ahead) or a caller steps it by hand (which never does). These tests
+// build small random programs and compare the two.
 
 // progReader hands out program bytes, then zeros once they run out.
 type progReader struct {
@@ -32,7 +31,7 @@ const (
 	opWait     = iota // end the step, waiting arg%4
 	opSleep           // end the step done: the actor sleeps until a Wake
 	opWake            // wake actor arg, if it sleeps, after arg%3
-	opSchedule        // schedule a callback arg%4 from now
+	opSchedule        // start an actor that fires once arg%4 has passed
 	opKinds
 )
 
@@ -41,10 +40,10 @@ type progOp struct {
 	arg  int
 }
 
-// progEvent is a plain callback scheduled before the run starts.
+// progEvent is an actor started before the run that fires once, at at.
 type progEvent struct {
 	at     int
-	cancel int // index of an earlier event to cancel, or -1
+	cancel int // event to call off if it has not fired, or -1
 	wake   int // actor to wake, or -1
 	spawn  int // waits of a short-lived actor to start, or 0
 }
@@ -81,59 +80,40 @@ func parseProgram(data []byte) program {
 	return p
 }
 
-// starter starts an actor on k and returns its Wake.
-type starter func(k *Kernel, step func() (Time, bool)) func(delay Time)
-
-// kernelActor starts a step actor with the kernel's own Go.
-func kernelActor(k *Kernel, step func() (Time, bool)) func(Time) {
-	return k.Go(step).Wake
-}
-
-// scheduledActor is the reference: every step, wait and wake-up is an
-// event queued through Schedule.
-func scheduledActor(k *Kernel, step func() (Time, bool)) func(Time) {
-	var fire func()
-	fire = func() {
-		if wait, done := step(); !done {
-			k.Schedule(wait, fire)
-		}
-	}
-	k.Schedule(0, fire)
-	return func(delay Time) { k.Schedule(delay, fire) }
-}
-
-// execute runs prog on a fresh kernel, with actors started by start and
-// the kernel driven by Run or, with byHand, by Step, and returns its
-// (time, actor, operation) log.
-func (prog program) execute(start starter, byHand bool) []string {
+// execute runs prog on a fresh kernel, driven by Run or, with byHand,
+// by Step, and returns its (time, actor, operation) log.
+func (prog program) execute(byHand bool) []string {
 	k := NewKernel()
 	var log []string
 	logf := func(who, format string, args ...any) {
 		log = append(log, fmt.Sprintf("%d %s ", uint64(k.Now()), who)+fmt.Sprintf(format, args...))
 	}
-	wakes := make([]func(Time), len(prog.actors))
+	actors := make([]*Actor, len(prog.actors))
 	sleeping := make([]bool, len(prog.actors))
 	wake := func(who string, i int, delay Time) {
 		if sleeping[i] {
 			sleeping[i] = false
 			logf(who, "wake a%d after %d", i, uint64(delay))
-			wakes[i](delay)
+			actors[i].Wake(delay)
 		}
 	}
 
-	events := make([]*Event, len(prog.events))
+	cancelled := make([]bool, len(prog.events))
 	for i, ev := range prog.events {
 		name := fmt.Sprintf("ev%d", i)
-		events[i] = k.At(Time(ev.at), func() {
+		after(k, Time(ev.at), func() {
+			if cancelled[i] {
+				return
+			}
 			logf(name, "fire")
 			switch {
 			case ev.cancel >= 0:
-				k.Cancel(events[ev.cancel])
+				cancelled[ev.cancel] = true
 			case ev.wake >= 0:
 				wake(name, ev.wake, 0)
 			case ev.spawn > 0:
 				ticks := 0
-				start(k, func() (Time, bool) {
+				k.Go(func() (Time, bool) {
 					logf(name+".actor", "tick %d", ticks)
 					ticks++
 					return Time(ticks - 1), ticks > ev.spawn
@@ -144,7 +124,7 @@ func (prog program) execute(start starter, byHand bool) []string {
 	for i, ops := range prog.actors {
 		name := fmt.Sprintf("a%d", i)
 		pc := 0
-		wakes[i] = start(k, func() (Time, bool) {
+		actors[i] = k.Go(func() (Time, bool) {
 			logf(name, "step")
 			for pc < len(ops) {
 				op := ops[pc]
@@ -161,7 +141,7 @@ func (prog program) execute(start starter, byHand bool) []string {
 					wake(name, op.arg%len(prog.actors), Time(op.arg%3))
 				case opSchedule:
 					tag := fmt.Sprintf("%s.cb%d", name, pc-1)
-					k.Schedule(Time(op.arg%4), func() { logf(tag, "fire") })
+					after(k, Time(op.arg%4), func() { logf(tag, "fire") })
 				}
 			}
 			logf(name, "exit")
@@ -178,16 +158,13 @@ func (prog program) execute(start starter, byHand bool) []string {
 	return log
 }
 
-// checkRunAhead fails t if the program's log under Run or hand-stepping
-// differs from the log of the Schedule-driven reference.
+// checkRunAhead fails t if the program's log under Run differs from its
+// log when stepped by hand.
 func checkRunAhead(t *testing.T, data []byte) {
 	t.Helper()
 	prog := parseProgram(data)
-	want := prog.execute(scheduledActor, false)
-	for _, byHand := range []bool{false, true} {
-		if got := prog.execute(kernelActor, byHand); !slices.Equal(got, want) {
-			t.Fatalf("program %x: actor log (stepped by hand: %v)\n%q\ndiffers from the Schedule-driven log\n%q", data, byHand, got, want)
-		}
+	if got, want := prog.execute(false), prog.execute(true); !slices.Equal(got, want) {
+		t.Fatalf("program %x: log under Run\n%q\ndiffers from the hand-stepped log\n%q", data, got, want)
 	}
 }
 
@@ -217,13 +194,13 @@ func FuzzRunAheadMatchesStep(f *testing.F) {
 	})
 }
 
-// TestSameInstantEventFiresFirst: an event queued earlier for the very
-// instant an actor's wait ends has the lower sequence number and must
-// run before the actor's next step.
+// TestSameInstantEventFiresFirst: an actor queued earlier for the very
+// instant another actor's wait ends steps first, so the waiting actor
+// must queue rather than run ahead.
 func TestSameInstantEventFiresFirst(t *testing.T) {
 	k := NewKernel()
 	var log []string
-	k.Schedule(10, func() { log = append(log, "event") })
+	after(k, 10, func() { log = append(log, "event") })
 	steps := 0
 	k.Go(func() (Time, bool) {
 		steps++
@@ -273,27 +250,37 @@ func TestStepNeverRunsAhead(t *testing.T) {
 
 // BenchmarkWait measures one actor wait: alone, it is taken in place by
 // run-ahead; against a second actor waking at the same instants, every
-// wait is queued and popped.
+// wait is queued and popped. Neither may allocate.
 func BenchmarkWait(b *testing.B) {
-	waits := func(n int) func() (Time, bool) {
-		return func() (Time, bool) {
-			n--
-			return 1, n < 0
-		}
+	for _, c := range []struct {
+		name   string
+		actors int
+	}{{"alone", 1}, {"competing", 2}} {
+		b.Run(c.name, func(b *testing.B) {
+			k := NewKernel()
+			left := make([]int, c.actors)
+			actors := make([]*Actor, c.actors)
+			for i := range actors {
+				actors[i] = k.Go(func() (Time, bool) {
+					left[i]--
+					return 1, left[i] < 0
+				})
+			}
+			k.Run()
+			// waits wakes every actor for an equal share of n waits.
+			waits := func(n int) {
+				for i, a := range actors {
+					left[i] = n / c.actors
+					a.Wake(0)
+				}
+				k.Run()
+			}
+			if allocs := testing.AllocsPerRun(10, func() { waits(1000) }); allocs != 0 {
+				b.Fatalf("%.1f allocs per 1000 waits, want 0", allocs)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			waits(b.N)
+		})
 	}
-	b.Run("alone", func(b *testing.B) {
-		b.ReportAllocs()
-		k := NewKernel()
-		k.Go(waits(b.N))
-		b.ResetTimer()
-		k.Run()
-	})
-	b.Run("competing", func(b *testing.B) {
-		b.ReportAllocs()
-		k := NewKernel()
-		k.Go(waits(b.N / 2))
-		k.Go(waits(b.N / 2))
-		b.ResetTimer()
-		k.Run()
-	})
 }

@@ -5,70 +5,47 @@ import (
 	"testing"
 )
 
+// after starts an actor that runs fn once d has passed.
+func after(k *Kernel, d Time, fn func()) *Actor {
+	waited := false
+	return k.Go(func() (Time, bool) {
+		if !waited {
+			waited = true
+			return d, false
+		}
+		fn()
+		return 0, true
+	})
+}
+
 func TestScheduleOrdering(t *testing.T) {
 	k := NewKernel()
 	var got []int
-	k.Schedule(30, func() { got = append(got, 3) })
-	k.Schedule(10, func() { got = append(got, 1) })
-	k.Schedule(20, func() { got = append(got, 2) })
+	after(k, 30, func() { got = append(got, 3) })
+	after(k, 10, func() { got = append(got, 1) })
+	after(k, 20, func() { got = append(got, 2) })
 	k.Run()
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
-		t.Fatalf("events fired in order %v", got)
+		t.Fatalf("actors stepped in order %v", got)
 	}
 	if k.Now() != 30 {
 		t.Fatalf("final time %v, want 30ps", k.Now())
 	}
 }
 
+// TestSameTimeFIFO: actors queued for the same instant step in the
+// order they were queued, both when started and after equal waits.
 func TestSameTimeFIFO(t *testing.T) {
 	k := NewKernel()
 	var got []int
 	for i := 0; i < 10; i++ {
-		i := i
-		k.Schedule(5, func() { got = append(got, i) })
+		k.Go(waitsThen(func() { got = append(got, i) }, 5))
 	}
 	k.Run()
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("same-time events reordered: %v", got)
-		}
+	want := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
+	if !slices.Equal(got, want) {
+		t.Fatalf("same-time actors stepped in order %v, want %v", got, want)
 	}
-}
-
-func TestCancel(t *testing.T) {
-	k := NewKernel()
-	fired := false
-	e := k.Schedule(10, func() { fired = true })
-	k.Cancel(e)
-	k.Cancel(e) // double-cancel is a no-op
-	k.Cancel(nil)
-	k.Run()
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-}
-
-func TestCancelFromEarlierEvent(t *testing.T) {
-	k := NewKernel()
-	fired := false
-	e := k.Schedule(20, func() { fired = true })
-	k.Schedule(10, func() { k.Cancel(e) })
-	k.Run()
-	if fired {
-		t.Fatal("event cancelled at t=10 still fired at t=20")
-	}
-}
-
-func TestSchedulingIntoPastPanics(t *testing.T) {
-	k := NewKernel()
-	k.Schedule(100, func() {})
-	k.Run()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	k.At(50, func() {})
 }
 
 func TestNestedScheduling(t *testing.T) {
@@ -78,10 +55,10 @@ func TestNestedScheduling(t *testing.T) {
 	rec = func() {
 		depth++
 		if depth < 100 {
-			k.Schedule(1, rec)
+			after(k, 1, rec)
 		}
 	}
-	k.Schedule(1, rec)
+	after(k, 1, rec)
 	k.Run()
 	if depth != 100 {
 		t.Fatalf("depth = %d", depth)
@@ -128,7 +105,7 @@ func TestWakeResumesDoneActor(t *testing.T) {
 		return 3, steps%2 == 0
 	})
 	k.Run()
-	k.Schedule(100, func() { a.Wake(7) })
+	after(k, 100, func() { a.Wake(7) })
 	k.Run()
 	// Done at 3; woken at 103 to step again 7 later.
 	if want := []Time{0, 3, 110, 113}; !slices.Equal(marks, want) {
@@ -164,14 +141,13 @@ func TestTwoProcsInterleaveDeterministically(t *testing.T) {
 }
 
 // TestDeadlockedQueueQuiesces: an actor asleep until a Wake that never
-// comes must not keep Run spinning: Run returns when the event queue
-// drains.
+// comes must not keep Run spinning: Run returns when the queue drains.
 func TestDeadlockedQueueQuiesces(t *testing.T) {
 	k := NewKernel()
 	k.Go(func() (Time, bool) { return 0, true })
 	k.Run() // would hang forever if Run failed to quiesce
 	if k.Step() {
-		t.Fatal("event left queued after Run returned")
+		t.Fatal("a step left queued after Run returned")
 	}
 }
 
@@ -229,7 +205,7 @@ func TestTimeString(t *testing.T) {
 func TestSpawnAfterTimeAdvanced(t *testing.T) {
 	k := NewKernel()
 	var start Time
-	k.Schedule(100, func() {
+	after(k, 100, func() {
 		k.Go(func() (Time, bool) {
 			start = k.Now()
 			return 0, true
